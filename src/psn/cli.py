@@ -18,20 +18,20 @@ Subcommands:
 
 All CSV output is deterministic for a fixed seed and flag set: rows
 carry no timing, and randomness never depends on thread scheduling.
-Exit codes: 0 success, 1 bad input, 2 did not converge.
+Exit codes: 0 success, 1 bad input, 2 did not converge (budget
+exhausted or diverged).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from .erm import ErmProblem, LogisticLoss, SquaredLoss, load_libsvm, run_erm
 from .linalg import make_heat_matrix, make_rho_matrix, make_tridiagonal
-from .matrixio import read_matrix, read_vector
+from .matrixio import read_matrix, read_vector, write_csv
 from .rates import (
     CurvaturePair,
     pcdm_constants,
@@ -41,6 +41,7 @@ from .rates import (
 )
 from .sampling import SamplingScheme, expected_lifted_inverse, parse_scheme
 from .solver import (
+    DivergenceError,
     SolverConfig,
     least_squares_objective,
     quadratic_objective,
@@ -176,24 +177,6 @@ def _build_objective(args) -> tuple:
     return quadratic_objective(M, rng.standard_normal(gen["n"])), None
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
-    fh, close = _open_out(path)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if close:
-            fh.close()
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -240,7 +223,7 @@ def cmd_solve(args) -> int:
                     _fmt(rec.grad_norm),
                 ]
             )
-    _write_rows(args.out, ["c", "iteration", "f_gap", "grad_norm"], rows)
+    write_csv(args.out, ["c", "iteration", "f_gap", "grad_norm"], rows)
     return 0 if ok else 2
 
 
@@ -284,7 +267,7 @@ def cmd_rates(args) -> int:
                 int(report.hypotheses_hold),
             ]
         )
-    _write_rows(
+    write_csv(
         args.out,
         [
             "scheme", "n", "tau", "c", "tau_c", "sigma1", "theta", "lam",
@@ -315,7 +298,7 @@ def cmd_rho(args) -> int:
                     _fmt(c / b_min),
                 ]
             )
-    _write_rows(
+    write_csv(
         args.out,
         ["n", "tau", "rho", "c", "sigma1", "theta", "b_min", "sigma_p", "speedup"],
         rows,
@@ -341,7 +324,7 @@ def cmd_tridiag(args) -> int:
                     _fmt(tridiag_theta_bound(alpha, n)),
                 ]
             )
-    _write_rows(args.out, ["n", "alpha", "sigma1", "theta", "bound"], rows)
+    write_csv(args.out, ["n", "alpha", "sigma1", "theta", "bound"], rows)
     return 0
 
 
@@ -394,7 +377,7 @@ def cmd_erm(args) -> int:
             rows.append(
                 [c, rec.iteration, _fmt(rec.primal), _fmt(rec.dual), _fmt(rec.gap)]
             )
-    _write_rows(args.out, ["c", "iteration", "primal", "dual", "gap"], rows)
+    write_csv(args.out, ["c", "iteration", "primal", "dual", "gap"], rows)
     return 0 if ok else 2
 
 
@@ -414,7 +397,8 @@ def _add_solver_flags(sub: argparse.ArgumentParser, default_scheme: str) -> None
     sub.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
     sub.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
     sub.add_argument("--threads", type=int, default=1,
-                     help="physical threads for block solves (results do not depend on it)")
+                     help="physical threads for block solves, in solve, heat and erm "
+                          "(results do not depend on it)")
 
 
 def _add_problem_source(sub: argparse.ArgumentParser) -> None:
@@ -489,9 +473,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as err:
+    except (ValueError, OSError, np.linalg.LinAlgError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, DivergenceError) else 1
 
 
 if __name__ == "__main__":

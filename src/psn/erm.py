@@ -32,13 +32,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .linalg import check_index_set
-from .rates import CurvaturePair, b_threshold, lambda_ratio, theta, theta_cond_bound
-from .sampling import draw, expected_lifted_inverse
-from .solver import SolverConfig
+from .matrixio import write_csv
+from .rates import CurvaturePair
+from .sampling import draw
+from .solver import SolverConfig, block_step, check_config, resolve_damping, worker_pool
 
 __all__ = [
     "SquaredLoss",
@@ -264,6 +264,13 @@ def primal_from_dual(problem: ErmProblem, alpha: np.ndarray) -> np.ndarray:
     return problem.average_of(alpha)
 
 
+def _dual_gradient(problem: ErmProblem, state: DualState):
+    """Block gradient of -D at state: S -> ((1/n) A'w + grad psi(alpha))[S],
+    where w is the primal point of the state."""
+    w, alpha = state.alpha_bar, state.alpha
+    return lambda S: (problem.A[:, S].T @ w) / problem.n + problem.psi_gradient(alpha, S)
+
+
 def block_subproblem(
     problem: ErmProblem,
     state: DualState,
@@ -274,19 +281,7 @@ def block_subproblem(
     solution of X[S, S] h = -((1/n) A'w + grad psi(alpha))[S], where
     w is the primal point of the current state."""
     idx = check_index_set(S, problem.n)
-    w = state.alpha_bar
-    u = (problem.A[:, idx].T @ w) / problem.n + problem.psi_gradient(state.alpha, idx)
-    try:
-        block = scipy.linalg.cho_factor(
-            X[np.ix_(idx, idx)], lower=True, check_finite=False
-        )
-    except scipy.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            f"dual block {idx.tolist()} is not positive definite: {err}"
-        ) from err
-    h = np.zeros(problem.n)
-    h[idx] = -scipy.linalg.cho_solve(block, u, check_finite=False)
-    return h
+    return block_step(X, [idx], _dual_gradient(problem, state))
 
 
 @dataclass(frozen=True)
@@ -319,65 +314,15 @@ class ErmTrace:
         return self.records[-1].iteration
 
     def write_csv(self, path_or_file, include_elapsed: bool = True) -> None:
-        import csv
-
-        close = False
-        if hasattr(path_or_file, "write"):
-            fh = path_or_file
-        else:
-            fh = open(path_or_file, "w", newline="")
-            close = True
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["iteration", "primal", "dual", "gap"]
-            if include_elapsed:
-                header.append("elapsed_seconds")
-            writer.writerow(header)
-            for rec in self.records:
-                row = [rec.iteration, repr(rec.primal), repr(rec.dual), repr(rec.gap)]
-                if include_elapsed:
-                    row.append(repr(rec.elapsed))
-                writer.writerow(row)
-        finally:
-            if close:
-                fh.close()
-
-
-def _resolve_erm_damping(
-    problem: ErmProblem, X: np.ndarray, config: SolverConfig
-) -> tuple[float, float | None]:
-    if config.b != "auto":
-        b = float(config.b)
-        if b < 1.0:
-            raise ValueError(f"explicit damping b must be at least 1, got {b}")
-        return b, None
-    spec = config.theta
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        th = float(spec)
-        if th <= 0.0:
-            raise ValueError(f"theta must be positive, got {th}")
-    elif spec == "exact":
-        pair = problem.curvature()
-        th = theta(pair, expected_lifted_inverse(X, config.scheme).matrix)
-    elif spec == "bound":
-        if config.scheme.serial_kind != "list":
-            raise ValueError(
-                "theta='bound' uses (tau/n) cond(X), which covers list samplings only"
-            )
-        if not math.isclose(problem.loss.gamma, problem.loss.smoothness):
-            raise ValueError(
-                "theta='bound' requires a quadratic dual (squared loss)"
-            )
-        th = theta_cond_bound(config.scheme.tau, X)
-    else:
-        raise ValueError(
-            "b='auto' needs an explicit theta source: a number, 'exact', or 'bound'"
+        """Write the trace as CSV with columns iteration, primal, dual,
+        gap and, unless disabled, elapsed_seconds."""
+        elapsed = ["elapsed_seconds"] if include_elapsed else []
+        rows = (
+            [rec.iteration, repr(rec.primal), repr(rec.dual), repr(rec.gap)]
+            + ([repr(rec.elapsed)] if include_elapsed else [])
+            for rec in self.records
         )
-    if math.isclose(problem.loss.gamma, problem.loss.smoothness):
-        lam = 1.0
-    else:
-        lam = lambda_ratio(problem.curvature())
-    return b_threshold(config.scheme.c, lam, th), th
+        write_csv(path_or_file, ["iteration", "primal", "dual", "gap"] + elapsed, rows)
 
 
 def run_erm(
@@ -390,16 +335,13 @@ def run_erm(
 
     config.scheme samples over the n dual coordinates.  Every record
     carries primal, dual, gap and the abar consistency drift; the
-    returned weights are the primal point of the final state.
+    returned weights are the primal point of the final state.  A
+    non-finite gap ends the run with status 'non-finite'.
     """
-    if config.scheme.n != problem.n:
-        raise ValueError(
-            f"scheme dimension {config.scheme.n} does not match n={problem.n} examples"
-        )
-    if config.tol < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {config.tol}")
+    check_config(config, problem.n)
     X = problem.smoothness_matrix()
-    b, theta_used = _resolve_erm_damping(problem, X, config)
+    quadratic = math.isclose(problem.loss.gamma, problem.loss.smoothness)
+    b, theta_used = resolve_damping(config, X, quadratic, problem.curvature)
     rng = np.random.default_rng(config.seed)
     state = DualState.initial(problem, alpha0)
     scale = 1.0 / (problem.lam_reg * problem.n * b)
@@ -407,29 +349,31 @@ def run_erm(
     records: list[ErmRecord] = []
     status = "max-iterations"
     t0 = time.perf_counter()
-    for k in range(config.max_iter + 1):
-        w = state.alpha_bar
-        primal = problem.primal_value(w)
-        dual = problem.dual_value(state.alpha)
-        gap = primal - dual
-        records.append(
-            ErmRecord(
-                k, primal, dual, gap,
-                state.consistency_error(problem),
-                time.perf_counter() - t0,
+    with worker_pool(config.threads) as pool:
+        for k in range(config.max_iter + 1):
+            w = state.alpha_bar
+            primal = problem.primal_value(w)
+            dual = problem.dual_value(state.alpha)
+            gap = primal - dual
+            records.append(
+                ErmRecord(
+                    k, primal, dual, gap,
+                    state.consistency_error(problem),
+                    time.perf_counter() - t0,
+                )
             )
-        )
-        if gap <= config.tol:
-            status = "converged"
-            break
-        if k == config.max_iter:
-            break
-        sets = draw(config.scheme, rng)
-        total = block_subproblem(problem, state, sets[0], X)
-        for S in sets[1:]:
-            total += block_subproblem(problem, state, S, X)
-        state.alpha = state.alpha + total / b
-        state.alpha_bar = state.alpha_bar + (problem.A @ total) * scale
+            if not math.isfinite(gap):
+                status = "non-finite"
+                break
+            if gap <= config.tol:
+                status = "converged"
+                break
+            if k == config.max_iter:
+                break
+            sets = draw(config.scheme, rng)
+            total = block_step(X, sets, _dual_gradient(problem, state), pool)
+            state.alpha = state.alpha + total / b
+            state.alpha_bar = state.alpha_bar + (problem.A @ total) * scale
     return ErmTrace(records, status, state.alpha, state.alpha_bar, b, theta_used)
 
 

@@ -1,11 +1,15 @@
-"""File formats for matrices and vectors.
+"""File formats for matrices, vectors and tables.
 
 Matrices travel in Matrix Market exchange format (both array and
 coordinate flavours, symmetric storage supported) via scipy.io.
-Vectors are plain text, one value per line.
+Vectors are plain text, one value per line.  Tables (traces, rate
+tables) are CSV.
 """
 
 from __future__ import annotations
+
+import csv
+import sys
 
 import numpy as np
 import scipy.io
@@ -13,7 +17,7 @@ import scipy.sparse
 
 from .linalg import check_symmetric
 
-__all__ = ["read_matrix", "write_matrix", "read_vector", "write_vector"]
+__all__ = ["read_matrix", "write_matrix", "read_vector", "write_vector", "write_csv"]
 
 
 def read_matrix(path, require_symmetric: bool = True) -> np.ndarray:
@@ -52,3 +56,17 @@ def write_vector(path, v: np.ndarray) -> None:
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     np.savetxt(path, v, fmt="%.17g")
+
+
+def write_csv(target, header: list, rows) -> None:
+    """Write a header and rows as CSV with newline line ends to target:
+    an open text file, '-' for stdout, or a path."""
+    if target == "-":
+        target = sys.stdout
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)

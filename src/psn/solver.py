@@ -18,8 +18,10 @@ any physical thread count.
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import check_index_set, check_symmetric, solve_pd
+from .matrixio import write_csv
 from .rates import CurvaturePair, b_threshold, lambda_ratio, theta, theta_cond_bound
 from .sampling import SamplingScheme, draw, expected_lifted_inverse
 
@@ -35,9 +38,13 @@ __all__ = [
     "SmoothObjective",
     "quadratic_objective",
     "least_squares_objective",
+    "block_step",
     "sn_step",
     "psn_step",
     "SolverConfig",
+    "check_config",
+    "resolve_damping",
+    "worker_pool",
     "TraceRecord",
     "IterationTrace",
     "run",
@@ -46,6 +53,8 @@ __all__ = [
 
 # Consecutive objective increases tolerated before giving up.
 _DIVERGENCE_PATIENCE = 100
+# Iterations between full gradient recomputes under incremental_gradient.
+_REFRESH_EVERY = 250
 
 
 class DivergenceError(RuntimeError):
@@ -133,17 +142,21 @@ def least_squares_objective(A: np.ndarray, y: np.ndarray) -> SmoothObjective:
     return quadratic_objective(M, A.T @ y)
 
 
-def _block_direction(
+def block_step(
     M: np.ndarray,
-    g: np.ndarray,
-    S: np.ndarray,
-    cache: dict | None = None,
+    sets,
+    block_gradient: Callable[[np.ndarray], np.ndarray],
+    executor: Executor | None = None,
 ) -> np.ndarray:
-    """Newton direction of one block: zero outside S, and on S the
-    solution of M[S, S] h = -g[S]."""
-    key = tuple(S.tolist())
-    factor = cache.get(key) if cache is not None else None
-    if factor is None:
+    """Sum of the block Newton directions of the index sets.
+
+    The direction of S is zero outside S and on S solves
+    M[S, S] h = -block_gradient(S).  Blocks are factored and solved on
+    the executor when one is given and always summed in set order, so
+    the result does not depend on the thread count.
+    """
+
+    def solve(S: np.ndarray) -> np.ndarray:
         try:
             factor = scipy.linalg.cho_factor(
                 M[np.ix_(S, S)], lower=True, check_finite=False
@@ -152,19 +165,18 @@ def _block_direction(
             raise np.linalg.LinAlgError(
                 f"block {S.tolist()} is not positive definite: {err}"
             ) from err
-        if cache is not None:
-            cache[key] = factor
-    h = np.zeros_like(g)
-    h[S] = -scipy.linalg.cho_solve(factor, g[S], check_finite=False)
-    return h
+        return scipy.linalg.cho_solve(factor, block_gradient(S), check_finite=False)
+
+    total = np.zeros(M.shape[0])
+    solutions = map(solve, sets) if executor is None else executor.map(solve, sets)
+    for S, u in zip(sets, solutions):
+        total[S] -= u
+    return total
 
 
 def sn_step(x: np.ndarray, objective: SmoothObjective, S) -> np.ndarray:
     """One serial stochastic Newton step on the index set S."""
-    x = np.asarray(x, dtype=np.float64)
-    idx = check_index_set(S, objective.n)
-    g = objective.gradient(x)
-    return x + _block_direction(objective.M, g, idx)
+    return psn_step(x, objective, [S], 1.0)
 
 
 def psn_step(x: np.ndarray, objective: SmoothObjective, sets, b: float) -> np.ndarray:
@@ -177,10 +189,7 @@ def psn_step(x: np.ndarray, objective: SmoothObjective, sets, b: float) -> np.nd
     if not idx_sets:
         raise ValueError("need at least one index set")
     g = objective.gradient(x)
-    total = _block_direction(objective.M, g, idx_sets[0])
-    for S in idx_sets[1:]:
-        total += _block_direction(objective.M, g, S)
-    return x + total / b
+    return x + block_step(objective.M, idx_sets, lambda S: g[S]) / b
 
 
 @dataclass(frozen=True)
@@ -194,9 +203,12 @@ class SolverConfig:
     silent default.
 
     incremental_gradient switches quadratic objectives to rank-tau
-    gradient updates with a full recompute every refresh_every
-    iterations; it changes round-off, not semantics, and is off by
-    default so that step-for-step comparisons stay exact.
+    gradient updates with a full recompute every 250 iterations; it
+    changes round-off, not semantics, and is off by default so that
+    step-for-step comparisons stay exact.
+
+    threads is the number of threads that factor and solve the blocks
+    of one iteration; results do not depend on it.
     """
 
     scheme: SamplingScheme
@@ -207,9 +219,7 @@ class SolverConfig:
     seed: int = 0
     threads: int = 1
     x0: np.ndarray | None = field(default=None, repr=False)
-    cache_blocks: bool = False
     incremental_gradient: bool = False
-    refresh_every: int = 250
 
 
 @dataclass(frozen=True)
@@ -244,69 +254,91 @@ class IterationTrace:
         when the optimum is unknown), grad_norm and, unless disabled,
         elapsed_seconds.  Timing is excluded by callers that need
         byte-identical output across runs."""
-        import csv
-
-        close = False
-        if hasattr(path_or_file, "write"):
-            fh = path_or_file
-        else:
-            fh = open(path_or_file, "w", newline="")
-            close = True
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["iteration", "f_gap", "grad_norm"]
-            if include_elapsed:
-                header.append("elapsed_seconds")
-            writer.writerow(header)
-            for rec in self.records:
-                row = [
-                    rec.iteration,
-                    "" if rec.gap is None else repr(rec.gap),
-                    repr(rec.grad_norm),
-                ]
-                if include_elapsed:
-                    row.append(repr(rec.elapsed))
-                writer.writerow(row)
-        finally:
-            if close:
-                fh.close()
+        elapsed = ["elapsed_seconds"] if include_elapsed else []
+        rows = (
+            [rec.iteration, "" if rec.gap is None else repr(rec.gap), repr(rec.grad_norm)]
+            + ([repr(rec.elapsed)] if include_elapsed else [])
+            for rec in self.records
+        )
+        write_csv(path_or_file, ["iteration", "f_gap", "grad_norm"] + elapsed, rows)
 
 
-def _resolve_theta(objective: SmoothObjective, config: SolverConfig) -> float:
+def check_config(config: SolverConfig, n: int) -> None:
+    """Reject, before any work, settings no run on an n-dimensional
+    problem can use: a scheme of another dimension, a negative
+    iteration budget, a tolerance that is negative or not finite, an
+    explicit damping b that is not a finite number of at least 1, a
+    numeric theta that is not finite and positive, and fewer than one
+    thread."""
+    if config.scheme.n != n:
+        raise ValueError(
+            f"scheme dimension {config.scheme.n} does not match problem dimension n={n}"
+        )
+    if config.max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {config.max_iter}")
+    if not (math.isfinite(config.tol) and config.tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {config.tol}")
+    if config.b != "auto":
+        b = float(config.b)
+        if not (math.isfinite(b) and b >= 1.0):
+            raise ValueError(f"explicit damping b must be at least 1 and finite, got {b}")
     spec = config.theta
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = float(spec)
-        if value <= 0.0:
-            raise ValueError(f"theta must be positive, got {value}")
-        return value
-    if spec == "exact":
-        pair = objective.curvature()
-        E = expected_lifted_inverse(objective.M, config.scheme).matrix
-        return theta(pair, E)
-    if spec == "bound":
+        if not (math.isfinite(spec) and spec > 0.0):
+            raise ValueError(f"theta must be finite and positive, got {spec}")
+    if config.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {config.threads}")
+
+
+def resolve_damping(
+    config: SolverConfig,
+    M: np.ndarray,
+    quadratic: bool,
+    curvature: Callable[[], CurvaturePair],
+) -> tuple[float, float | None]:
+    """Damping b and the theta it came from (None for an explicit b).
+
+    M is the matrix the blocks are solved against and quadratic says
+    whether it is the exact Hessian (M == G, so lambda = 1).  For
+    b='auto', b = (c-1)*lambda*theta + 1 with theta a number, 'exact'
+    (from the expected lifted inverse of M) or 'bound' ((tau/n) cond(M),
+    list samplings of quadratics only).  curvature() is called at most
+    once, and only when exact theta or lambda != 1 needs the pair.
+    """
+    if config.b != "auto":
+        return float(config.b), None
+    spec = config.theta
+    pair = None
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        th = float(spec)
+    elif spec == "exact":
+        pair = curvature()
+        th = theta(pair, expected_lifted_inverse(M, config.scheme).matrix)
+    elif spec == "bound":
         if config.scheme.serial_kind != "list":
             raise ValueError(
                 "theta='bound' uses (tau/n) cond(M), which covers list "
                 "samplings only; supply a numeric theta or 'exact'"
             )
-        if not objective.quadratic:
-            raise ValueError("theta='bound' requires a quadratic objective (M == G)")
-        return theta_cond_bound(config.scheme.tau, objective.M)
-    raise ValueError(
-        "b='auto' needs an explicit theta source: a number, 'exact', or "
-        "'bound' (no silent default)"
-    )
+        if not quadratic:
+            raise ValueError(
+                "theta='bound' requires a quadratic problem (M == G; for ERM, "
+                "the squared loss)"
+            )
+        th = theta_cond_bound(config.scheme.tau, M)
+    else:
+        raise ValueError(
+            "b='auto' needs an explicit theta source: a number, 'exact', or "
+            "'bound' (no silent default)"
+        )
+    lam = 1.0 if quadratic else lambda_ratio(pair if pair is not None else curvature())
+    return b_threshold(config.scheme.c, lam, th), th
 
 
-def _resolve_b(objective: SmoothObjective, config: SolverConfig) -> tuple[float, float | None]:
-    if config.b == "auto":
-        lam = 1.0 if objective.quadratic else lambda_ratio(objective.curvature())
-        th = _resolve_theta(objective, config)
-        return b_threshold(config.scheme.c, lam, th), th
-    b = float(config.b)
-    if b < 1.0:
-        raise ValueError(f"explicit damping b must be at least 1, got {b}")
-    return b, None
+def worker_pool(threads: int):
+    """Context manager giving the thread pool for block solves, or None
+    for a single thread."""
+    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
 
 
 def _initial_point(objective: SmoothObjective, config: SolverConfig) -> np.ndarray:
@@ -322,20 +354,17 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
     """Run the damped parallel iteration until ||grad|| <= tol.
 
     The trace records every iterate including the initial point.  A
-    DivergenceError is raised if the objective value increases for 100
-    consecutive iterations, which indicates b below the admissible
-    threshold.
+    non-finite objective or gradient norm ends the run with status
+    'non-finite'.  A DivergenceError is raised if the objective value
+    increases for 100 consecutive iterations, which indicates b below
+    the admissible threshold.
     """
-    if config.scheme.n != objective.n:
-        raise ValueError(
-            f"scheme dimension {config.scheme.n} does not match objective n={objective.n}"
-        )
-    if config.tol < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {config.tol}")
-    b, theta_used = _resolve_b(objective, config)
+    check_config(config, objective.n)
+    b, theta_used = resolve_damping(
+        config, objective.M, objective.quadratic, objective.curvature
+    )
     rng = np.random.default_rng(config.seed)
     x = _initial_point(objective, config)
-    cache: dict | None = {} if config.cache_blocks else None
     incremental = config.incremental_gradient and objective.quadratic
     # With a maintained gradient and a known optimum the quadratic value
     # is f* + (x - x*)'g/2, which avoids a dense matvec per iteration.
@@ -352,10 +381,7 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
     rises = 0
     g = objective.gradient(x)
 
-    executor = (
-        ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    )
-    try:
+    with worker_pool(config.threads) as pool:
         for k in range(config.max_iter + 1):
             if fast_value:
                 f = objective.f_star + 0.5 * float((x - objective.x_star) @ g)
@@ -366,6 +392,9 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
             records.append(
                 TraceRecord(k, f, gap, gnorm, time.perf_counter() - t0)
             )
+            if not (math.isfinite(f) and math.isfinite(gnorm)):
+                status = "non-finite"
+                break
             if gnorm <= config.tol:
                 status = "converged"
                 break
@@ -384,28 +413,16 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
                 break
 
             sets = draw(config.scheme, rng)
-            if executor is not None:
-                directions = list(
-                    executor.map(lambda S: _block_direction(objective.M, g, S, cache), sets)
-                )
-            else:
-                directions = [_block_direction(objective.M, g, S, cache) for S in sets]
-            total = directions[0]
-            for h in directions[1:]:
-                total += h
-            step = total / b
+            step = block_step(objective.M, sets, lambda S: g[S], pool) / b
             x = x + step
             if incremental:
-                if (k + 1) % config.refresh_every == 0:
+                if (k + 1) % _REFRESH_EVERY == 0:
                     g = objective.gradient(x)
                 else:
                     changed = np.unique(np.concatenate(sets))
                     g = g + objective.M[:, changed] @ step[changed]
             else:
                 g = objective.gradient(x)
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     return IterationTrace(records, status, x, b, theta_used)
 
@@ -418,8 +435,7 @@ def run_serial(objective: SmoothObjective, config: SolverConfig) -> IterationTra
     """
     if config.scheme.c != 1 or config.scheme.kind not in ("nice", "list"):
         raise ValueError("run_serial requires a serial scheme (kind nice/list, c=1)")
-    if config.tol < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {config.tol}")
+    check_config(config, objective.n)
     rng = np.random.default_rng(config.seed)
     x = _initial_point(objective, config)
     records: list[TraceRecord] = []

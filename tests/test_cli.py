@@ -106,6 +106,19 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # c=8 undamped blocks on a strongly coupled matrix overshoot.
+        code = main(
+            [
+                "solve", "--gen", "rho:50,0.9", "--scheme", "nice:tau=10",
+                "--c", "8", "--b", "1", "--out", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective increased")
+        assert len(err.splitlines()) == 1
+
     def test_negative_tolerance_rejected(self, tmp_path, capsys):
         code = main(
             [
@@ -144,6 +157,8 @@ class TestSolve:
             ["solve", "--gen", "rho:8,0.3", "--b", "auto"],  # theta missing
             ["solve", "--gen", "rho:8,0.3", "--scheme", "nice:tau=99"],
             ["solve", "--matrix", "does-not-exist.mtx"],
+            ["solve", "--gen", "rho:8,0.3", "--b", "1", "--max-iter", "-1"],
+            ["solve", "--gen", "rho:8,0.3", "--b", "1", "--threads", "0"],
         ],
     )
     def test_input_errors(self, argv, capsys):

@@ -238,6 +238,32 @@ class TestRunErm:
         p0 = prob.primal_value(np.zeros(prob.d))
         assert prob.primal_value(w) < p0
 
+    def test_thread_count_does_not_change_trace(self):
+        prob = random_problem(4, 18, 24, loss=LogisticLoss(1e-2))
+        base = None
+        for threads in (1, 2, 4):
+            config = SolverConfig(
+                SamplingScheme("parallel-nice", 18, 3, c=3),
+                b=2.0,
+                seed=6,
+                threads=threads,
+                max_iter=200,
+            )
+            trace = run_erm(prob, config)
+            gaps = [r.gap for r in trace.records]
+            if base is None:
+                base = (gaps, trace.alpha)
+            else:
+                assert gaps == base[0]
+                assert np.array_equal(trace.alpha, base[1])
+
+    def test_non_finite_status(self):
+        prob = random_problem(3, 8, 25)
+        config = SolverConfig(SamplingScheme("nice", 8, 2), b=1.0)
+        trace = run_erm(prob, config, alpha0=np.full(8, np.nan))
+        assert trace.status == "non-finite"
+        assert len(trace.records) == 1
+
     def test_gap_matches_direct_evaluation(self):
         prob = random_problem(4, 10, 19)
         config = SolverConfig(SamplingScheme("nice", 10, 2), b=1.0, max_iter=5, seed=4)
@@ -263,6 +289,19 @@ class TestRunErm:
         scheme = SamplingScheme("nice", 8, 2)
         with pytest.raises(ValueError, match="at least 1"):
             run_erm(prob, SolverConfig(scheme, b=0.25))
+        for bad in (
+            {"max_iter": -1},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"b": float("nan")},
+            {"b": float("inf")},
+            {"b": "auto", "theta": float("nan")},
+            {"b": "auto", "theta": -0.5},
+            {"threads": 0},
+            {"threads": -3},
+        ):
+            with pytest.raises(ValueError):
+                run_erm(prob, SolverConfig(scheme, **{"b": 1.0, **bad}))
         with pytest.raises(ValueError, match="theta"):
             run_erm(prob, SolverConfig(scheme, b="auto"))
         with pytest.raises(ValueError, match="list"):

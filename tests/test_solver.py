@@ -10,6 +10,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psn.linalg import make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, theta, theta_cond_bound
@@ -144,17 +146,25 @@ class TestSteps:
         half = psn_step(x, obj, sets, 2.0) - x
         assert np.allclose(half, full / 2.0, atol=1e-15)
 
-    def test_psn_aggregates_block_directions(self):
-        obj = random_quadratic(6, 10)
-        x = np.linspace(-1, 1, 6)
-        sets = [np.array([0, 1, 2]), np.array([2, 3]), np.array([5])]
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_psn_aggregates_block_directions(self, data):
+        # Random positive definite M, random (possibly overlapping) sets
+        # and damping, against one dense solve per block.
+        n = data.draw(st.integers(1, 8), label="n")
+        obj = random_quadratic(n, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        block = st.sets(st.integers(0, n - 1), min_size=1).map(sorted)
+        sets = data.draw(st.lists(block, min_size=1, max_size=5), label="sets")
+        b = data.draw(st.floats(0.1, 10.0), label="b")
+        x = np.linspace(-1, 1, n)
         g = obj.gradient(x)
-        total = np.zeros(6)
+        total = np.zeros(n)
         for S in sets:
-            h = np.zeros(6)
+            h = np.zeros(n)
             h[S] = np.linalg.solve(obj.M[np.ix_(S, S)], -g[S])
             total += h
-        assert np.allclose(psn_step(x, obj, sets, 3.0), x + total / 3.0, atol=1e-13)
+        err = np.abs(psn_step(x, obj, sets, b) - (x + total / b)).max()
+        assert err <= 1e-10 * (1.0 + np.abs(total).max() / b)
 
     def test_psn_validation(self):
         obj = random_quadratic(4, 11)
@@ -219,6 +229,13 @@ class TestRunConvergence:
         th = theta(obj.curvature(), E)
         assert trace.b == pytest.approx(1.0 + 1.1 * th, rel=1e-9)
 
+    def test_non_finite_status(self):
+        obj = random_quadratic(6, 17)
+        config = SolverConfig(SamplingScheme("nice", 6, 2), b=1.0, x0=np.full(6, np.nan))
+        trace = run(obj, config)
+        assert trace.status == "non-finite"
+        assert len(trace.records) == 1
+
     def test_max_iterations_status(self):
         obj = random_quadratic(10, 16)
         config = SolverConfig(SamplingScheme("nice", 10, 1), b=1.0, max_iter=3)
@@ -259,16 +276,6 @@ class TestDeterminism:
             else:
                 assert values == base[0]
                 assert np.array_equal(trace.x, base[1])
-
-    def test_block_cache_does_not_change_trace(self):
-        obj = random_quadratic(8, 44)
-        kwargs = dict(b=1.0, seed=6, max_iter=300)
-        plain = run(obj, SolverConfig(SamplingScheme("nice", 8, 2), **kwargs))
-        cached = run(
-            obj, SolverConfig(SamplingScheme("nice", 8, 2), cache_blocks=True, **kwargs)
-        )
-        assert np.array_equal(plain.x, cached.x)
-        assert [r.value for r in plain.records] == [r.value for r in cached.records]
 
     def test_same_seed_same_trace(self):
         obj = random_quadratic(8, 45)
@@ -314,6 +321,26 @@ class TestGuards:
         obj = random_quadratic(5, 48)
         config = SolverConfig(SamplingScheme("nice", 5, 2), b=0.5)
         with pytest.raises(ValueError, match="at least 1"):
+            run(obj, config)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_iter": -1},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"b": float("nan")},
+            {"b": float("inf")},
+            {"b": "auto", "theta": float("nan")},
+            {"b": "auto", "theta": -0.5},
+            {"threads": 0},
+            {"threads": -3},
+        ],
+    )
+    def test_bad_settings_rejected(self, bad):
+        obj = random_quadratic(5, 56)
+        config = SolverConfig(SamplingScheme("nice", 5, 2), **{"b": 1.0, **bad})
+        with pytest.raises(ValueError):
             run(obj, config)
 
     def test_auto_without_theta_rejected(self):

@@ -1,0 +1,47 @@
+"""Guards for the benchmark under perfbench/.
+
+The benchmark wraps psn functions and methods by name to trace them and
+builds SolverConfig with keywords of its own, but its own tests are not
+part of this suite.  These checks make a change that renames or removes
+any of those names fail here too.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+import scipy.linalg
+
+from psn.sampling import SamplingScheme
+from psn.solver import SolverConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module
+
+
+def test_traced_names_resolve(perfbench):
+    tracing = perfbench("tracing")
+    for name, (module, attr) in tracing.FUNCTION_SPANS.items():
+        assert callable(getattr(module, attr, None)), name
+    for name, (cls, attr) in tracing.METHOD_SPANS.items():
+        assert attr in vars(cls), name
+    for name, attr in tracing.BLOCK_SPANS.items():
+        assert callable(getattr(scipy.linalg, attr, None)), name
+    with tracing.instrument(tracing.Tracer("names")):
+        pass
+
+
+def test_workload_keywords_and_tiny_rounds(perfbench, tmp_path):
+    SolverConfig(SamplingScheme("nice", 4, 2), threads=2, incremental_gradient=True)
+    workloads = perfbench("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls("tiny")
+        problem = workload.setup(workload.inputs(1, tmp_path))
+        result = workload.run_round(problem, 0)
+        assert result.attempted > 0, name
+        assert not result.errors, (name, result.errors)
