@@ -52,12 +52,18 @@ def check_index_set(S, n: int) -> np.ndarray:
 
 
 def check_symmetric(M, tol: float = 1e-10) -> np.ndarray:
-    """Return M as a float64 array, raising ValueError if it is not square
-    symmetric within tol (relative to the largest entry)."""
+    """Return M as a float64 array, raising ValueError if it is not square,
+    has a non-finite entry, or is not symmetric within tol (relative to
+    the largest entry)."""
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+    # The maximum propagates NaN and inf, so this one pass also catches
+    # the entries every comparison below would let through.
+    largest = float(np.abs(A).max(initial=0.0))
+    if not np.isfinite(largest):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, largest)
     if np.abs(A - A.T).max(initial=0.0) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return A
@@ -260,12 +266,17 @@ def sqrt_pd(G: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive definite matrix.
 
     Eigenvalues below 1e-14 are clamped so that near-singular inputs
-    fail loudly in later solves instead of producing NaNs here.
+    fail loudly in later solves instead of producing NaNs here.  The
+    rate constants in ``psn.rates`` no longer use it: they work with the
+    Cholesky factor of G instead.
     """
     w, V = _clamped_eigh(G)
     return (V * np.sqrt(w)) @ V.T
 
 def invsqrt_pd(G: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix."""
+    """Symmetric inverse square root of a positive definite matrix.
+
+    ``psn.rates`` no longer uses it (see ``sqrt_pd``).
+    """
     w, V = _clamped_eigh(G)
     return (V / np.sqrt(w)) @ V.T

@@ -13,22 +13,25 @@ Running c workers with step damping b >= b_min(c) = (c-1)*lambda*theta + 1
 contracts the expected objective gap by 1 - sigma_p per iteration, where
 sigma_p = c*sigma_1/b.  The PCDM constants sigma_3 and sigma_b serve as
 comparison baselines for the same block sizes.
+
+No matrix square root is formed.  With the Cholesky factor G = L L^T,
+G^{1/2} E G^{1/2} has the spectrum of L^T E L (the pencil (G E G, G))
+and G^{-1/2} M G^{-1/2} that of L^{-1} M L^{-T} (the pencil (M, G)).
+Each constant is computed once per curvature pair and kept on it as a
+scalar: the extremes of G (those of M too when M == G), lambda, the
+dense sigma_3, and sigma_1 and theta for the last read-only E seen.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import (
-    check_symmetric,
-    condition_number,
-    eigen_extremes,
-    invsqrt_pd,
-    psd_order_holds,
-    sqrt_pd,
-)
+from .linalg import check_symmetric, condition_number, eigen_extremes, psd_order_holds
 from .sampling import SamplingScheme, expected_lifted_inverse
 
 __all__ = [
@@ -52,10 +55,16 @@ __all__ = [
 @dataclass(frozen=True)
 class CurvaturePair:
     """Upper/lower curvature matrices (M, G), validated so that both are
-    positive definite and G <= M in the semidefinite order."""
+    positive definite and G <= M in the semidefinite order.
+
+    ``g_extremes`` holds (lambda_min(G), lambda_max(G)) from that check.
+    Derived spectral constants are cached on the pair as scalars, never
+    as n x n arrays.
+    """
 
     M: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
+    g_extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = check_symmetric(self.M)
@@ -64,11 +73,13 @@ class CurvaturePair:
             raise ValueError(f"shape mismatch: M {M.shape} vs G {G.shape}")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "G", G)
+        g_extremes = eigen_extremes(G)
+        object.__setattr__(self, "g_extremes", g_extremes)
         if self.quadratic:
-            if eigen_extremes(M)[0] <= 0.0:
+            if g_extremes[0] <= 0.0:
                 raise ValueError("M must be positive definite")
             return
-        if eigen_extremes(G)[0] <= 0.0:
+        if g_extremes[0] <= 0.0:
             raise ValueError("G must be positive definite")
         scale = float(np.abs(M).max(initial=1.0))
         if not psd_order_holds(G, M, tol=1e-9 * max(1.0, scale)):
@@ -84,35 +95,82 @@ class CurvaturePair:
     def n(self) -> int:
         return self.M.shape[0]
 
-    @property
+    @cached_property
     def quadratic(self) -> bool:
         return self.M is self.G or np.array_equal(self.M, self.G)
 
+    @cached_property
+    def _lam(self) -> float:
+        """lambda_max(L^{-1} M L^{-T}) for G = L L^T; exactly 1 when
+        quadratic."""
+        if self.quadratic:
+            return 1.0
+        L = self._cholesky()
+        S = scipy.linalg.solve_triangular(L, self.M, lower=True, check_finite=False)
+        S = scipy.linalg.solve_triangular(L, S.T, lower=True, check_finite=False)
+        del L  # one n x n array fewer at the eigenvalue peak
+        return _symmetric_extremes(S)[1]
 
-def _weighted_extremes(pair: CurvaturePair, E: np.ndarray) -> tuple[float, float]:
-    W = sqrt_pd(pair.G)
-    S = W @ np.asarray(E, dtype=np.float64) @ W
-    return eigen_extremes(0.5 * (S + S.T))
+    @cached_property
+    def _dense_sigma3(self) -> float:
+        """PCDM sigma_3 for fully dense rows, which is the same for every
+        tau*c: lambda_min(diag(M)^{-1/2} G diag(M)^{-1/2}) / n."""
+        return _scaled_min(self.G, 1.0 / np.sqrt(np.diag(self.M))) / self.n
+
+    def _weighted_extremes(self, expected_inverse: np.ndarray) -> tuple[float, float]:
+        """(lambda_min, lambda_max) of L^T E L for G = L L^T, the
+        spectrum of G^{1/2} E G^{1/2}.  The result for a read-only E is
+        kept until another E is passed (matched by identity); a writeable
+        E may change in place, so it is never memoized."""
+        E = np.asarray(expected_inverse, dtype=np.float64)
+        memo = self.__dict__.get("_weighted_memo")
+        if memo is not None and memo[0]() is E:
+            return memo[1]
+        L = self._cholesky()
+        S = L.T @ E @ L
+        del L  # one n x n array fewer at the eigenvalue peak
+        result = _symmetric_extremes(S)
+        if not E.flags.writeable:
+            self.__dict__["_weighted_memo"] = (weakref.ref(E), result)
+        return result
+
+    def _cholesky(self) -> np.ndarray:
+        # Not cached: at n = 1500 the factor alone is 18 MB.
+        return scipy.linalg.cholesky(self.G, lower=True, check_finite=False)
+
+
+def _symmetric_extremes(S: np.ndarray) -> tuple[float, float]:
+    """Extremes of the symmetric part of S, formed in place to spare two
+    n x n temporaries."""
+    S += S.T
+    S *= 0.5
+    return eigen_extremes(S)
+
+
+def _scaled_min(G: np.ndarray, d: np.ndarray) -> float:
+    """lambda_min(D G D) with D = diag(d)."""
+    S = d[:, None] * G
+    S *= d
+    return eigen_extremes(S)[0]
 
 
 def sigma1(pair: CurvaturePair, expected_inverse: np.ndarray) -> float:
-    """Serial rate constant lambda_min(G^{1/2} E G^{1/2})."""
-    return _weighted_extremes(pair, expected_inverse)[0]
+    """Serial rate constant lambda_min(L^T E L), G = L L^T, which equals
+    lambda_min(G^{1/2} E G^{1/2})."""
+    return pair._weighted_extremes(expected_inverse)[0]
 
 
 def theta(pair: CurvaturePair, expected_inverse: np.ndarray) -> float:
-    """Overshoot constant lambda_max(G^{1/2} E G^{1/2})."""
-    return _weighted_extremes(pair, expected_inverse)[1]
+    """Overshoot constant lambda_max(L^T E L), G = L L^T, which equals
+    lambda_max(G^{1/2} E G^{1/2})."""
+    return pair._weighted_extremes(expected_inverse)[1]
 
 
 def lambda_ratio(pair: CurvaturePair) -> float:
-    """Curvature mismatch lambda_max(G^{-1/2} M G^{-1/2}), exactly 1 for
-    quadratic pairs (M == G)."""
-    if pair.quadratic:
-        return 1.0
-    Wi = invsqrt_pd(pair.G)
-    S = Wi @ pair.M @ Wi
-    return eigen_extremes(0.5 * (S + S.T))[1]
+    """Curvature mismatch lambda_max(L^{-1} M L^{-T}), G = L L^T, which
+    equals lambda_max(G^{-1/2} M G^{-1/2}); exactly 1 for quadratic
+    pairs (M == G).  Computed once per pair."""
+    return pair._lam
 
 
 def b_threshold(c: int, lam: float, theta_value: float) -> float:
@@ -261,6 +319,13 @@ def pcdm_constants(
     where J_j is the support of row j.  When every row is fully dense
     this collapses to v_i = tau_c * M_ii, which is what assume_dense
     uses directly when no decomposition is supplied.
+
+    With D = diag(p/v) and p = tau_c/n, sigma3 = lambda_min(D^{1/2} G
+    D^{1/2}), the spectrum of G^{1/2} D G^{1/2} without its square
+    root.  Under assume_dense p/v = 1/(n M_ii) for every tau_c, so the
+    pair computes sigma3 once.  sigma_b = p lambda_min(G)/lambda_max(M)
+    takes lambda_min(G) (and, for a quadratic pair, lambda_max(M)) from
+    the pair's validation.
     """
     n = pair.n
     if not 1 <= tau_c <= n:
@@ -288,12 +353,9 @@ def pcdm_constants(
         bad = int(np.flatnonzero(v <= 0.0)[0])
         raise ValueError(f"curvature weight v[{bad}] is not positive")
     p = tau_c / n
-    W = sqrt_pd(pair.G)
-    S = (W * (p / v)) @ W
-    sig3 = eigen_extremes(0.5 * (S + S.T))[0]
-    g_min = eigen_extremes(pair.G)[0]
-    m_max = eigen_extremes(pair.M)[1]
-    sig_b = p * g_min / m_max
+    sig3 = pair._dense_sigma3 if A is None else _scaled_min(pair.G, np.sqrt(p / v))
+    m_max = pair.g_extremes[1] if pair.quadratic else eigen_extremes(pair.M)[1]
+    sig_b = p * pair.g_extremes[0] / m_max
     return PcdmConstants(tau_c, np.asarray(v), sig3, sig_b, support)
 
 
@@ -335,7 +397,7 @@ def rate_report(
         expected_inverse = expected_lifted_inverse(
             pair.M, scheme, mode=mode, samples=mc_samples, seed=mc_seed
         ).matrix
-    lo, hi = _weighted_extremes(pair, expected_inverse)
+    lo, hi = pair._weighted_extremes(expected_inverse)
     lam = lambda_ratio(pair)
     b_min = b_threshold(scheme.c, lam, hi)
     sp = sigma_p(scheme.c, b_min, lo, b_min)

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import lifted_inverse
-
 __all__ = [
     "SERIAL_KINDS",
     "PARALLEL_KINDS",
@@ -46,6 +44,9 @@ PARALLEL_KINDS = ("parallel-nice", "parallel-list", "non-overlapping")
 
 # Refuse exact enumeration beyond this many subsets.
 ENUMERATION_LIMIT = 10**6
+# Block entries inverted per batch: 4,096 sets at tau=4 and fewer for
+# larger blocks, so that assembling E takes bounded memory at any count.
+_CHUNK_ENTRIES = 4096 * 16
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,9 @@ def probability_matrix(scheme: SamplingScheme) -> np.ndarray:
 class ExpectedInverse:
     """E[(M_S)^{-1}] over one constituent set, with provenance.
 
-    ``standard_error`` is the Frobenius-norm standard error of the
-    Monte Carlo mean and None for exact enumeration.
+    ``matrix`` is read-only, so rate functions may memoize values
+    derived from it.  ``standard_error`` is the Frobenius-norm standard
+    error of the Monte Carlo mean and None for exact enumeration.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -191,14 +193,50 @@ class ExpectedInverse:
     standard_error: float | None = None
 
 
-def _enumerate_sets(scheme: SamplingScheme):
+def _enumerated_chunks(scheme: SamplingScheme, size: int):
+    """The whole support of a serial scheme as (k, tau) stacks of sorted
+    index sets, at most size sets each, in enumeration order."""
     n, tau = scheme.n, scheme.tau
-    if scheme.serial_kind == "list":
-        for start in range(n):
-            yield np.sort((start + np.arange(tau)) % n)
+    if scheme.kind == "list":
+        windows = np.sort((np.arange(n)[:, None] + np.arange(tau)) % n, axis=1)
+        for start in range(0, n, size):
+            yield windows[start : start + size]
     else:
-        for combo in itertools.combinations(range(n), tau):
-            yield np.asarray(combo, dtype=np.int64)
+        combos = itertools.combinations(range(n), tau)
+        while chunk := list(itertools.islice(combos, size)):
+            yield np.array(chunk, dtype=np.int64)
+
+
+def _sampled_chunks(scheme: SamplingScheme, samples: int, rng, size: int):
+    """samples draws of a serial scheme from rng, in draw order, as
+    (k, tau) stacks of at most size sets."""
+    for start in range(0, samples, size):
+        count = min(size, samples - start)
+        yield np.stack([_draw_one(scheme.kind, scheme.n, scheme.tau, rng) for _ in range(count)])
+
+
+def _add_block_inverses(M, sets, acc, acc_sq=None) -> None:
+    """Add inv(M[S, S]) into acc[S, S] (and its entrywise square into
+    acc_sq[S, S]) for every row S of the (k, tau) stack sets, in row
+    order, so each entry sums its terms in the order of a per-set loop.
+
+    Raises numpy.linalg.LinAlgError naming the first set whose block is
+    singular or has condition number above 1e14.
+    """
+    rows, cols = sets[:, :, None], sets[:, None, :]
+    blocks = M[rows, cols]
+    cond = np.linalg.cond(blocks)
+    bad = np.flatnonzero(~(cond <= 1e14))  # also catches inf and NaN
+    if bad.size:
+        k = bad[0]
+        raise np.linalg.LinAlgError(
+            f"submatrix on {sets[k].tolist()} is numerically singular "
+            f"(condition estimate {cond[k]:.3e})"
+        )
+    inv = np.linalg.inv(blocks)
+    np.add.at(acc, (rows, cols), inv)
+    if acc_sq is not None:
+        np.add.at(acc_sq, (rows, cols), inv * inv)
 
 
 def expected_lifted_inverse(
@@ -214,14 +252,17 @@ def expected_lifted_inverse(
     subsets for nice-type schemes (refused above 10^6 subsets) or the n
     windows for list-type schemes.  mode='monte-carlo' averages over
     ``samples`` independent draws seeded by ``seed`` and reports the
-    Frobenius standard error of the mean.
+    Frobenius standard error of the mean.  Either way the tau x tau
+    blocks are inverted in batches and only their S x S entries are
+    accumulated.  A block that is singular or has condition number above
+    1e14 raises numpy.linalg.LinAlgError naming its index set.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if n != scheme.n:
         raise ValueError(f"matrix dimension {n} does not match scheme n={scheme.n}")
     serial = scheme.constituent()
-
+    size = max(1, _CHUNK_ENTRIES // (scheme.tau * scheme.tau))
     if mode == "enumerate":
         if serial.kind == "nice":
             count = math.comb(n, scheme.tau)
@@ -232,24 +273,23 @@ def expected_lifted_inverse(
                 )
         else:
             count = n
-        acc = np.zeros_like(M)
-        for S in _enumerate_sets(serial):
-            acc += lifted_inverse(M, S)
-        return ExpectedInverse(acc / count, "enumerate")
-
-    if mode == "monte-carlo":
+        chunks = _enumerated_chunks(serial, size)
+    elif mode == "monte-carlo":
         if samples < 2:
             raise ValueError(f"need at least 2 samples, got {samples}")
-        rng = np.random.default_rng(seed)
-        acc = np.zeros_like(M)
-        acc_sq = np.zeros_like(M)
-        for _ in range(samples):
-            Z = lifted_inverse(M, _draw_one(serial.kind, n, scheme.tau, rng))
-            acc += Z
-            acc_sq += Z * Z
-        mean = acc / samples
-        var = (acc_sq - samples * mean * mean) / (samples - 1)
-        se = math.sqrt(float(np.clip(var, 0.0, None).sum()) / samples)
-        return ExpectedInverse(mean, "monte-carlo", samples, se)
+        count = samples
+        chunks = _sampled_chunks(serial, samples, np.random.default_rng(seed), size)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'enumerate' or 'monte-carlo'")
 
-    raise ValueError(f"unknown mode {mode!r}; expected 'enumerate' or 'monte-carlo'")
+    acc = np.zeros_like(M)
+    acc_sq = np.zeros_like(M) if mode == "monte-carlo" else None
+    for sets in chunks:
+        _add_block_inverses(M, sets, acc, acc_sq)
+    mean = acc / count
+    mean.setflags(write=False)
+    if acc_sq is None:
+        return ExpectedInverse(mean, "enumerate")
+    var = (acc_sq - count * mean * mean) / (count - 1)
+    se = math.sqrt(float(np.clip(var, 0.0, None).sum()) / count)
+    return ExpectedInverse(mean, "monte-carlo", count, se)

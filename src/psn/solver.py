@@ -92,13 +92,16 @@ def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
 
     The minimiser M^{-1} q and optimal value are computed on
     construction and checked: the gradient at x_star must come out
-    below 1e-8 in norm (relative to ||q||).
+    below 1e-8 in norm (relative to ||q||).  Non-finite entries in M or
+    q raise ValueError.
     """
     M = check_symmetric(M)
     q = np.asarray(q, dtype=np.float64)
     n = M.shape[0]
     if q.shape != (n,):
         raise ValueError(f"q must have shape ({n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("q has non-finite entries")
     x_star = solve_pd(M, q)
     g_star = M @ x_star - q
     if np.linalg.norm(g_star) > 1e-8 * max(1.0, np.linalg.norm(q)):
@@ -129,7 +132,8 @@ def least_squares_objective(A: np.ndarray, y: np.ndarray) -> SmoothObjective:
     """Objective f(x) = ||A x - y||^2 / 2, a quadratic with Hessian A'A.
 
     Requires A to have full column rank so that A'A is positive
-    definite.
+    definite.  Non-finite entries in A or y raise ValueError (through
+    the checks on A'A and A'y).
     """
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

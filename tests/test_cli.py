@@ -179,6 +179,12 @@ class TestSolve:
 
 
 class TestRates:
+    def test_non_finite_matrix_entry(self, tmp_path, capsys):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nnan\nnan\n1\n")
+        assert main(["rates", "--matrix", str(path), "--scheme", "nice:tau=1"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_table_structure_and_closed_form(self, tmp_path):
         out = tmp_path / "rates.csv"
         code = main(

@@ -11,6 +11,7 @@ import pytest
 
 from psn.linalg import (
     check_index_set,
+    check_symmetric,
     condition_number,
     eigen_extremes,
     gershgorin_bounds,
@@ -255,6 +256,15 @@ class TestSpectra:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigen_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_symmetric_rejects_non_finite(self, bad):
+        # Symmetric placement: M - M.T is NaN there, and a NaN passes
+        # every comparison-based tolerance test.
+        M = np.eye(3)
+        M[0, 1] = M[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_symmetric(M)
 
 
 class TestPsdOrder:

@@ -2,14 +2,17 @@
 
 sigma1/theta are cross-checked against the eigenvalues of G @ E (a
 similar matrix computed by a different route), against closed forms
-frozen as exact fractions, and against structural guarantees such as
-the 0 < sigma1 <= theta <= 1 sandwich.
+frozen as exact fractions, against the matrix-square-root formulas,
+and against structural guarantees such as the 0 < sigma1 <= theta <= 1
+sandwich.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psn.linalg import make_rho_matrix, make_tridiagonal
+from psn.linalg import invsqrt_pd, make_rho_matrix, make_tridiagonal, sqrt_pd
 from psn.rates import (
     CurvaturePair,
     b_threshold,
@@ -65,6 +68,13 @@ class TestCurvaturePair:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             CurvaturePair(np.eye(3), np.eye(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        M = random_pd(4, 2)
+        M[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CurvaturePair.from_hessian(M)
 
 
 class TestSigmaTheta:
@@ -349,3 +359,91 @@ class TestRateReport:
         E = expected_lifted_inverse(M, scheme).matrix
         rep = rate_report(pair, scheme, expected_inverse=E)
         assert rep.sigma1 == pytest.approx(rho_closed_forms(5, 2, 0.4).sigma1)
+
+
+def square_root_reference(M, G, E, tau_c):
+    """sigma1, theta, lambda and the dense sigma3 through explicit
+    symmetric square roots of G, the textbook formulas."""
+    W, Wi = sqrt_pd(G), invsqrt_pd(G)
+    weighted = np.linalg.eigvalsh(W @ E @ W)
+    n = M.shape[0]
+    v = tau_c * np.diag(M)
+    return {
+        "sigma1": weighted[0],
+        "theta": weighted[-1],
+        "lam": np.linalg.eigvalsh(Wi @ M @ Wi)[-1],
+        "sigma3": np.linalg.eigvalsh((W * (tau_c / n / v)) @ W)[0],
+    }
+
+
+@st.composite
+def curvature_problems(draw):
+    """Random positive definite M = A^T A, G <= M (or G = M), a nice or
+    list scheme, a worker count and tau_c = tau*c <= n."""
+    n = draw(st.integers(2, 7), label="n")
+    tau = draw(st.integers(1, n), label="tau")
+    kind = draw(st.sampled_from(["nice", "list"]), label="kind")
+    c = draw(st.integers(1, n // tau), label="c")
+    quadratic = draw(st.booleans(), label="quadratic")
+    rng = np.random.default_rng(draw(st.integers(0, 2**31), label="seed"))
+    A = np.vstack([rng.standard_normal((n + 1, n)), np.eye(n)])
+    M = A.T @ A
+    if quadratic:
+        G = M
+    else:
+        # G = M - t C with t below lambda_min(M) / lambda_max(C), so
+        # that 0 < G <= M without G being a multiple of M.
+        B = rng.standard_normal((n, n))
+        C = B @ B.T + 0.1 * np.eye(n)
+        t = 0.9 * np.linalg.eigvalsh(M)[0] / np.linalg.eigvalsh(C)[-1]
+        G = M - t * C
+    return M, G, A, SamplingScheme(kind, n, tau), c
+
+
+class TestPencilRoute:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(problem=curvature_problems())
+    def test_sandwich_and_square_root_reference(self, problem):
+        M, G, A, scheme, c = problem
+        pair = CurvaturePair(M, G)
+        E = expected_lifted_inverse(M, scheme).matrix
+        rep = rate_report(pair, scheme.with_workers(c), expected_inverse=E)
+        assert 0.0 < rep.sigma1 <= rep.theta <= 1.0 + 1e-12
+        tau_c = scheme.tau * c
+        dense = pcdm_constants(pair, tau_c, assume_dense=True)
+        ref = square_root_reference(M, G, E, tau_c)
+        got = {"sigma1": rep.sigma1, "theta": rep.theta, "lam": rep.lam, "sigma3": dense.sigma3}
+        for key, value in ref.items():
+            assert got[key] == pytest.approx(value, rel=1e-10), key
+        if pair.quadratic:
+            assert rep.lam == 1.0
+        # With a decomposition the weights differ; the pencil route
+        # still gives lambda_min(G^{1/2} D G^{1/2}), D = diag(p/v).
+        with_a = pcdm_constants(pair, tau_c, A=A)
+        W = sqrt_pd(G)
+        want = np.linalg.eigvalsh((W * (tau_c / scheme.n / with_a.v)) @ W)[0]
+        assert with_a.sigma3 == pytest.approx(want, rel=1e-10)
+
+
+class TestMemo:
+    def test_writeable_expectation_is_never_memoized(self):
+        M = random_pd(6, 30)
+        pair = CurvaturePair.from_hessian(M)
+        scheme = SamplingScheme("nice", 6, 2)
+        E = expected_lifted_inverse(M, scheme).matrix.copy()
+        first = rate_report(pair, scheme, expected_inverse=E)
+        E *= 0.5
+        second = rate_report(pair, scheme, expected_inverse=E)
+        assert second.sigma1 == pytest.approx(0.5 * first.sigma1, rel=1e-12)
+        assert second.theta == pytest.approx(0.5 * first.theta, rel=1e-12)
+
+    def test_read_only_expectation_matched_by_identity(self):
+        M = random_pd(6, 31)
+        pair = CurvaturePair.from_hessian(M)
+        nice = expected_lifted_inverse(M, SamplingScheme("nice", 6, 2)).matrix
+        window = expected_lifted_inverse(M, SamplingScheme("list", 6, 2)).matrix
+        a = (sigma1(pair, nice), theta(pair, nice))
+        b = (sigma1(pair, window), theta(pair, window))
+        assert a != b
+        assert (sigma1(pair, nice), theta(pair, nice)) == a
+        assert similar_extremes(M, window) == pytest.approx(b, rel=1e-10)

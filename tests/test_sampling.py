@@ -3,15 +3,19 @@
 Probability matrices are cross-checked three ways: combinatorial
 counting, the cyclic-gap formula for windows, and empirical draw
 frequencies.  Expected lifted inverses are checked against hand-built
-matrices and Monte Carlo agreement.
+matrices, Monte Carlo agreement, and bit for bit against a loop over
+per-set lifted inverses.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psn.linalg import lifted_submatrix, make_rho_matrix, make_tridiagonal
+from psn.linalg import lifted_inverse, lifted_submatrix, make_rho_matrix, make_tridiagonal
 from psn.rates import rho_closed_forms
 from psn.sampling import (
     SamplingScheme,
@@ -269,6 +273,85 @@ class TestExpectedInverse:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expected_lifted_inverse(np.eye(4), SamplingScheme("nice", 5, 2))
+
+
+def loop_expected_inverse(M, scheme, mode="enumerate", samples=0, seed=0):
+    """E[(M_S)^{-1}] (and the Monte Carlo standard error) summed one
+    n x n lifted inverse at a time over the same sets, in the same
+    order, as expected_lifted_inverse."""
+    n, tau = scheme.n, scheme.tau
+    if mode == "monte-carlo":
+        rng = np.random.default_rng(seed)
+        sets = [draw(scheme, rng)[0] for _ in range(samples)]
+    elif scheme.kind == "list":
+        sets = [np.sort((start + np.arange(tau)) % n) for start in range(n)]
+    else:
+        sets = [np.array(S) for S in itertools.combinations(range(n), tau)]
+    acc = np.zeros((n, n))
+    acc_sq = np.zeros((n, n))
+    for S in sets:
+        Z = lifted_inverse(M, S)
+        acc += Z
+        acc_sq += Z * Z
+    mean = acc / len(sets)
+    if mode != "monte-carlo":
+        return mean, None
+    var = (acc_sq - samples * mean * mean) / (samples - 1)
+    return mean, math.sqrt(float(np.clip(var, 0.0, None).sum()) / samples)
+
+
+def random_pd_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n + 2, n))
+    return B.T @ B + 0.5 * np.eye(n)
+
+
+class TestBatchedAssembly:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_loop(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        tau = data.draw(st.integers(1, n), label="tau")
+        kind = data.draw(st.sampled_from(["nice", "list"]), label="kind")
+        mode = data.draw(st.sampled_from(["enumerate", "monte-carlo"]), label="mode")
+        seed = data.draw(st.integers(0, 2**31), label="seed")
+        M = random_pd_matrix(n, seed)
+        scheme = SamplingScheme(kind, n, tau)
+        got = expected_lifted_inverse(M, scheme, mode=mode, samples=60, seed=seed)
+        want, se = loop_expected_inverse(M, scheme, mode, samples=60, seed=seed)
+        assert got.matrix.tobytes() == want.tobytes()
+        assert got.standard_error == se
+
+    @pytest.mark.parametrize("mode", ["enumerate", "monte-carlo"])
+    def test_bitwise_across_chunks(self, mode):
+        # C(20, 4) = 4845 subsets, and as many draws, span two batches
+        # of 4096 sets at tau = 4.
+        M = random_pd_matrix(20, 3)
+        scheme = SamplingScheme("nice", 20, 4)
+        got = expected_lifted_inverse(M, scheme, mode=mode, samples=4845, seed=5)
+        want, se = loop_expected_inverse(M, scheme, mode, samples=4845, seed=5)
+        assert got.matrix.tobytes() == want.tobytes()
+        assert got.standard_error == se
+
+    @pytest.mark.parametrize("mode", ["enumerate", "monte-carlo"])
+    def test_matrix_is_read_only(self, mode):
+        E = expected_lifted_inverse(
+            np.eye(4), SamplingScheme("nice", 4, 2), mode=mode, samples=10
+        )
+        assert not E.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            E.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("corner", [1.0, 1.0 + 1e-15], ids=["singular", "ill-conditioned"])
+    @pytest.mark.parametrize("mode", ["enumerate", "monte-carlo"])
+    def test_bad_block_names_its_set(self, corner, mode):
+        # Only the window {1, 2} has a bad block: [[1, 1], [1, corner]].
+        M = np.eye(4)
+        M[1, 2] = M[2, 1] = 1.0
+        M[2, 2] = corner
+        scheme = SamplingScheme("list", 4, 2)
+        with pytest.raises(np.linalg.LinAlgError, match=r"\[1, 2\]"):
+            expected_lifted_inverse(M, scheme, mode=mode, samples=50)
 
 
 class TestTowerProperty:

@@ -84,6 +84,22 @@ class TestObjectives:
         with pytest.raises(ValueError):
             quadratic_objective(np.eye(3), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quadratic_rejects_non_finite_q(self, bad):
+        q = np.ones(3)
+        q[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quadratic_objective(np.eye(3), q)
+
+    @pytest.mark.parametrize("where", ["A", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_least_squares_rejects_non_finite(self, where, bad):
+        rng = np.random.default_rng(6)
+        data = {"A": rng.standard_normal((8, 3)), "y": rng.standard_normal(8)}
+        data[where][(2, 1) if where == "A" else 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            least_squares_objective(data["A"], data["y"])
+
     def test_least_squares_matches_lstsq(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((12, 5))

@@ -45,3 +45,16 @@ def test_workload_keywords_and_tiny_rounds(perfbench, tmp_path):
         result = workload.run_round(problem, 0)
         assert result.attempted > 0, name
         assert not result.errors, (name, result.errors)
+
+
+def test_full_rate_table_matches_reference(perfbench, tmp_path):
+    # The committed table of the full-size rates-heat workload, checked
+    # row by row with the workload's own check (relative 1e-9).
+    workloads = perfbench("workloads")
+    workload = workloads.RatesHeat("full")
+    assert workload.reference is not None
+    result = workload.run_round(workload.setup(workload.inputs(1, tmp_path)), 0)
+    assert not result.errors, result.errors
+    _, bound = result.outputs["expected-inverse"]
+    for c in workload.c_grid:
+        assert workload.check_row(result.outputs[f"c{c}"], bound) == [], c
