@@ -23,6 +23,15 @@ and aggregates the blocks with damping b exactly like the primal
 solver.  The running average abar is updated incrementally and must
 stay equal to (1/(lam n)) A alpha up to round-off; traces record the
 drift so the invariant is observable.
+
+The conjugate terms phi_i*(-alpha_i) and their derivatives are state
+too: they are computed for all n coordinates once, and after each step
+recomputed only on the coordinates it moved (at most c*tau of them),
+with one root solve for both.  Each conjugate entry depends on its own
+coordinate alone, so the maintained arrays equal a full recompute bit
+for bit; the dual value is summed from them and the block gradient
+reads them.  ErmProblem.dual_value and psi_gradient evaluate the same
+quantities from scratch and serve as the reference path.
 """
 
 from __future__ import annotations
@@ -76,6 +85,11 @@ class SquaredLoss:
     def conjugate_derivative(s, y):
         return s + y
 
+    @staticmethod
+    def conjugate_with_derivative(s, y):
+        """(phi*(s, y), phi*'(s, y))."""
+        return SquaredLoss.conjugate(s, y), SquaredLoss.conjugate_derivative(s, y)
+
 
 @dataclass(frozen=True)
 class LogisticLoss:
@@ -87,7 +101,10 @@ class LogisticLoss:
     positive definite; the conjugate has no closed form and is
     evaluated by a safeguarded elementwise Newton iteration on
     phi'(z) = s (phi' is strictly increasing, so the root is unique and
-    bracketed by |z| <= (|s| + 1)/epsilon + 1).
+    bracketed by |z| <= (|s| + 1)/epsilon + 1).  An entry is frozen as
+    soon as its residual is within tolerance, so each entry's root
+    depends on its own s and y only: solving a subset gives bit for bit
+    the values of solving the whole vector.
     """
 
     epsilon: float = 1e-3
@@ -126,37 +143,54 @@ class LogisticLoss:
         tol = 1e-13 * np.maximum(1.0, np.abs(s))
         for _ in range(200):
             r = self.derivative(z, y) - s
+            done = np.abs(r) <= tol
+            if np.all(done):
+                break
             lo = np.where(r <= 0.0, z, lo)
             hi = np.where(r > 0.0, z, hi)
-            if np.all(np.abs(r) <= tol):
-                break
             z_new = z - r / self._second_derivative(z, y)
             mid = 0.5 * (lo + hi)
             bad = ~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi)
-            z = np.where(bad, mid, z_new)
+            # A converged entry stays put.  One edge of its bracket sits on
+            # it, so a Newton step too small to move it would count as bad
+            # and send it to the bracket's midpoint.
+            z = np.where(done, z, np.where(bad, mid, z_new))
         return z
 
     def conjugate(self, s, y):
-        z = self._root(s, y)
-        return np.asarray(s) * z - self.value(z, y)
+        return self.conjugate_with_derivative(s, y)[0]
 
     def conjugate_derivative(self, s, y):
         return self._root(s, y)
+
+    def conjugate_with_derivative(self, s, y):
+        """(phi*(s, y), phi*'(s, y)) from one root solve: the derivative
+        is the root z of phi'(z) = s and phi*(s) = s z - phi(z)."""
+        z = self._root(s, y)
+        return np.asarray(s) * z - self.value(z, y), z
 
 
 @dataclass(frozen=True)
 class ErmProblem:
     """Dataset and regulariser: feature matrix A (d x n, one column per
-    example), targets y (length n), a loss object, and lam_reg > 0."""
+    example), targets y (length n), a loss object, and lam_reg > 0.
+
+    A and y are stored as read-only copies, so later changes to the
+    caller's arrays cannot reach the problem.  That keeps valid the
+    damping memo, a private dict in which run_erm keeps lambda and each
+    resolved theta as scalars (see solver.resolve_damping), so that
+    runs at several worker counts resolve them once.
+    """
 
     A: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     loss: object = field(default_factory=SquaredLoss)
     lam_reg: float = 1.0
+    _damping_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        A = np.array(self.A, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError(f"A must be d x n, got shape {A.shape}")
         if y.shape != (A.shape[1],):
@@ -167,6 +201,8 @@ class ErmProblem:
             raise ValueError(f"lam_reg must be positive, got {self.lam_reg}")
         if isinstance(self.loss, LogisticLoss) and not np.all(np.abs(y) == 1.0):
             raise ValueError("logistic loss expects labels in {-1, +1}")
+        A.flags.writeable = False
+        y.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 
@@ -217,9 +253,11 @@ class ErmProblem:
         )
 
     def dual_value(self, alpha: np.ndarray) -> float:
-        abar = self.average_of(alpha)
-        conj = np.sum(self.loss.conjugate(-alpha, self.y))
-        return float(-conj / self.n - 0.5 * self.lam_reg * (abar @ abar))
+        return self._dual_from(self.loss.conjugate(-alpha, self.y), self.average_of(alpha))
+
+    def _dual_from(self, conjugates: np.ndarray, abar: np.ndarray) -> float:
+        """D from the terms phi_i*(-alpha_i, y_i) and abar of alpha."""
+        return float(-np.sum(conjugates) / self.n - 0.5 * self.lam_reg * (abar @ abar))
 
     def psi_gradient(self, alpha: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
         """Gradient of psi_i(alpha_i) = (1/n) phi_i*(-alpha_i) at the
@@ -235,27 +273,47 @@ class ErmProblem:
 
 @dataclass
 class DualState:
-    """Dual iterate alpha and its running average abar.
+    """Dual iterate alpha, its running average abar, and the conjugate
+    terms at -alpha: conjugate[i] = phi_i*(-alpha_i, y_i) and
+    zeta[i] = phi_i*'(-alpha_i, y_i).
 
     abar is updated incrementally by the solver and must equal
-    (1/(lam n)) A alpha up to round-off at all times.
+    (1/(lam n)) A alpha up to round-off at all times.  conjugate and
+    zeta are refreshed by ``step`` on the coordinates it moves and equal
+    a full recompute bit for bit; assigning alpha directly leaves them
+    stale.
     """
 
     alpha: np.ndarray
     alpha_bar: np.ndarray
+    conjugate: np.ndarray = field(repr=False)
+    zeta: np.ndarray = field(repr=False)
 
     @classmethod
     def initial(cls, problem: ErmProblem, alpha0: np.ndarray | None = None) -> "DualState":
         alpha = np.zeros(problem.n) if alpha0 is None else np.asarray(alpha0, dtype=np.float64).copy()
         if alpha.shape != (problem.n,):
             raise ValueError(f"alpha0 must have shape ({problem.n},), got {alpha.shape}")
-        return cls(alpha, problem.average_of(alpha))
+        conjugate, zeta = problem.loss.conjugate_with_derivative(-alpha, problem.y)
+        return cls(alpha, problem.average_of(alpha), conjugate, zeta)
 
-    def consistency_error(self, problem: ErmProblem) -> float:
-        """Max-norm drift between abar and (1/(lam n)) A alpha."""
-        return float(
-            np.abs(self.alpha_bar - problem.average_of(self.alpha)).max(initial=0.0)
+    def step(self, problem: ErmProblem, total: np.ndarray, b: float, changed: np.ndarray) -> None:
+        """alpha += total/b, where total is zero outside the index array
+        changed, with abar and the conjugate terms kept in step."""
+        self.alpha = self.alpha + total / b
+        self.alpha_bar = self.alpha_bar + (problem.A @ total) * (
+            1.0 / (problem.lam_reg * problem.n * b)
         )
+        self.conjugate[changed], self.zeta[changed] = problem.loss.conjugate_with_derivative(
+            -self.alpha[changed], problem.y[changed]
+        )
+
+    def consistency_error(self, problem: ErmProblem, average: np.ndarray | None = None) -> float:
+        """Max-norm drift between abar and (1/(lam n)) A alpha; average
+        is that product when the caller has already formed it."""
+        if average is None:
+            average = problem.average_of(self.alpha)
+        return float(np.abs(self.alpha_bar - average).max(initial=0.0))
 
 
 def primal_from_dual(problem: ErmProblem, alpha: np.ndarray) -> np.ndarray:
@@ -266,9 +324,10 @@ def primal_from_dual(problem: ErmProblem, alpha: np.ndarray) -> np.ndarray:
 
 def _dual_gradient(problem: ErmProblem, state: DualState):
     """Block gradient of -D at state: S -> ((1/n) A'w + grad psi(alpha))[S],
-    where w is the primal point of the state."""
-    w, alpha = state.alpha_bar, state.alpha
-    return lambda S: (problem.A[:, S].T @ w) / problem.n + problem.psi_gradient(alpha, S)
+    where w is the primal point of the state and grad psi(alpha) = -zeta/n
+    is read from its conjugate terms."""
+    w, zeta = state.alpha_bar, state.zeta
+    return lambda S: (problem.A[:, S].T @ w) / problem.n - zeta[S] / problem.n
 
 
 def block_subproblem(
@@ -341,24 +400,25 @@ def run_erm(
     check_config(config, problem.n)
     X = problem.smoothness_matrix()
     quadratic = math.isclose(problem.loss.gamma, problem.loss.smoothness)
-    b, theta_used = resolve_damping(config, X, quadratic, problem.curvature)
+    b, theta_used = resolve_damping(
+        config, X, quadratic, problem.curvature, problem._damping_memo
+    )
     rng = np.random.default_rng(config.seed)
     state = DualState.initial(problem, alpha0)
-    scale = 1.0 / (problem.lam_reg * problem.n * b)
 
     records: list[ErmRecord] = []
     status = "max-iterations"
     t0 = time.perf_counter()
     with worker_pool(config.threads) as pool:
         for k in range(config.max_iter + 1):
-            w = state.alpha_bar
-            primal = problem.primal_value(w)
-            dual = problem.dual_value(state.alpha)
+            average = problem.average_of(state.alpha)
+            primal = problem.primal_value(state.alpha_bar)
+            dual = problem._dual_from(state.conjugate, average)
             gap = primal - dual
             records.append(
                 ErmRecord(
                     k, primal, dual, gap,
-                    state.consistency_error(problem),
+                    state.consistency_error(problem, average),
                     time.perf_counter() - t0,
                 )
             )
@@ -372,8 +432,7 @@ def run_erm(
                 break
             sets = draw(config.scheme, rng)
             total = block_step(X, sets, _dual_gradient(problem, state), pool)
-            state.alpha = state.alpha + total / b
-            state.alpha_bar = state.alpha_bar + (problem.A @ total) * scale
+            state.step(problem, total, b, np.unique(np.concatenate(sets)))
     return ErmTrace(records, status, state.alpha, state.alpha_bar, b, theta_used)
 
 

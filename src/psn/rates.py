@@ -202,12 +202,12 @@ def sigma_p(c: int, b: float, sigma1_value: float, b_min: float = 1.0) -> float:
 
 def theta_cond_bound(tau: int, M: np.ndarray) -> float:
     """Upper bound (tau/n) * cond(M) on theta for list-type samplings
-    when the curvature pair is (M, M)."""
-    M = check_symmetric(M)
-    n = M.shape[0]
-    if not 1 <= tau <= n:
-        raise ValueError(f"tau must lie in [1, n={n}], got {tau}")
-    return (tau / n) * condition_number(M)
+    when the curvature pair is (M, M).  tau is checked against the
+    order of M first; condition_number then checks M itself, once."""
+    shape = np.shape(M)
+    if len(shape) == 2 and not 1 <= tau <= shape[0]:
+        raise ValueError(f"tau must lie in [1, n={shape[0]}], got {tau}")
+    return condition_number(M) * (tau / shape[0])
 
 
 def tridiag_theta_bound(alpha: float, n: int) -> float:

@@ -18,6 +18,7 @@ any physical thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -70,6 +71,13 @@ class SmoothObjective:
     the Hessians from above and G from below in the semidefinite order;
     block steps always solve against M.  x_star/f_star are optional and
     only used to report optimality gaps in traces.
+
+    The objective is a snapshot of M and G: x_star and f_star are fixed
+    when it is built, and so is what ``run`` resolves for auto damping.
+    A private dict keeps lambda and each resolved theta as scalars (see
+    resolve_damping), so runs at several worker counts resolve them
+    once.  Changing M in place afterwards invalidates all of these;
+    build a new objective instead.
     """
 
     n: int
@@ -80,6 +88,7 @@ class SmoothObjective:
     x_star: np.ndarray | None = field(default=None, repr=False)
     f_star: float | None = None
     quadratic: bool = False
+    _damping_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def curvature(self) -> CurvaturePair:
         if self.quadratic:
@@ -299,6 +308,7 @@ def resolve_damping(
     M: np.ndarray,
     quadratic: bool,
     curvature: Callable[[], CurvaturePair],
+    memo: dict,
 ) -> tuple[float, float | None]:
     """Damping b and the theta it came from (None for an explicit b).
 
@@ -308,18 +318,28 @@ def resolve_damping(
     (from the expected lifted inverse of M) or 'bound' ((tau/n) cond(M),
     list samplings of quadratics only).  curvature() is called at most
     once, and only when exact theta or lambda != 1 needs the pair.
+
+    memo is a dict owned by the problem M belongs to.  It keeps lambda
+    and theta per source, keyed ('exact', serial kind, tau) or
+    ('bound', tau), as scalars only, so that another call for the same
+    problem at another worker count c recomputes only b.  A numeric
+    theta is used as given.
     """
     if config.b != "auto":
         return float(config.b), None
+    scheme = config.scheme
     spec = config.theta
-    pair = None
+    pair = functools.cache(curvature)
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         th = float(spec)
     elif spec == "exact":
-        pair = curvature()
-        th = theta(pair, expected_lifted_inverse(M, config.scheme).matrix)
+        th = _memoized(
+            memo,
+            ("exact", scheme.serial_kind, scheme.tau),
+            lambda: theta(pair(), expected_lifted_inverse(M, scheme).matrix),
+        )
     elif spec == "bound":
-        if config.scheme.serial_kind != "list":
+        if scheme.serial_kind != "list":
             raise ValueError(
                 "theta='bound' uses (tau/n) cond(M), which covers list "
                 "samplings only; supply a numeric theta or 'exact'"
@@ -329,14 +349,20 @@ def resolve_damping(
                 "theta='bound' requires a quadratic problem (M == G; for ERM, "
                 "the squared loss)"
             )
-        th = theta_cond_bound(config.scheme.tau, M)
+        th = _memoized(memo, ("bound", scheme.tau), lambda: theta_cond_bound(scheme.tau, M))
     else:
         raise ValueError(
             "b='auto' needs an explicit theta source: a number, 'exact', or "
             "'bound' (no silent default)"
         )
-    lam = 1.0 if quadratic else lambda_ratio(pair if pair is not None else curvature())
-    return b_threshold(config.scheme.c, lam, th), th
+    lam = 1.0 if quadratic else _memoized(memo, "lambda", lambda: lambda_ratio(pair()))
+    return b_threshold(scheme.c, lam, th), th
+
+
+def _memoized(memo: dict, key, compute: Callable[[], float]) -> float:
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def worker_pool(threads: int):
@@ -365,7 +391,8 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
     """
     check_config(config, objective.n)
     b, theta_used = resolve_damping(
-        config, objective.M, objective.quadratic, objective.curvature
+        config, objective.M, objective.quadratic, objective.curvature,
+        objective._damping_memo,
     )
     rng = np.random.default_rng(config.seed)
     x = _initial_point(objective, config)

@@ -10,7 +10,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import psn.solver
 from psn.erm import (
     DualState,
     ErmProblem,
@@ -95,8 +98,77 @@ class TestLogisticLoss:
         with pytest.raises(ValueError):
             LogisticLoss(0.0)
 
+    def test_conjugate_with_derivative_matches_separate_calls(self):
+        rng = np.random.default_rng(41)
+        s = rng.uniform(-5.0, 5.0, 20)
+        y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
+        for loss in (SquaredLoss(), LogisticLoss(1e-2)):
+            value, slope = loss.conjugate_with_derivative(s, y)
+            assert np.array_equal(value, loss.conjugate(s, y))
+            assert np.array_equal(slope, loss.conjugate_derivative(s, y))
+
+
+def random_slopes(seed, size):
+    """Labels y and slopes s: size of them in [-10, 10], size/2 in
+    [-1, 0] (where the Newton iteration needs the most passes),
+    size/4 in [-1e3, 1e3], and the ends of those ranges."""
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([
+        rng.uniform(-10.0, 10.0, size),
+        rng.uniform(-1.0, 0.0, size // 2),
+        rng.uniform(-1e3, 1e3, size // 4),
+        [-1e3, -1.0, -0.5, 0.0, 1e3],
+    ])
+    return s, np.where(rng.random(s.size) < 0.5, -1.0, 1.0)
+
+
+class TestLogisticRoot:
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.1])
+    def test_vector_solve_equals_entrywise_solves(self, epsilon):
+        loss = LogisticLoss(epsilon)
+        s, y = random_slopes(42, 200)
+        z = loss._root(s, y)
+        each = np.array([loss._root(s[i : i + 1], y[i : i + 1])[0] for i in range(s.size)])
+        assert np.array_equal(z, each)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.1])
+    def test_residual_within_tolerance(self, epsilon):
+        loss = LogisticLoss(epsilon)
+        s, y = random_slopes(43, 2000)
+        z = loss._root(s, y)
+        resid = np.abs(loss.derivative(z, y) - s)
+        assert np.all(resid <= 1e-13 * np.maximum(1.0, np.abs(s)))
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.1])
+    def test_few_newton_passes(self, epsilon, monkeypatch):
+        calls = []
+        second = LogisticLoss._second_derivative
+
+        def counted(self, z, y):
+            calls.append(1)
+            return second(self, z, y)
+
+        monkeypatch.setattr(LogisticLoss, "_second_derivative", counted)
+        s, y = random_slopes(44, 2000)
+        small = np.abs(s) <= 10.0
+        LogisticLoss(epsilon)._root(s[small], y[small])
+        assert 0 < len(calls) <= 10
+
 
 class TestProblemSetup:
+    def test_data_is_a_read_only_copy(self):
+        rng = np.random.default_rng(45)
+        A = rng.standard_normal((3, 5))
+        y = rng.standard_normal(5)
+        prob = ErmProblem(A, y)
+        A_before, y_before = prob.A.copy(), prob.y.copy()
+        A[0, 0] += 1.0
+        y[1] += 1.0
+        assert np.array_equal(prob.A, A_before)
+        assert np.array_equal(prob.y, y_before)
+        assert not prob.A.flags.writeable
+        assert not prob.y.flags.writeable
+
     def test_shape_and_parameter_validation(self):
         A = np.ones((3, 4))
         with pytest.raises(ValueError):
@@ -322,6 +394,85 @@ class TestRunErm:
         assert lines[0] == "iteration,primal,dual,gap"
         assert len(lines) == len(trace.records) + 1
         assert float(lines[1].split(",")[3]) == trace.records[0].gap
+
+
+class TestDualRunProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_duality_and_incremental_state(self, data):
+        d = data.draw(st.integers(1, 6), label="d")
+        n = data.draw(st.integers(4, 12), label="n")
+        loss = data.draw(
+            st.sampled_from([SquaredLoss(), LogisticLoss(1e-2), LogisticLoss(0.1)]), label="loss"
+        )
+        lam = data.draw(st.sampled_from([1e-2, 0.1, 1.0]), label="lam")
+        kind = data.draw(st.sampled_from(["nice", "list"]), label="kind")
+        tau = data.draw(st.integers(1, 3), label="tau")
+        c = data.draw(st.sampled_from([1, 2, 4]), label="c")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        prob = random_problem(d, n, seed, loss=loss, lam=lam)
+        scheme = SamplingScheme(kind, n, tau).with_workers(c)
+        config = SolverConfig(
+            scheme, b="auto", theta="exact", tol=1e-9, seed=seed, max_iter=150
+        )
+        states = []
+        initial = DualState.initial.__func__
+
+        def capture(cls, problem, alpha0=None):
+            states.append(initial(cls, problem, alpha0))
+            return states[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DualState, "initial", classmethod(capture))
+            trace = run_erm(prob, config)
+        for rec in trace.records:
+            assert rec.gap >= -1e-12 * max(1.0, abs(rec.primal)), rec
+            assert rec.consistency <= 1e-10, rec
+        assert trace.records[-1].dual == pytest.approx(prob.dual_value(trace.alpha), rel=1e-12)
+        (state,) = states
+        assert state.alpha is trace.alpha
+        assert np.array_equal(state.conjugate, prob.loss.conjugate(-trace.alpha, prob.y))
+        assert np.array_equal(state.zeta, prob.loss.conjugate_derivative(-trace.alpha, prob.y))
+        assert np.array_equal(-state.zeta / n, prob.psi_gradient(trace.alpha))
+
+
+class TestDampingMemo:
+    COUNTED = ("expected_lifted_inverse", "theta", "lambda_ratio", "theta_cond_bound")
+
+    def count_calls(self, monkeypatch):
+        calls = []
+        for name in self.COUNTED:
+            original = getattr(psn.solver, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(psn.solver, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(1e-2)])
+    def test_second_run_reuses_damping(self, loss, monkeypatch):
+        prob = random_problem(4, 12, 46, loss=loss)
+        scheme = SamplingScheme("list", 12, 3)
+        calls = self.count_calls(monkeypatch)
+
+        def config(c, theta):
+            return SolverConfig(
+                scheme.with_workers(c), b="auto", theta=theta, seed=1, max_iter=5
+            )
+
+        sources = ["exact"] + (["bound"] if isinstance(loss, SquaredLoss) else [])
+        for theta in sources:
+            run_erm(prob, config(1, theta))
+            assert calls
+            calls.clear()
+            for c in (2, 4):
+                trace = run_erm(prob, config(c, theta))
+                assert calls == []
+                fresh = run_erm(ErmProblem(prob.A, prob.y, loss, prob.lam_reg), config(c, theta))
+                assert (trace.b, trace.theta_used) == (fresh.b, fresh.theta_used)
+                calls.clear()
 
 
 class TestLibsvmReader:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psn.linalg
+import psn.rates
 from psn.linalg import invsqrt_pd, make_rho_matrix, make_tridiagonal, sqrt_pd
 from psn.rates import (
     CurvaturePair,
@@ -229,9 +231,30 @@ class TestThetaBounds:
         E = expected_lifted_inverse(T, SamplingScheme("list", n, 2)).matrix
         assert theta(pair, E) == pytest.approx(tridiag_theta_bound(0.0, n), abs=1e-14)
 
+    def test_cond_bound_checks_matrix_once(self, monkeypatch):
+        M = random_pd(7, 47)
+        calls = []
+        check = psn.linalg.check_symmetric
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(psn.linalg, "check_symmetric", counted)
+        monkeypatch.setattr(psn.rates, "check_symmetric", counted)
+        bound = theta_cond_bound(3, M)
+        assert len(calls) == 1
+        w = np.linalg.eigvalsh(M)
+        assert bound == (3 / 7) * (float(w[-1]) / float(w[0]))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             theta_cond_bound(0, np.eye(3))
+        with pytest.raises(ValueError):
+            theta_cond_bound(4, np.eye(3))
+        for bad in (np.ones((2, 3)), np.ones(3), np.array([[1.0, 2.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError):
+                theta_cond_bound(1, bad)
         with pytest.raises(ValueError):
             tridiag_theta_bound(0.6, 10)
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psn.solver
 from psn.linalg import make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, theta, theta_cond_bound
 from psn.sampling import SamplingScheme, expected_lifted_inverse
@@ -259,6 +260,50 @@ class TestRunConvergence:
         assert not trace.converged
         assert trace.status == "max-iterations"
         assert len(trace.records) == 4
+
+
+class TestDampingMemo:
+    @pytest.mark.parametrize(
+        "build,theta_source",
+        [
+            (lambda: random_quadratic(9, 48), "bound"),
+            (lambda: random_quadratic(9, 48), "exact"),
+            (lambda: nonquadratic_objective(9), "exact"),
+        ],
+    )
+    def test_second_run_reuses_damping(self, build, theta_source, monkeypatch):
+        calls = []
+        for name in ("expected_lifted_inverse", "theta", "lambda_ratio", "theta_cond_bound"):
+            original = getattr(psn.solver, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(psn.solver, name, counted)
+        obj = build()
+        scheme = SamplingScheme("list", 9, 3)
+
+        def config(c):
+            return SolverConfig(
+                scheme.with_workers(c), b="auto", theta=theta_source, seed=1, max_iter=5
+            )
+
+        run(obj, config(1))
+        assert calls
+        for c in (2, 4):
+            calls.clear()
+            trace = run(obj, config(c))
+            assert calls == []
+            fresh = run(build(), config(c))
+            assert (trace.b, trace.theta_used) == (fresh.b, fresh.theta_used)
+
+    def test_numeric_theta_is_used_as_given(self):
+        obj = random_quadratic(6, 49)
+        for th in (0.5, 0.25):
+            config = SolverConfig(SamplingScheme("parallel-nice", 6, 2, c=3), theta=th, max_iter=2)
+            trace = run(obj, config)
+            assert (trace.b, trace.theta_used) == (2.0 * th + 1.0, th)
 
 
 class TestDeterminism:

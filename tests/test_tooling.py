@@ -58,3 +58,15 @@ def test_full_rate_table_matches_reference(perfbench, tmp_path):
     _, bound = result.outputs["expected-inverse"]
     for c in workload.c_grid:
         assert workload.check_row(result.outputs[f"c{c}"], bound) == [], c
+
+
+def test_full_erm_round_passes_checks(perfbench, tmp_path):
+    # One full-size erm-logistic round: the rate work (exact theta and
+    # lambda), then c=1 and c=4 solved to tolerance and checked (final
+    # gap, weak duality, abar drift), each with the rate work's b and
+    # theta.
+    workloads = perfbench("workloads")
+    workload = workloads.ErmLogistic("full")
+    result = workload.run_round(workload.setup(workload.inputs(1, tmp_path)), 0)
+    assert not result.errors, result.errors
+    assert set(result.outputs) == {"rates", "c1", "c4"}
