@@ -59,7 +59,7 @@ class CurvaturePair:
 
     ``g_extremes`` holds (lambda_min(G), lambda_max(G)) from that check.
     Derived spectral constants are cached on the pair as scalars, never
-    as n x n arrays.
+    as n x n arrays; the one cached vector is the diagonal of M.
     """
 
     M: np.ndarray = field(repr=False)
@@ -112,10 +112,19 @@ class CurvaturePair:
         return _symmetric_extremes(S)[1]
 
     @cached_property
+    def _m_diagonal(self) -> np.ndarray:
+        """Read-only copy of diag(M).  Reading the diagonal of M strides
+        across all of M, one page per entry at n = 1500, so the dense
+        PCDM weights read this length-n copy instead."""
+        d = np.diag(self.M).copy()
+        d.flags.writeable = False
+        return d
+
+    @cached_property
     def _dense_sigma3(self) -> float:
         """PCDM sigma_3 for fully dense rows, which is the same for every
         tau*c: lambda_min(diag(M)^{-1/2} G diag(M)^{-1/2}) / n."""
-        return _scaled_min(self.G, 1.0 / np.sqrt(np.diag(self.M))) / self.n
+        return _scaled_min(self.G, 1.0 / np.sqrt(self._m_diagonal)) / self.n
 
     def _weighted_extremes(self, expected_inverse: np.ndarray) -> tuple[float, float]:
         """(lambda_min, lambda_max) of L^T E L for G = L L^T, the
@@ -343,7 +352,7 @@ def pcdm_constants(
         weights = 1.0 + (omega - 1.0) * (tau_c - 1) / max(n - 1, 1)
         v = weights @ (A * A)
     elif assume_dense:
-        v = tau_c * np.diag(pair.M).copy()
+        v = tau_c * pair._m_diagonal
     else:
         raise ValueError(
             "need the decomposition A with M = A^T A, or assume_dense=True "

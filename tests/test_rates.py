@@ -290,6 +290,16 @@ class TestPcdm:
         ]
         assert np.ptp(values) < 1e-13 * values[0]
 
+    def test_dense_weights_read_cached_diagonal(self):
+        M = random_pd(6, 26)
+        pair = CurvaturePair.from_hessian(M)
+        for tau_c in (1, 4, 6):
+            v = pcdm_constants(pair, tau_c, assume_dense=True).v
+            assert np.array_equal(v, tau_c * np.diag(M).copy())
+            assert v.flags.writeable
+        assert not pair._m_diagonal.flags.writeable
+        assert pair.__dict__["_m_diagonal"] is pair._m_diagonal
+
     def test_sparse_sigma3_increases_with_tau_c(self):
         A, M = random_sparse_decomposition(90, 40, 1 / 3, 22)
         pair = CurvaturePair.from_hessian(M)
