@@ -381,7 +381,7 @@ def cmd_erm(args) -> int:
     return 0 if ok else 2
 
 
-def _add_common(sub: argparse.ArgumentParser, scheme_default: str | None = None) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
 

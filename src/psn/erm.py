@@ -432,7 +432,7 @@ def run_erm(
                 break
             sets = draw(config.scheme, rng)
             total = block_step(X, sets, _dual_gradient(problem, state), pool)
-            state.step(problem, total, b, np.unique(np.concatenate(sets)))
+            state.step(problem, total, b, np.unique(sets))
     return ErmTrace(records, status, state.alpha, state.alpha_bar, b, theta_used)
 
 

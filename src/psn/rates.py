@@ -302,15 +302,12 @@ class PcdmConstants:
     constant lambda_min(G^{1/2} D(1/v) D(p) G^{1/2}) with uniform
     inclusion probabilities p_i = tau*c/n, and sigma_b is the cruder
     variant obtained by replacing every v_i with lambda_max(A^T A).
-    support_sets lists the nonzero coordinates of each row of A (None
-    when the dense worst case was assumed).
     """
 
     tau_c: int
     v: np.ndarray = field(repr=False)
     sigma3: float
     sigma_b: float
-    support_sets: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 def pcdm_constants(
@@ -339,7 +336,6 @@ def pcdm_constants(
     n = pair.n
     if not 1 <= tau_c <= n:
         raise ValueError(f"tau_c must lie in [1, n={n}], got {tau_c}")
-    support: list[np.ndarray] | None = None
     if A is not None:
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[1] != n:
@@ -347,8 +343,7 @@ def pcdm_constants(
         scale = max(1.0, float(np.abs(pair.M).max(initial=0.0)))
         if np.abs(A.T @ A - pair.M).max(initial=0.0) > 1e-8 * scale:
             raise ValueError("decomposition does not satisfy A^T A = M")
-        support = [np.flatnonzero(row) for row in A]
-        omega = np.array([s.size for s in support], dtype=np.float64)
+        omega = np.count_nonzero(A, axis=1)
         weights = 1.0 + (omega - 1.0) * (tau_c - 1) / max(n - 1, 1)
         v = weights @ (A * A)
     elif assume_dense:
@@ -365,7 +360,7 @@ def pcdm_constants(
     sig3 = pair._dense_sigma3 if A is None else _scaled_min(pair.G, np.sqrt(p / v))
     m_max = pair.g_extremes[1] if pair.quadratic else eigen_extremes(pair.M)[1]
     sig_b = p * pair.g_extremes[0] / m_max
-    return PcdmConstants(tau_c, np.asarray(v), sig3, sig_b, support)
+    return PcdmConstants(tau_c, np.asarray(v), sig3, sig_b)
 
 
 @dataclass(frozen=True)
@@ -390,12 +385,10 @@ def rate_report(
     pair: CurvaturePair,
     scheme: SamplingScheme,
     expected_inverse: np.ndarray | None = None,
-    mode: str = "enumerate",
-    mc_samples: int = 100_000,
-    mc_seed: int = 0,
 ) -> RateReport:
     """Assemble sigma1, theta, lambda, b_min, sigma_p and the speedup
-    sigma_p/sigma1 for one scheme.
+    sigma_p/sigma1 for one scheme.  Without expected_inverse, E[(M_S)^-1]
+    is enumerated.
 
     For non-overlapping samplings the constituent sets are not
     independent, so the parallel contraction guarantee is not
@@ -403,9 +396,7 @@ def rate_report(
     constituent set but clears ``hypotheses_hold``.
     """
     if expected_inverse is None:
-        expected_inverse = expected_lifted_inverse(
-            pair.M, scheme, mode=mode, samples=mc_samples, seed=mc_seed
-        ).matrix
+        expected_inverse = expected_lifted_inverse(pair.M, scheme).matrix
     lo, hi = pair._weighted_extremes(expected_inverse)
     lam = lambda_ratio(pair)
     b_min = b_threshold(scheme.c, lam, hi)

@@ -8,11 +8,14 @@ iteration:
                      taken cyclically modulo n, uniform over windows.
 * ``parallel-nice`` / ``parallel-list``
                   -- c independent copies of the serial scheme, one per
-                     worker, drawn from sub-streams spawned off a single
-                     seed so results do not depend on worker scheduling.
+                     worker: c successive serial draws from the one
+                     generator, so c=1 reproduces the serial scheme.
 * ``non-overlapping``
-                  -- one uniform subset of size c*tau, shuffled and cut
-                     into c pairwise disjoint sets of size tau.
+                  -- one uniform subset of size c*tau in random order,
+                     cut into c pairwise disjoint sets of size tau.
+
+Every draw comes from the generator it is given, as one (c, tau) array
+of sorted index sets; worker threads never draw.
 
 Probability matrices and expected lifted inverses refer to one
 constituent set: for the parallel schemes each worker's set has the
@@ -126,36 +129,35 @@ def parse_scheme(text: str, n: int) -> SamplingScheme:
     return SamplingScheme(kind, n, opts["tau"], opts.get("c", 1))
 
 
-def _draw_one(kind: str, n: int, tau: int, rng: np.random.Generator) -> np.ndarray:
-    if kind == "nice":
-        return np.sort(rng.choice(n, size=tau, replace=False))
-    start = int(rng.integers(n))
-    return np.sort((start + np.arange(tau)) % n)
+def _windows(starts, tau: int, n: int) -> np.ndarray:
+    """The cyclic windows {s, ..., s+tau-1} mod n of the given starts,
+    one sorted row each."""
+    windows = (np.asarray(starts)[:, None] + np.arange(tau)) % n
+    windows.sort(axis=1)
+    return windows
 
 
-def draw(scheme: SamplingScheme, rng: np.random.Generator) -> list[np.ndarray]:
-    """Draw one realisation: a list of c sorted index arrays.
+def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
+    """Draw one realisation: a (c, tau) int64 array whose row i is
+    worker i's index set, sorted.
 
-    Serial kinds consume the generator directly.  Parallel kinds spawn c
-    child streams (one per worker) off the generator, so the sets are
-    independent and the result is reproducible regardless of how workers
-    are scheduled.  Non-overlapping draws the master (c*tau)-subset and
-    the partition from the generator itself.
+    All sets come from rng.  For the serial and parallel kinds the c
+    rows are c successive serial draws, so the sets are independent and
+    a one-worker parallel scheme consumes the stream exactly as its
+    serial kind does.  Non-overlapping cuts one uniform (c*tau)-subset,
+    which choice returns in random order, into c rows.
     """
-    if scheme.kind in SERIAL_KINDS:
-        return [_draw_one(scheme.kind, scheme.n, scheme.tau, rng)]
+    n, tau, c = scheme.n, scheme.tau, scheme.c
     if scheme.kind == "non-overlapping":
-        master = rng.choice(scheme.n, size=scheme.c * scheme.tau, replace=False)
-        shuffled = rng.permutation(master)
-        return [
-            np.sort(shuffled[i * scheme.tau : (i + 1) * scheme.tau])
-            for i in range(scheme.c)
-        ]
-    base = scheme.serial_kind
-    return [
-        _draw_one(base, scheme.n, scheme.tau, child)
-        for child in rng.spawn(scheme.c)
-    ]
+        sets = rng.choice(n, size=c * tau, replace=False).reshape(c, tau)
+    elif scheme.serial_kind == "nice":
+        sets = np.array([rng.choice(n, size=tau, replace=False) for _ in range(c)])
+    else:
+        # A scalar draw costs a third of a size-1 array draw and leaves
+        # the generator in the same state.
+        return _windows([rng.integers(n)] if c == 1 else rng.integers(n, size=c), tau, n)
+    sets.sort(axis=1)
+    return sets
 
 
 def probability_matrix(scheme: SamplingScheme) -> np.ndarray:
@@ -171,9 +173,8 @@ def probability_matrix(scheme: SamplingScheme) -> np.ndarray:
         P = np.full((n, n), off)
     else:
         P = np.zeros((n, n))
-        for start in range(n):
-            window = (start + np.arange(tau)) % n
-            P[np.ix_(window, window)] += 1.0 / n
+        windows = _windows(np.arange(n), tau, n)
+        np.add.at(P, (windows[:, :, None], windows[:, None, :]), 1.0 / n)
     np.fill_diagonal(P, tau / n)
     return P
 
@@ -198,21 +199,13 @@ def _enumerated_chunks(scheme: SamplingScheme, size: int):
     index sets, at most size sets each, in enumeration order."""
     n, tau = scheme.n, scheme.tau
     if scheme.kind == "list":
-        windows = np.sort((np.arange(n)[:, None] + np.arange(tau)) % n, axis=1)
+        windows = _windows(np.arange(n), tau, n)
         for start in range(0, n, size):
             yield windows[start : start + size]
     else:
         combos = itertools.combinations(range(n), tau)
         while chunk := list(itertools.islice(combos, size)):
             yield np.array(chunk, dtype=np.int64)
-
-
-def _sampled_chunks(scheme: SamplingScheme, samples: int, rng, size: int):
-    """samples draws of a serial scheme from rng, in draw order, as
-    (k, tau) stacks of at most size sets."""
-    for start in range(0, samples, size):
-        count = min(size, samples - start)
-        yield np.stack([_draw_one(scheme.kind, scheme.n, scheme.tau, rng) for _ in range(count)])
 
 
 def _add_block_inverses(M, sets, acc, acc_sq=None) -> None:
@@ -278,7 +271,11 @@ def expected_lifted_inverse(
         if samples < 2:
             raise ValueError(f"need at least 2 samples, got {samples}")
         count = samples
-        chunks = _sampled_chunks(serial, samples, np.random.default_rng(seed), size)
+        rng = np.random.default_rng(seed)
+        chunks = (
+            draw(serial.with_workers(min(size, samples - start)), rng)
+            for start in range(0, samples, size)
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'enumerate' or 'monte-carlo'")
 

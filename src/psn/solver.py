@@ -161,7 +161,8 @@ def block_step(
     block_gradient: Callable[[np.ndarray], np.ndarray],
     executor: Executor | None = None,
 ) -> np.ndarray:
-    """Sum of the block Newton directions of the index sets.
+    """Sum of the block Newton directions of the index sets, given as
+    the rows of a draw or as any sequence of index arrays.
 
     The direction of S is zero outside S and on S solves
     M[S, S] h = -block_gradient(S).  Blocks are factored and solved on
@@ -450,7 +451,7 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
                 if (k + 1) % _REFRESH_EVERY == 0:
                     g = objective.gradient(x)
                 else:
-                    changed = np.unique(np.concatenate(sets))
+                    changed = np.unique(sets)
                     g = g + objective.M[:, changed] @ step[changed]
             else:
                 g = objective.gradient(x)

@@ -28,6 +28,11 @@ from psn.sampling import SamplingScheme
 from psn.solver import SolverConfig
 
 
+def record_values(trace):
+    """Everything a dual trace records except timing."""
+    return [(r.iteration, r.primal, r.dual, r.gap, r.consistency) for r in trace.records]
+
+
 def random_problem(d, n, seed, loss=None, lam=0.1):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, n))
@@ -434,6 +439,29 @@ class TestDualRunProperties:
         assert np.array_equal(state.conjugate, prob.loss.conjugate(-trace.alpha, prob.y))
         assert np.array_equal(state.zeta, prob.loss.conjugate_derivative(-trace.alpha, prob.y))
         assert np.array_equal(-state.zeta / n, prob.psi_gradient(trace.alpha))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_thread_count_never_changes_trace(self, data):
+        n = data.draw(st.integers(2, 10), label="n")
+        loss = data.draw(st.sampled_from([SquaredLoss(), LogisticLoss(0.1)]), label="loss")
+        kind = data.draw(
+            st.sampled_from(["nice", "list", "non-overlapping"]), label="kind"
+        )
+        tau = data.draw(st.integers(1, n), label="tau")
+        c = data.draw(st.integers(1, min(4, n // tau) if kind == "non-overlapping" else 4), label="c")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        prob = random_problem(3, n, seed, loss=loss)
+        traces = [
+            run_erm(prob, SolverConfig(
+                SamplingScheme(kind, n, tau).with_workers(c), b=float(c), seed=seed,
+                threads=threads, max_iter=40,
+            ))
+            for threads in (1, 2, 3)
+        ]
+        for trace in traces[1:]:
+            assert record_values(trace) == record_values(traces[0])
+            assert np.array_equal(trace.alpha, traces[0].alpha)
 
 
 class TestDampingMemo:

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from psn.linalg import lifted_inverse, lifted_submatrix, make_rho_matrix, make_tridiagonal
 from psn.rates import rho_closed_forms
 from psn.sampling import (
+    PARALLEL_KINDS,
+    SERIAL_KINDS,
     SamplingScheme,
     draw,
     expected_lifted_inverse,
@@ -138,6 +140,60 @@ class TestDraws:
         p = counts / trials
         se = np.sqrt((2 / 6) * (1 - 2 / 6) / trials)
         assert np.abs(p - 2 / 6).max() < 4 * se
+
+
+def serial_draw(kind, n, tau, rng):
+    """One draw of the serial scheme kind, written out from its
+    definition: a sorted uniform tau-subset, or the sorted cyclic window
+    at a uniform start."""
+    if kind == "nice":
+        return np.sort(rng.choice(n, size=tau, replace=False))
+    return np.sort((int(rng.integers(n)) + np.arange(tau)) % n)
+
+
+def draw_schemes(data, kinds, max_n):
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    n = data.draw(st.integers(1, max_n), label="n")
+    tau = data.draw(st.integers(1, min(n, 8)), label="tau")
+    if kind in SERIAL_KINDS:
+        c = 1
+    elif kind == "non-overlapping":
+        c = data.draw(st.integers(1, n // tau), label="c")
+    else:
+        c = data.draw(st.integers(1, 6), label="c")
+    return SamplingScheme(kind, n, tau, c)
+
+
+class TestDrawProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rows_are_sorted_sets_in_range(self, data):
+        scheme = draw_schemes(data, SERIAL_KINDS + PARALLEL_KINDS, 40)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        for _ in range(3):
+            sets = draw(scheme, rng)
+            assert sets.shape == (scheme.c, scheme.tau)
+            assert sets.dtype == np.int64
+            assert np.all(np.diff(sets, axis=1) > 0)  # sorted and distinct
+            assert sets.min() >= 0 and sets.max() < scheme.n
+            if scheme.kind == "non-overlapping":
+                assert np.unique(sets).size == sets.size
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rows_are_successive_serial_draws(self, data):
+        kinds = ("nice", "list", "parallel-nice", "parallel-list")
+        scheme = draw_schemes(data, kinds, 10**6)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            expected = [
+                serial_draw(scheme.serial_kind, scheme.n, scheme.tau, ref)
+                for _ in range(scheme.c)
+            ]
+            assert np.array_equal(draw(scheme, rng), expected)
+            # Same state, so the next value of either stream is the same.
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestProbabilityMatrix:

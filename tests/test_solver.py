@@ -58,6 +58,11 @@ def nonquadratic_objective(n, mu=0.1):
     )
 
 
+def trace_values(trace):
+    """Everything a trace records except timing."""
+    return [(r.iteration, r.value, r.gap, r.grad_norm) for r in trace.records]
+
+
 class TestObjectives:
     def test_quadratic_matches_formula(self):
         obj = random_quadratic(5, 0)
@@ -318,6 +323,47 @@ class TestDeterminism:
         assert np.array_equal(a.x, b.x)
         assert [r.value for r in a.records] == [r.value for r in b.records]
         assert [r.grad_norm for r in a.records] == [r.grad_norm for r in b.records]
+
+    @pytest.mark.parametrize("kind", ["nice", "list"])
+    @pytest.mark.parametrize(
+        "obj, seed",
+        [(quadratic_objective(make_rho_matrix(12, 0.3), np.ones(12)), 3),
+         (random_quadratic(9, 44), 0)],
+    )
+    def test_one_worker_parallel_scheme_reproduces_serial(self, obj, seed, kind):
+        def trace(scheme_kind):
+            config = SolverConfig(
+                SamplingScheme(scheme_kind, obj.n, 3), b=1.0, seed=seed, max_iter=2000
+            )
+            return run(obj, config)
+
+        serial, parallel = trace(kind), trace("parallel-" + kind)
+        assert serial.status == parallel.status == "converged"
+        assert trace_values(parallel) == trace_values(serial)
+        assert np.array_equal(parallel.x, serial.x)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_thread_count_never_changes_trace(self, data):
+        n = data.draw(st.integers(2, 10), label="n")
+        kind = data.draw(
+            st.sampled_from(["nice", "list", "non-overlapping"]), label="kind"
+        )
+        tau = data.draw(st.integers(1, n), label="tau")
+        c = data.draw(st.integers(1, min(4, n // tau) if kind == "non-overlapping" else 4), label="c")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        incremental = data.draw(st.booleans(), label="incremental")
+        obj = random_quadratic(n, seed)
+        traces = [
+            run(obj, SolverConfig(
+                SamplingScheme(kind, n, tau).with_workers(c), b=float(c), seed=seed,
+                threads=threads, max_iter=40, incremental_gradient=incremental,
+            ))
+            for threads in (1, 2, 3)
+        ]
+        for trace in traces[1:]:
+            assert trace_values(trace) == trace_values(traces[0])
+            assert np.array_equal(trace.x, traces[0].x)
 
     def test_thread_count_does_not_change_trace(self):
         obj = random_quadratic(10, 43)

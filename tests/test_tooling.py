@@ -70,3 +70,20 @@ def test_full_erm_round_passes_checks(perfbench, tmp_path):
     result = workload.run_round(workload.setup(workload.inputs(1, tmp_path)), 0)
     assert not result.errors, result.errors
     assert set(result.outputs) == {"rates", "c1", "c4"}
+
+
+@pytest.mark.parametrize("name", ["heat-tau5", "erm-logistic"])
+def test_traced_round_matches_untraced(perfbench, tmp_path, name):
+    # Tracing wraps sampling.draw and the solver layers; a wrapper that
+    # changed a return value or consumed the stream would show here.
+    tracing, same = perfbench("tracing"), perfbench("run").same
+    workload = perfbench("workloads").WORKLOADS[name]("tiny")
+    inputs = workload.inputs(1, tmp_path)
+    plain = workload.run_round(workload.setup(inputs), 0)
+    tracer = tracing.Tracer(name)
+    with tracing.instrument(tracer):
+        traced = workload.run_round(workload.setup(inputs), 0, tracer)
+    assert not plain.errors and not traced.errors, (plain.errors, traced.errors)
+    assert tracer.spans
+    assert set(plain.outputs) == set(traced.outputs) == {"rates", "c1", "c4"}
+    assert same(plain.outputs, traced.outputs)
