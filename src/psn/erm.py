@@ -340,7 +340,7 @@ def block_subproblem(
     solution of X[S, S] h = -((1/n) A'w + grad psi(alpha))[S], where
     w is the primal point of the current state."""
     idx = check_index_set(S, problem.n)
-    return block_step(X, [idx], _dual_gradient(problem, state))
+    return block_step(X, idx[None], _dual_gradient(problem, state))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .linalg import check_index_set, check_symmetric, solve_pd
 from .matrixio import write_csv
@@ -157,32 +157,40 @@ def least_squares_objective(A: np.ndarray, y: np.ndarray) -> SmoothObjective:
 
 def block_step(
     M: np.ndarray,
-    sets,
+    sets: np.ndarray,
     block_gradient: Callable[[np.ndarray], np.ndarray],
     executor: Executor | None = None,
 ) -> np.ndarray:
-    """Sum of the block Newton directions of the index sets, given as
-    the rows of a draw or as any sequence of index arrays.
+    """Sum of the block Newton directions of the rows of ``sets``, a
+    (k, tau) integer array such as a draw returns.
 
-    The direction of S is zero outside S and on S solves
-    M[S, S] h = -block_gradient(S).  Blocks are factored and solved on
-    the executor when one is given and always summed in set order, so
-    the result does not depend on the thread count.
+    The direction of a row S is zero outside S and on S solves
+    M[S, S] h = -block_gradient(S).  All k blocks are gathered with one
+    fancy index; each is factored and solved on its lower triangle by
+    LAPACK's dpotrf/dpotrs, the routines behind scipy.linalg.cho_factor
+    and cho_solve, so the directions equal theirs bit for bit.  With an
+    executor and more than one block the blocks are factored and solved
+    on it; a single block is solved in the calling thread.  Directions
+    are summed in row order, so the result does not depend on the
+    thread count.  A block that is not positive definite raises
+    LinAlgError naming its index set.
     """
+    blocks = M[sets[:, :, None], sets[:, None, :]]
 
-    def solve(S: np.ndarray) -> np.ndarray:
-        try:
-            factor = scipy.linalg.cho_factor(
-                M[np.ix_(S, S)], lower=True, check_finite=False
-            )
-        except scipy.linalg.LinAlgError as err:
+    def solve(S: np.ndarray, block: np.ndarray) -> np.ndarray:
+        factor, info = dpotrf(block, lower=1, clean=0)
+        if info > 0:
             raise np.linalg.LinAlgError(
-                f"block {S.tolist()} is not positive definite: {err}"
-            ) from err
-        return scipy.linalg.cho_solve(factor, block_gradient(S), check_finite=False)
+                f"block {S.tolist()} is not positive definite: its "
+                f"{info}-th leading minor is not positive"
+            )
+        return dpotrs(factor, block_gradient(S), lower=1)[0]
 
     total = np.zeros(M.shape[0])
-    solutions = map(solve, sets) if executor is None else executor.map(solve, sets)
+    if executor is None or len(sets) == 1:
+        solutions = map(solve, sets, blocks)
+    else:
+        solutions = executor.map(solve, sets, blocks)
     for S, u in zip(sets, solutions):
         total[S] -= u
     return total
@@ -203,7 +211,9 @@ def psn_step(x: np.ndarray, objective: SmoothObjective, sets, b: float) -> np.nd
     if not idx_sets:
         raise ValueError("need at least one index set")
     g = objective.gradient(x)
-    return x + block_step(objective.M, idx_sets, lambda S: g[S]) / b
+    # Sets may differ in size, so each is its own one-row draw.
+    total = sum(block_step(objective.M, S[None], g.__getitem__) for S in idx_sets)
+    return x + total / b
 
 
 @dataclass(frozen=True)
@@ -216,13 +226,20 @@ class SolverConfig:
     ((tau/n) cond(M), list samplings with M == G only).  There is no
     silent default.
 
-    incremental_gradient switches quadratic objectives to rank-tau
-    gradient updates with a full recompute every 250 iterations; it
-    changes round-off, not semantics, and is off by default so that
-    step-for-step comparisons stay exact.
+    incremental_gradient switches quadratic objectives to gradient
+    updates g += step[changed] @ M[changed], which read the rows of the
+    symmetric M for the changed coordinates only.  The gradient is
+    recomputed in full every 250 iterations, and whenever a step moves
+    more than half of the coordinates, where the full product is
+    cheaper.  It changes round-off, not semantics, and is off by default
+    so that step-for-step comparisons stay exact.  An M that is
+    symmetric only within check_symmetric's tolerance makes the
+    maintained gradient drift by that asymmetry until the next
+    recompute.
 
     threads is the number of threads that factor and solve the blocks
-    of one iteration; results do not depend on it.
+    of one iteration; a draw of a single block is solved in the calling
+    thread.  Results do not depend on it.
     """
 
     scheme: SamplingScheme
@@ -447,12 +464,16 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
             sets = draw(config.scheme, rng)
             step = block_step(objective.M, sets, lambda S: g[S], pool) / b
             x = x + step
-            if incremental:
-                if (k + 1) % _REFRESH_EVERY == 0:
-                    g = objective.gradient(x)
-                else:
-                    changed = np.unique(sets)
-                    g = g + objective.M[:, changed] @ step[changed]
+            row_update = incremental and (k + 1) % _REFRESH_EVERY != 0
+            if row_update:
+                changed = np.unique(sets)
+                # Past n/2 changed coordinates the row gather costs more
+                # than the full product it replaces.
+                row_update = 2 * changed.size <= objective.n
+            if row_update:
+                # M is symmetric, so its rows give M[:, changed] @
+                # step[changed] from contiguous memory.
+                g = g + step[changed] @ objective.M[changed]
             else:
                 g = objective.gradient(x)
 

@@ -7,19 +7,22 @@ count.
 """
 
 import io
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psn.solver
 from psn.linalg import make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, theta, theta_cond_bound
-from psn.sampling import SamplingScheme, expected_lifted_inverse
+from psn.sampling import PARALLEL_KINDS, SERIAL_KINDS, SamplingScheme, draw, expected_lifted_inverse
 from psn.solver import (
     DivergenceError,
     SolverConfig,
+    block_step,
     least_squares_objective,
     psn_step,
     quadratic_objective,
@@ -56,6 +59,16 @@ def nonquadratic_objective(n, mu=0.1):
         x_star=np.zeros(n),
         f_star=0.0,
     )
+
+
+def reference_block_step(M, sets, block_gradient):
+    """Sum of the block Newton directions of sets, one scipy Cholesky
+    factor and solve per set, added up in set order."""
+    total = np.zeros(M.shape[0])
+    for S in sets:
+        factor = scipy.linalg.cho_factor(M[np.ix_(S, S)], lower=True, check_finite=False)
+        total[S] -= scipy.linalg.cho_solve(factor, block_gradient(S), check_finite=False)
+    return total
 
 
 def trace_values(trace):
@@ -185,8 +198,11 @@ class TestSteps:
             h = np.zeros(n)
             h[S] = np.linalg.solve(obj.M[np.ix_(S, S)], -g[S])
             total += h
-        err = np.abs(psn_step(x, obj, sets, b) - (x + total / b)).max()
+        got = psn_step(x, obj, sets, b)
+        err = np.abs(got - (x + total / b)).max()
         assert err <= 1e-10 * (1.0 + np.abs(total).max() / b)
+        # Ragged sets through the kernel equal the per-block reference.
+        assert np.array_equal(got, x + reference_block_step(obj.M, sets, g.__getitem__) / b)
 
     def test_psn_validation(self):
         obj = random_quadratic(4, 11)
@@ -194,6 +210,52 @@ class TestSteps:
             psn_step(np.zeros(4), obj, [np.array([0])], 0.0)
         with pytest.raises(ValueError):
             psn_step(np.zeros(4), obj, [], 1.0)
+
+
+class TestBlockKernel:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_draws_match_per_block_reference(self, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        kind = data.draw(st.sampled_from(SERIAL_KINDS + PARALLEL_KINDS), label="kind")
+        tau = data.draw(st.integers(1, n), label="tau")
+        if kind in SERIAL_KINDS:
+            c = 1
+        else:
+            top = n // tau if kind == "non-overlapping" else 4
+            c = data.draw(st.integers(1, min(4, top)), label="c")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        M = A @ A.T + rng.uniform(0.01, 1.0) * np.eye(n)
+        g = rng.standard_normal(n)
+        sets = draw(SamplingScheme(kind, n, tau, c), rng)
+        expect = reference_block_step(M, sets, g.__getitem__)
+        assert np.array_equal(block_step(M, sets, g.__getitem__), expect)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert np.array_equal(block_step(M, sets, g.__getitem__, pool), expect)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bad_block_names_its_set(self, threads):
+        # [[1, 2], [2, 1]] on {0, 1} is indefinite; {0, 2} is fine.
+        M = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        sets = np.array([[0, 2], [0, 1]])
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            with pytest.raises(np.linalg.LinAlgError, match=r"\[0, 1\]"):
+                block_step(M, sets, np.ones(3).__getitem__, pool)
+
+    def test_single_block_stays_in_calling_thread(self):
+        class NoPool:
+            def map(self, *args):
+                raise AssertionError("a single block was sent to the executor")
+
+        M = random_quadratic(6, 3).M
+        sets = np.array([[1, 3, 4]])
+        g = np.arange(6.0)
+        assert np.array_equal(
+            block_step(M, sets, g.__getitem__, NoPool()),
+            reference_block_step(M, sets, g.__getitem__),
+        )
 
 
 class TestRunConvergence:
@@ -400,6 +462,17 @@ class TestIncrementalGradient:
         assert np.abs(fast.x - obj.x_star).max() < 1e-7
         # same sampling path, so the trajectories agree to round-off
         assert np.abs(fast.x - slow.x).max() < 1e-6
+
+    def test_wide_steps_recompute_the_full_gradient(self):
+        # Every non-overlapping draw of 4 sets of 2 moves 8 of 12
+        # coordinates, more than n/2, so each update is a full recompute
+        # and the gradient equals the non-incremental run's bit for bit.
+        obj = random_quadratic(12, 48)
+        scheme = SamplingScheme("non-overlapping", 12, 2, c=4)
+        fast = run(obj, SolverConfig(scheme, b=3.0, seed=8, max_iter=60, incremental_gradient=True))
+        slow = run(obj, SolverConfig(scheme, b=3.0, seed=8, max_iter=60))
+        assert [r.grad_norm for r in fast.records] == [r.grad_norm for r in slow.records]
+        assert np.array_equal(fast.x, slow.x)
 
     def test_ignored_for_nonquadratic(self):
         obj = nonquadratic_objective(5)
