@@ -4,13 +4,10 @@ from .linalg import (
     eigen_extremes,
     gershgorin_bounds,
     lifted_inverse,
-    lifted_submatrix,
     make_heat_matrix,
     make_rho_matrix,
     make_tridiagonal,
-    principal_submatrix,
     psd_order_holds,
-    restrict_vector,
     solve_pd,
 )
 from .matrixio import read_matrix, read_vector, write_matrix, write_vector
@@ -44,11 +41,8 @@ from .solver import (
     SmoothObjective,
     SolverConfig,
     least_squares_objective,
-    psn_step,
     quadratic_objective,
     run,
-    run_serial,
-    sn_step,
 )
 from .erm import (
     DualState,
@@ -58,7 +52,6 @@ from .erm import (
     SquaredLoss,
     block_subproblem,
     load_libsvm,
-    primal_from_dual,
     run_erm,
 )
 

@@ -19,7 +19,7 @@ Subcommands:
 All CSV output is deterministic for a fixed seed and flag set: rows
 carry no timing, and randomness never depends on thread scheduling.
 Exit codes: 0 success, 1 bad input, 2 did not converge (budget
-exhausted or diverged).
+exhausted, or diverged in solve, heat or erm).
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from .linalg import make_heat_matrix, make_rho_matrix, make_tridiagonal
 from .matrixio import read_matrix, read_vector, write_csv
 from .rates import (
     CurvaturePair,
+    b_threshold,
     pcdm_constants,
     rate_report,
     rho_closed_forms,
+    sigma_p,
     tridiag_theta_bound,
 )
 from .sampling import SamplingScheme, expected_lifted_inverse, parse_scheme
@@ -191,40 +193,41 @@ def _worker_grid(args, scheme: SamplingScheme) -> list[int]:
     return [scheme.c]
 
 
-def cmd_solve(args) -> int:
-    objective, _ = _build_objective(args)
-    scheme = _scheme_for(args, objective.n)
+def _solve_grid(args, scheme: SamplingScheme, solve) -> int:
+    """Solve at every worker count of the grid with solve(config),
+    print one status line per run to stderr and write the rows of all
+    traces, each led by its c, to one CSV."""
     rows = []
     ok = True
     for c in _worker_grid(args, scheme):
-        cfg = SolverConfig(
-            scheme=scheme.with_workers(c),
-            b=_parse_b(args.b),
-            theta=_parse_theta(args.theta),
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            threads=args.threads,
-            incremental_gradient=True,
+        trace = solve(
+            SolverConfig(
+                scheme=scheme.with_workers(c),
+                b=_parse_b(args.b),
+                theta=_parse_theta(args.theta),
+                tol=args.tol,
+                max_iter=args.max_iter,
+                seed=args.seed,
+                threads=args.threads,
+                incremental_gradient=True,
+            )
         )
-        trace = run(objective, cfg)
         ok = ok and trace.converged
         print(
             f"c={c}: {trace.status} after {trace.iterations} iterations "
             f"(b={trace.b:.6g})",
             file=sys.stderr,
         )
-        for rec in trace.records:
-            rows.append(
-                [
-                    c,
-                    rec.iteration,
-                    "" if rec.gap is None else _fmt(rec.gap),
-                    _fmt(rec.grad_norm),
-                ]
-            )
-    write_csv(args.out, ["c", "iteration", "f_gap", "grad_norm"], rows)
+        rows.extend([c, *row] for row in trace.csv_rows())
+    write_csv(args.out, ["c", "iteration", *trace.COLUMNS], rows)
     return 0 if ok else 2
+
+
+def cmd_solve(args) -> int:
+    objective, _ = _build_objective(args)
+    return _solve_grid(
+        args, _scheme_for(args, objective.n), lambda config: run(objective, config)
+    )
 
 
 def cmd_rates(args) -> int:
@@ -283,8 +286,8 @@ def cmd_rho(args) -> int:
     for rho in _parse_float_list(args.rho_grid, "--rho-grid"):
         analysis = rho_closed_forms(args.n, args.tau, rho)
         for c in _parse_int_list(args.c, "--c"):
-            b_min = (c - 1) * analysis.theta + 1.0
-            sp = c * analysis.sigma1 / b_min
+            b_min = b_threshold(c, 1.0, analysis.theta)
+            sp = sigma_p(c, b_min, analysis.sigma1, b_min)
             rows.append(
                 [
                     args.n,
@@ -353,32 +356,9 @@ def cmd_erm(args) -> int:
     y = _erm_labels(y, args.loss)
     loss = LogisticLoss(args.epsilon) if args.loss == "logistic" else SquaredLoss()
     problem = ErmProblem(A, y, loss, args.reg)
-    scheme = _scheme_for(args, problem.n)
-    rows = []
-    ok = True
-    for c in _worker_grid(args, scheme):
-        cfg = SolverConfig(
-            scheme=scheme.with_workers(c),
-            b=_parse_b(args.b),
-            theta=_parse_theta(args.theta),
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            threads=args.threads,
-        )
-        trace = run_erm(problem, cfg)
-        ok = ok and trace.converged
-        print(
-            f"c={c}: {trace.status} after {trace.iterations} iterations "
-            f"(b={trace.b:.6g})",
-            file=sys.stderr,
-        )
-        for rec in trace.records:
-            rows.append(
-                [c, rec.iteration, _fmt(rec.primal), _fmt(rec.dual), _fmt(rec.gap)]
-            )
-    write_csv(args.out, ["c", "iteration", "primal", "dual", "gap"], rows)
-    return 0 if ok else 2
+    return _solve_grid(
+        args, _scheme_for(args, problem.n), lambda config: run_erm(problem, config)
+    )
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -19,7 +19,7 @@ Each iteration samples index sets, solves the Newton block system
     X[S, S] h[S] = -((1/n) A'w + grad psi(alpha))[S],
     psi_i(alpha_i) = (1/n) phi_i*(-alpha_i, y_i),
 
-and aggregates the blocks with damping b exactly like the primal
+and aggregates the blocks with damping b in the loop of the primal
 solver.  The running average abar is updated incrementally and must
 stay equal to (1/(lam n)) A alpha up to round-off; traces record the
 drift so the invariant is observable.
@@ -37,24 +37,29 @@ quantities from scratch and serve as the reference path.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.special
 
 from .linalg import check_index_set
-from .matrixio import write_csv
 from .rates import CurvaturePair
-from .sampling import draw
-from .solver import SolverConfig, block_step, check_config, resolve_damping, worker_pool
+from .solver import (
+    SolverConfig,
+    Trace,
+    _initial_point,
+    _iterate,
+    block_step,
+    check_config,
+    resolve_damping,
+)
 
 __all__ = [
     "SquaredLoss",
     "LogisticLoss",
     "ErmProblem",
     "DualState",
-    "primal_from_dual",
     "block_subproblem",
     "ErmRecord",
     "ErmTrace",
@@ -290,10 +295,9 @@ class DualState:
     zeta: np.ndarray = field(repr=False)
 
     @classmethod
-    def initial(cls, problem: ErmProblem, alpha0: np.ndarray | None = None) -> "DualState":
-        alpha = np.zeros(problem.n) if alpha0 is None else np.asarray(alpha0, dtype=np.float64).copy()
-        if alpha.shape != (problem.n,):
-            raise ValueError(f"alpha0 must have shape ({problem.n},), got {alpha.shape}")
+    def initial(cls, problem: ErmProblem, alpha: np.ndarray) -> "DualState":
+        """State at alpha, a float array of shape (n,) that the state
+        takes over."""
         conjugate, zeta = problem.loss.conjugate_with_derivative(-alpha, problem.y)
         return cls(alpha, problem.average_of(alpha), conjugate, zeta)
 
@@ -316,18 +320,12 @@ class DualState:
         return float(np.abs(self.alpha_bar - average).max(initial=0.0))
 
 
-def primal_from_dual(problem: ErmProblem, alpha: np.ndarray) -> np.ndarray:
-    """Primal weights w = grad g*(abar); with the quadratic regulariser
-    g = ||.||^2/2 this is abar itself."""
-    return problem.average_of(alpha)
-
-
 def _dual_gradient(problem: ErmProblem, state: DualState):
-    """Block gradient of -D at state: S -> ((1/n) A'w + grad psi(alpha))[S],
-    where w is the primal point of the state and grad psi(alpha) = -zeta/n
-    is read from its conjugate terms."""
-    w, zeta = state.alpha_bar, state.zeta
-    return lambda S: (problem.A[:, S].T @ w) / problem.n - zeta[S] / problem.n
+    """Block gradient of -D at the current state: S -> ((1/n) A'w +
+    grad psi(alpha))[S], where w is the primal point of the state and
+    grad psi(alpha) = -zeta/n is read from its conjugate terms."""
+    n = problem.n
+    return lambda S: (problem.A[:, S].T @ state.alpha_bar) / n - state.zeta[S] / n
 
 
 def block_subproblem(
@@ -354,48 +352,26 @@ class ErmRecord:
 
 
 @dataclass
-class ErmTrace:
-    """Duality-gap trace of one dual run."""
+class ErmTrace(Trace):
+    """Duality-gap trace of one dual run ending at alpha, with primal
+    weights w."""
 
-    records: list[ErmRecord]
-    status: str
     alpha: np.ndarray
     w: np.ndarray
-    b: float
-    theta_used: float | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-    @property
-    def iterations(self) -> int:
-        return self.records[-1].iteration
-
-    def write_csv(self, path_or_file, include_elapsed: bool = True) -> None:
-        """Write the trace as CSV with columns iteration, primal, dual,
-        gap and, unless disabled, elapsed_seconds."""
-        elapsed = ["elapsed_seconds"] if include_elapsed else []
-        rows = (
-            [rec.iteration, repr(rec.primal), repr(rec.dual), repr(rec.gap)]
-            + ([repr(rec.elapsed)] if include_elapsed else [])
-            for rec in self.records
-        )
-        write_csv(path_or_file, ["iteration", "primal", "dual", "gap"] + elapsed, rows)
+    COLUMNS: ClassVar[dict[str, str]] = {"primal": "primal", "dual": "dual", "gap": "gap"}
 
 
-def run_erm(
-    problem: ErmProblem,
-    config: SolverConfig,
-    alpha0: np.ndarray | None = None,
-) -> ErmTrace:
-    """Run the dual block-Newton iteration until the duality gap
-    P(w) - D(alpha) falls to config.tol.
+def run_erm(problem: ErmProblem, config: SolverConfig) -> ErmTrace:
+    """Run the dual block-Newton iteration from alpha = config.x0
+    (zero by default) until the duality gap P(w) - D(alpha) falls to
+    config.tol.
 
     config.scheme samples over the n dual coordinates.  Every record
     carries primal, dual, gap and the abar consistency drift; the
     returned weights are the primal point of the final state.  A
-    non-finite gap ends the run with status 'non-finite'.
+    non-finite gap ends the run with status 'non-finite'.  A
+    DivergenceError is raised if -D increases for 100 consecutive
+    iterations, which indicates b below the admissible threshold.
     """
     check_config(config, problem.n)
     X = problem.smoothness_matrix()
@@ -403,37 +379,20 @@ def run_erm(
     b, theta_used = resolve_damping(
         config, X, quadratic, problem.curvature, problem._damping_memo
     )
-    rng = np.random.default_rng(config.seed)
-    state = DualState.initial(problem, alpha0)
+    state = DualState.initial(problem, _initial_point(config, problem.n))
 
-    records: list[ErmRecord] = []
-    status = "max-iterations"
-    t0 = time.perf_counter()
-    with worker_pool(config.threads) as pool:
-        for k in range(config.max_iter + 1):
-            average = problem.average_of(state.alpha)
-            primal = problem.primal_value(state.alpha_bar)
-            dual = problem._dual_from(state.conjugate, average)
-            gap = primal - dual
-            records.append(
-                ErmRecord(
-                    k, primal, dual, gap,
-                    state.consistency_error(problem, average),
-                    time.perf_counter() - t0,
-                )
-            )
-            if not math.isfinite(gap):
-                status = "non-finite"
-                break
-            if gap <= config.tol:
-                status = "converged"
-                break
-            if k == config.max_iter:
-                break
-            sets = draw(config.scheme, rng)
-            total = block_step(X, sets, _dual_gradient(problem, state), pool)
-            state.step(problem, total, b, np.unique(sets))
-    return ErmTrace(records, status, state.alpha, state.alpha_bar, b, theta_used)
+    def monitor():
+        average = problem.average_of(state.alpha)
+        primal = problem.primal_value(state.alpha_bar)
+        dual = problem._dual_from(state.conjugate, average)
+        drift = state.consistency_error(problem, average)
+        return (primal, dual, primal - dual, drift), primal - dual, -dual
+
+    records, status = _iterate(
+        config, X, monitor, _dual_gradient(problem, state),
+        lambda k, sets, total: state.step(problem, total, b, np.unique(sets)), ErmRecord,
+    )
+    return ErmTrace(records, status, b, theta_used, state.alpha, state.alpha_bar)
 
 
 def load_libsvm(path, n_features: int | None = None) -> tuple[np.ndarray, np.ndarray]:

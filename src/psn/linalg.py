@@ -14,10 +14,7 @@ import numpy as np
 __all__ = [
     "check_index_set",
     "check_symmetric",
-    "principal_submatrix",
-    "lifted_submatrix",
     "lifted_inverse",
-    "restrict_vector",
     "make_rho_matrix",
     "make_tridiagonal",
     "make_heat_matrix",
@@ -52,9 +49,13 @@ def check_index_set(S, n: int) -> np.ndarray:
 
 
 def check_symmetric(M, tol: float = 1e-10) -> np.ndarray:
-    """Return M as a float64 array, raising ValueError if it is not square,
-    has a non-finite entry, or is not symmetric within tol (relative to
-    the largest entry)."""
+    """Return M as a symmetric float64 array, raising ValueError if it
+    is not square, has a non-finite entry, or is not symmetric within
+    tol (relative to the largest entry).
+
+    An M that is symmetric only within tol is replaced by (M + M')/2,
+    since block solves read one triangle and gradient updates read rows
+    for columns; an exactly symmetric M is returned as it is."""
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -64,25 +65,10 @@ def check_symmetric(M, tol: float = 1e-10) -> np.ndarray:
     if not np.isfinite(largest):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, largest)
-    if np.abs(A - A.T).max(initial=0.0) > tol * scale:
+    asymmetry = np.abs(A - A.T).max(initial=0.0)
+    if asymmetry > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    return A
-
-
-def principal_submatrix(M: np.ndarray, S) -> np.ndarray:
-    """Rows and columns of M restricted to the index set S (|S| x |S|)."""
-    M = np.asarray(M, dtype=np.float64)
-    idx = check_index_set(S, M.shape[0])
-    return M[np.ix_(idx, idx)]
-
-
-def lifted_submatrix(M: np.ndarray, S) -> np.ndarray:
-    """n x n matrix keeping M's entries on S x S and zero elsewhere."""
-    M = np.asarray(M, dtype=np.float64)
-    idx = check_index_set(S, M.shape[0])
-    out = np.zeros_like(M)
-    out[np.ix_(idx, idx)] = M[np.ix_(idx, idx)]
-    return out
+    return 0.5 * (A + A.T) if asymmetry else A
 
 
 def lifted_inverse(M: np.ndarray, S) -> np.ndarray:
@@ -110,19 +96,6 @@ def lifted_inverse(M: np.ndarray, S) -> np.ndarray:
         )
     out = np.zeros_like(M)
     out[np.ix_(idx, idx)] = inv_block
-    return out
-
-
-def restrict_vector(h: np.ndarray, S, n: int | None = None) -> np.ndarray:
-    """Zero every component of h outside the index set S."""
-    h = np.asarray(h, dtype=np.float64)
-    if n is None:
-        n = h.shape[0]
-    if h.shape != (n,):
-        raise ValueError(f"expected a vector of length {n}, got shape {h.shape}")
-    idx = check_index_set(S, n)
-    out = np.zeros_like(h)
-    out[idx] = h[idx]
     return out
 
 

@@ -2,14 +2,18 @@
 
 The model problem is min f(x) for smooth strongly convex f whose
 Hessians are bounded by a fixed symmetric positive definite matrix M
-(above) and G (below).  One serial step picks an index set S and moves
+(above) and G (below).  One serial step picks an index set S and solves
+the Newton system of the sampled block:
 
-    x' = x - lifted_inverse(M, S) @ grad f(x),
+    x' = x + h,    M[S, S] h[S] = -grad f(x)[S],    h zero outside S.
 
-i.e. a Newton-type step restricted to the sampled block.  The parallel
-variant aggregates c such blocks with damping b:
+The parallel variant aggregates c such blocks with damping b:
 
     x' = x + (1/b) * sum_i h_i,    M[S_i, S_i] h_i[S_i] = -grad[S_i].
+
+block_step computes sum_i h_i for one draw.  run (here) and
+erm.run_erm (on the dual of an ERM problem) share the loop around it;
+each supplies only what it monitors and how it applies the step.
 
 All randomness flows from a single master seed on the coordinator;
 worker threads only execute block solves, so traces are identical for
@@ -24,12 +28,12 @@ import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .linalg import check_index_set, check_symmetric, solve_pd
+from .linalg import check_symmetric, solve_pd
 from .matrixio import write_csv
 from .rates import CurvaturePair, b_threshold, lambda_ratio, theta, theta_cond_bound
 from .sampling import SamplingScheme, draw, expected_lifted_inverse
@@ -40,16 +44,14 @@ __all__ = [
     "quadratic_objective",
     "least_squares_objective",
     "block_step",
-    "sn_step",
-    "psn_step",
     "SolverConfig",
     "check_config",
     "resolve_damping",
     "worker_pool",
     "TraceRecord",
+    "Trace",
     "IterationTrace",
     "run",
-    "run_serial",
 ]
 
 # Consecutive objective increases tolerated before giving up.
@@ -150,9 +152,7 @@ def least_squares_objective(A: np.ndarray, y: np.ndarray) -> SmoothObjective:
         raise ValueError(f"A must be a matrix, got shape {A.shape}")
     if y.shape != (A.shape[0],):
         raise ValueError(f"y must have shape ({A.shape[0]},), got {y.shape}")
-    M = A.T @ A
-    M = 0.5 * (M + M.T)
-    return quadratic_objective(M, A.T @ y)
+    return quadratic_objective(A.T @ A, A.T @ y)
 
 
 def block_step(
@@ -196,26 +196,6 @@ def block_step(
     return total
 
 
-def sn_step(x: np.ndarray, objective: SmoothObjective, S) -> np.ndarray:
-    """One serial stochastic Newton step on the index set S."""
-    return psn_step(x, objective, [S], 1.0)
-
-
-def psn_step(x: np.ndarray, objective: SmoothObjective, sets, b: float) -> np.ndarray:
-    """One parallel step aggregating the block directions of ``sets``
-    with damping b: x + (1/b) sum_i h_i."""
-    x = np.asarray(x, dtype=np.float64)
-    if b <= 0.0:
-        raise ValueError(f"damping b must be positive, got {b}")
-    idx_sets = [check_index_set(S, objective.n) for S in sets]
-    if not idx_sets:
-        raise ValueError("need at least one index set")
-    g = objective.gradient(x)
-    # Sets may differ in size, so each is its own one-row draw.
-    total = sum(block_step(objective.M, S[None], g.__getitem__) for S in idx_sets)
-    return x + total / b
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters.
@@ -232,14 +212,14 @@ class SolverConfig:
     recomputed in full every 250 iterations, and whenever a step moves
     more than half of the coordinates, where the full product is
     cheaper.  It changes round-off, not semantics, and is off by default
-    so that step-for-step comparisons stay exact.  An M that is
-    symmetric only within check_symmetric's tolerance makes the
-    maintained gradient drift by that asymmetry until the next
-    recompute.
+    so that step-for-step comparisons stay exact.
 
     threads is the number of threads that factor and solve the blocks
     of one iteration; a draw of a single block is solved in the calling
     thread.  Results do not depend on it.
+
+    x0 is the starting point, of the problem's dimension n (the dual
+    alpha for erm.run_erm); the default is zero.
     """
 
     scheme: SamplingScheme
@@ -263,14 +243,19 @@ class TraceRecord:
 
 
 @dataclass
-class IterationTrace:
-    """Per-iteration convergence record of one run."""
+class Trace:
+    """What one run returns: its records, the status it ended with
+    ('converged', 'max-iterations' or 'non-finite'), the damping b and
+    the theta b came from (None for an explicit b).  Subclasses add the
+    final point and name their CSV columns in COLUMNS, which maps each
+    column to the record attribute it shows."""
 
-    records: list[TraceRecord]
+    records: list
     status: str
-    x: np.ndarray
     b: float
-    theta_used: float | None = None
+    theta_used: float | None
+
+    COLUMNS: ClassVar[dict[str, str]] = {}
 
     @property
     def converged(self) -> bool:
@@ -280,18 +265,31 @@ class IterationTrace:
     def iterations(self) -> int:
         return self.records[-1].iteration
 
+    def csv_rows(self, include_elapsed: bool = False):
+        """One row per record: the iteration, then each column as the
+        repr of a float (blank for None) and, if asked, the elapsed
+        seconds."""
+        for rec in self.records:
+            values = (getattr(rec, attr) for attr in self.COLUMNS.values())
+            row = [rec.iteration] + ["" if v is None else repr(float(v)) for v in values]
+            yield row + [repr(rec.elapsed)] if include_elapsed else row
+
     def write_csv(self, path_or_file, include_elapsed: bool = True) -> None:
-        """Write the trace as CSV with columns iteration, f_gap (blank
-        when the optimum is unknown), grad_norm and, unless disabled,
-        elapsed_seconds.  Timing is excluded by callers that need
-        byte-identical output across runs."""
+        """Write the trace as CSV with columns iteration, COLUMNS and,
+        unless disabled, elapsed_seconds.  Timing is excluded by callers
+        that need byte-identical output across runs."""
         elapsed = ["elapsed_seconds"] if include_elapsed else []
-        rows = (
-            [rec.iteration, "" if rec.gap is None else repr(rec.gap), repr(rec.grad_norm)]
-            + ([repr(rec.elapsed)] if include_elapsed else [])
-            for rec in self.records
-        )
-        write_csv(path_or_file, ["iteration", "f_gap", "grad_norm"] + elapsed, rows)
+        header = ["iteration", *self.COLUMNS] + elapsed
+        write_csv(path_or_file, header, self.csv_rows(include_elapsed))
+
+
+@dataclass
+class IterationTrace(Trace):
+    """Trace of one primal run ending at x.  Its f_gap column is blank
+    when the optimum is unknown."""
+
+    x: np.ndarray
+    COLUMNS: ClassVar[dict[str, str]] = {"f_gap": "gap", "grad_norm": "grad_norm"}
 
 
 def check_config(config: SolverConfig, n: int) -> None:
@@ -389,13 +387,63 @@ def worker_pool(threads: int):
     return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
 
 
-def _initial_point(objective: SmoothObjective, config: SolverConfig) -> np.ndarray:
+def _initial_point(config: SolverConfig, n: int) -> np.ndarray:
+    """A copy of config.x0, checked to have shape (n,), or zeros."""
     if config.x0 is None:
-        return np.zeros(objective.n)
+        return np.zeros(n)
     x0 = np.asarray(config.x0, dtype=np.float64)
-    if x0.shape != (objective.n,):
-        raise ValueError(f"x0 must have shape ({objective.n},), got {x0.shape}")
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
     return x0.copy()
+
+
+def _iterate(
+    config: SolverConfig,
+    M: np.ndarray,
+    monitor: Callable[[], tuple],
+    block_gradient: Callable[[np.ndarray], np.ndarray],
+    update: Callable[[int, np.ndarray, np.ndarray], None],
+    record: type,
+) -> tuple[list, str]:
+    """The iteration loop of run and erm.run_erm; returns the records
+    and the status.
+
+    Each iteration k first calls monitor(), which returns the fields of
+    its record, the residual the run stops on and the objective value
+    it minimises; the record is record(k, *fields, elapsed seconds).  A
+    non-finite residual or objective ends the run as 'non-finite', a
+    residual at most config.tol as 'converged'.  An objective that rises
+    for 100 consecutive iterations raises DivergenceError.  Otherwise
+    the sets of one draw of config.scheme, from a generator seeded with
+    config.seed, are passed with the undamped sum of their block
+    directions against M (see block_step) to update(k, sets, total).
+    """
+    rng = np.random.default_rng(config.seed)
+    records: list = []
+    prev_value = np.inf
+    rises = 0
+    t0 = time.perf_counter()
+    with worker_pool(config.threads) as pool:
+        for k in range(config.max_iter + 1):
+            fields, residual, value = monitor()
+            records.append(record(k, *fields, time.perf_counter() - t0))
+            if not (math.isfinite(residual) and math.isfinite(value)):
+                return records, "non-finite"
+            if residual <= config.tol:
+                return records, "converged"
+            rises = rises + 1 if value > prev_value else 0
+            if rises >= _DIVERGENCE_PATIENCE:
+                raise DivergenceError(
+                    f"objective increased for {rises} consecutive iterations; "
+                    "the damping b is likely below the admissible threshold "
+                    "(c-1)*lambda*theta + 1"
+                )
+            prev_value = value
+            if k == config.max_iter:
+                break
+            sets = draw(config.scheme, rng)
+            update(k, sets, block_step(M, sets, block_gradient, pool))
+    return records, "max-iterations"
 
 
 def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
@@ -412,8 +460,8 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
         config, objective.M, objective.quadratic, objective.curvature,
         objective._damping_memo,
     )
-    rng = np.random.default_rng(config.seed)
-    x = _initial_point(objective, config)
+    x = _initial_point(config, objective.n)
+    g = objective.gradient(x)
     incremental = config.incremental_gradient and objective.quadratic
     # With a maintained gradient and a known optimum the quadratic value
     # is f* + (x - x*)'g/2, which avoids a dense matvec per iteration.
@@ -423,87 +471,30 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
         and objective.f_star is not None
     )
 
-    records: list[TraceRecord] = []
-    status = "max-iterations"
-    t0 = time.perf_counter()
-    prev_value = np.inf
-    rises = 0
-    g = objective.gradient(x)
-
-    with worker_pool(config.threads) as pool:
-        for k in range(config.max_iter + 1):
-            if fast_value:
-                f = objective.f_star + 0.5 * float((x - objective.x_star) @ g)
-            else:
-                f = objective.value(x)
-            gap = None if objective.f_star is None else f - objective.f_star
-            gnorm = float(np.linalg.norm(g))
-            records.append(
-                TraceRecord(k, f, gap, gnorm, time.perf_counter() - t0)
-            )
-            if not (math.isfinite(f) and math.isfinite(gnorm)):
-                status = "non-finite"
-                break
-            if gnorm <= config.tol:
-                status = "converged"
-                break
-            if f > prev_value:
-                rises += 1
-                if rises >= _DIVERGENCE_PATIENCE:
-                    raise DivergenceError(
-                        f"objective increased for {rises} consecutive iterations; "
-                        "the damping b is likely below the admissible threshold "
-                        "(c-1)*lambda*theta + 1"
-                    )
-            else:
-                rises = 0
-            prev_value = f
-            if k == config.max_iter:
-                break
-
-            sets = draw(config.scheme, rng)
-            step = block_step(objective.M, sets, lambda S: g[S], pool) / b
-            x = x + step
-            row_update = incremental and (k + 1) % _REFRESH_EVERY != 0
-            if row_update:
-                changed = np.unique(sets)
-                # Past n/2 changed coordinates the row gather costs more
-                # than the full product it replaces.
-                row_update = 2 * changed.size <= objective.n
-            if row_update:
-                # M is symmetric, so its rows give M[:, changed] @
-                # step[changed] from contiguous memory.
-                g = g + step[changed] @ objective.M[changed]
-            else:
-                g = objective.gradient(x)
-
-    return IterationTrace(records, status, x, b, theta_used)
-
-
-def run_serial(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
-    """Reference serial loop built directly on sn_step.
-
-    Requires a serial scheme (c = 1).  With b = 1 the parallel driver
-    reproduces this trajectory step for step under the same seed.
-    """
-    if config.scheme.c != 1 or config.scheme.kind not in ("nice", "list"):
-        raise ValueError("run_serial requires a serial scheme (kind nice/list, c=1)")
-    check_config(config, objective.n)
-    rng = np.random.default_rng(config.seed)
-    x = _initial_point(objective, config)
-    records: list[TraceRecord] = []
-    status = "max-iterations"
-    t0 = time.perf_counter()
-    for k in range(config.max_iter + 1):
-        f = objective.value(x)
+    def monitor():
+        if fast_value:
+            f = objective.f_star + 0.5 * float((x - objective.x_star) @ g)
+        else:
+            f = objective.value(x)
         gap = None if objective.f_star is None else f - objective.f_star
-        gnorm = float(np.linalg.norm(objective.gradient(x)))
-        records.append(TraceRecord(k, f, gap, gnorm, time.perf_counter() - t0))
-        if gnorm <= config.tol:
-            status = "converged"
-            break
-        if k == config.max_iter:
-            break
-        (S,) = draw(config.scheme, rng)
-        x = sn_step(x, objective, S)
-    return IterationTrace(records, status, x, 1.0, None)
+        gnorm = float(np.linalg.norm(g))
+        return (f, gap, gnorm), gnorm, f
+
+    def update(k, sets, total):
+        nonlocal x, g
+        step = total / b
+        x = x + step
+        changed = np.unique(sets) if incremental and (k + 1) % _REFRESH_EVERY else None
+        # Past n/2 changed coordinates the row gather costs more than
+        # the full product it replaces.
+        if changed is not None and 2 * changed.size <= objective.n:
+            # M is symmetric, so its rows give M[:, changed] @
+            # step[changed] from contiguous memory.
+            g = g + step[changed] @ objective.M[changed]
+        else:
+            g = objective.gradient(x)
+
+    records, status = _iterate(
+        config, objective.M, monitor, lambda S: g[S], update, TraceRecord
+    )
+    return IterationTrace(records, status, b, theta_used, x)

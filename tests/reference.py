@@ -1,0 +1,58 @@
+"""Reference paths the tests compare the library against.
+
+They are written for clarity, not speed: one scipy Cholesky factor and
+solve per block, and a serial loop that recomputes the objective and
+the full gradient at every iterate.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from psn.sampling import draw
+from psn.solver import IterationTrace, TraceRecord
+
+
+def reference_block_step(M, sets, block_gradient):
+    """Sum of the block Newton directions of sets, one scipy Cholesky
+    factor and solve per set, added up in set order."""
+    total = np.zeros(M.shape[0])
+    for S in sets:
+        factor = scipy.linalg.cho_factor(M[np.ix_(S, S)], lower=True, check_finite=False)
+        total[S] -= scipy.linalg.cho_solve(factor, block_gradient(S), check_finite=False)
+    return total
+
+
+def reference_step(x, objective, sets, b):
+    """x + (1/b) sum_i h_i over the (possibly ragged) index sets."""
+    g = objective.gradient(x)
+    return x + reference_block_step(objective.M, sets, g.__getitem__) / b
+
+
+def reference_run(objective, config, b):
+    """The iteration of solver.run without its optimisations: from
+    config.x0 (or zero), one reference_step with damping b per draw of
+    config.scheme until the gradient norm reaches config.tol or
+    config.max_iter steps are taken.  Returns an IterationTrace whose
+    records carry no timing (elapsed is 0)."""
+    rng = np.random.default_rng(config.seed)
+    x = np.zeros(objective.n) if config.x0 is None else np.array(config.x0, dtype=float)
+    records = []
+    status = "max-iterations"
+    for k in range(config.max_iter + 1):
+        f = objective.value(x)
+        gap = None if objective.f_star is None else f - objective.f_star
+        gnorm = float(np.linalg.norm(objective.gradient(x)))
+        records.append(TraceRecord(k, f, gap, gnorm, 0.0))
+        if gnorm <= config.tol:
+            status = "converged"
+            break
+        if k < config.max_iter:
+            x = reference_step(x, objective, draw(config.scheme, rng), b)
+    return IterationTrace(records, status, b, None, x)
+
+
+def lifted_submatrix(M, S):
+    """n x n matrix keeping M's entries on S x S and zero elsewhere."""
+    out = np.zeros_like(M)
+    out[np.ix_(S, S)] = M[np.ix_(S, S)]
+    return out

@@ -20,7 +20,6 @@ import pytest
 from psn.cli import main
 from psn.erm import ErmProblem, SquaredLoss, run_erm
 from psn.linalg import (
-    lifted_submatrix,
     make_heat_matrix,
     make_rho_matrix,
     make_tridiagonal,
@@ -37,7 +36,9 @@ from psn.rates import (
     tridiag_theta_bound,
 )
 from psn.sampling import SamplingScheme, draw, expected_lifted_inverse, probability_matrix
-from psn.solver import SolverConfig, psn_step, quadratic_objective, run, run_serial
+from psn.solver import SolverConfig, block_step, quadratic_objective, run
+
+from reference import lifted_submatrix, reference_run
 
 
 @contextlib.contextmanager
@@ -66,10 +67,11 @@ def test_01_parallel_one_step_contraction_bound():
 
         x0 = objective.x_star + rng.standard_normal(n)
         gap0 = objective.value(x0) - objective.f_star
+        g0 = objective.gradient(x0)
         trials = 20_000
         ratios = np.empty(trials)
         for t in range(trials):
-            x1 = psn_step(x0, objective, draw(scheme, rng), b_star)
+            x1 = x0 + block_step(M, draw(scheme, rng), g0.__getitem__) / b_star
             ratios[t] = (objective.value(x1) - objective.f_star) / gap0
         mean = float(ratios.mean())
         sem = float(ratios.std(ddof=1) / np.sqrt(trials))
@@ -87,7 +89,7 @@ def test_02_serial_reduction_is_exact():
         for seed in (0, 1, 2):
             config = SolverConfig(SamplingScheme("nice", 8, 2), b=1.0, seed=seed)
             parallel = run(objective, config)
-            serial = run_serial(objective, config)
+            serial = reference_run(objective, config, 1.0)
             assert parallel.status == serial.status == "converged"
             assert np.array_equal(parallel.x, serial.x)
             assert [r.value for r in parallel.records] == [

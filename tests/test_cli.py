@@ -5,6 +5,7 @@ structure, and determinism of the emitted tables.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -436,6 +437,31 @@ class TestErm:
     def test_missing_file(self, capsys):
         assert main(["erm", "--data", "nope.txt", "--b", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # 8 undamped blocks of 10 of the 20 dual coordinates overshoot;
+        # the run stops on the divergence guard, with no overflow warning.
+        rng = np.random.default_rng(0)
+        data = tmp_path / "train.txt"
+        data.write_text("".join(
+            f"{float(rng.standard_normal())!r} "
+            + " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(rng.standard_normal(5)))
+            + "\n"
+            for _ in range(20)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "erm", "--data", str(data), "--loss", "squared", "--reg", "0.01",
+                    "--scheme", "nice:tau=10", "--c", "8", "--b", "1",
+                    "--out", str(tmp_path / "e.csv"),
+                ]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective increased")
+        assert len(err.splitlines()) == 1
 
     def test_empty_dataset(self, tmp_path, capsys):
         data = tmp_path / "empty.txt"

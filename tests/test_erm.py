@@ -7,6 +7,7 @@ invariant.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -21,11 +22,10 @@ from psn.erm import (
     SquaredLoss,
     block_subproblem,
     load_libsvm,
-    primal_from_dual,
     run_erm,
 )
 from psn.sampling import SamplingScheme
-from psn.solver import SolverConfig
+from psn.solver import DivergenceError, SolverConfig
 
 
 def record_values(trace):
@@ -227,7 +227,7 @@ class TestDuality:
         alpha_star = np.linalg.solve(prob.smoothness_matrix(), prob.y / prob.n)
         gap = prob.primal_value(w_star) - prob.dual_value(alpha_star)
         assert abs(gap) < 1e-10
-        assert np.abs(primal_from_dual(prob, alpha_star) - w_star).max() < 1e-10
+        assert np.abs(prob.average_of(alpha_star) - w_star).max() < 1e-10
 
     def test_full_block_step_reaches_dual_optimum(self):
         prob = random_problem(4, 6, 11)
@@ -336,10 +336,21 @@ class TestRunErm:
 
     def test_non_finite_status(self):
         prob = random_problem(3, 8, 25)
-        config = SolverConfig(SamplingScheme("nice", 8, 2), b=1.0)
-        trace = run_erm(prob, config, alpha0=np.full(8, np.nan))
+        config = SolverConfig(SamplingScheme("nice", 8, 2), b=1.0, x0=np.full(8, np.nan))
+        trace = run_erm(prob, config)
         assert trace.status == "non-finite"
         assert len(trace.records) == 1
+
+    @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(1.0)], ids=["squared", "logistic"])
+    def test_divergence_raises(self, loss):
+        # 8 blocks of 10 of the 20 coordinates at b = 1 overshoot: -D
+        # rises until the guard stops the run, before anything overflows.
+        prob = random_problem(5, 20, 0, loss=loss, lam=0.01)
+        config = SolverConfig(SamplingScheme("parallel-nice", 20, 10, c=8), b=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="damping"):
+                run_erm(prob, config)
 
     def test_gap_matches_direct_evaluation(self):
         prob = random_problem(4, 10, 19)
@@ -354,12 +365,16 @@ class TestRunErm:
         prob = random_problem(3, 8, 20)
         with pytest.raises(ValueError):
             run_erm(prob, SolverConfig(SamplingScheme("nice", 9, 2), b=1.0))
-        with pytest.raises(ValueError):
-            run_erm(
-                prob,
-                SolverConfig(SamplingScheme("nice", 8, 2), b=1.0),
-                alpha0=np.zeros(7),
-            )
+        with pytest.raises(ValueError, match="x0"):
+            run_erm(prob, SolverConfig(SamplingScheme("nice", 8, 2), b=1.0, x0=np.zeros(7)))
+
+    def test_starts_from_config_x0(self):
+        prob = random_problem(3, 8, 24)
+        alpha0 = np.linspace(-1.0, 1.0, 8)
+        config = SolverConfig(SamplingScheme("nice", 8, 2), b=1.0, max_iter=0, x0=alpha0)
+        trace = run_erm(prob, config)
+        assert trace.records[0].dual == pytest.approx(prob.dual_value(alpha0), rel=1e-12)
+        assert np.array_equal(trace.alpha, alpha0) and trace.alpha is not alpha0
 
     def test_damping_validation(self):
         prob = random_problem(3, 8, 21)
@@ -423,8 +438,8 @@ class TestDualRunProperties:
         states = []
         initial = DualState.initial.__func__
 
-        def capture(cls, problem, alpha0=None):
-            states.append(initial(cls, problem, alpha0))
+        def capture(cls, problem, alpha):
+            states.append(initial(cls, problem, alpha))
             return states[-1]
 
         with pytest.MonkeyPatch.context() as mp:

@@ -17,13 +17,10 @@ from psn.linalg import (
     gershgorin_bounds,
     invsqrt_pd,
     lifted_inverse,
-    lifted_submatrix,
     make_heat_matrix,
     make_rho_matrix,
     make_tridiagonal,
-    principal_submatrix,
     psd_order_holds,
-    restrict_vector,
     solve_pd,
     sqrt_pd,
 )
@@ -70,54 +67,6 @@ class TestIndexSets:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             check_index_set([1, 1, 2], 5)
-
-
-class TestSlicing:
-    def test_principal_submatrix_identity(self):
-        assert np.array_equal(
-            principal_submatrix(np.eye(3), [0, 2]), np.eye(2)
-        )
-
-    def test_principal_submatrix_entrywise(self):
-        rng = np.random.default_rng(11)
-        M = random_symmetric(6, rng)
-        S = [1, 3, 4]
-        out = principal_submatrix(M, S)
-        for a, i in enumerate(S):
-            for b, j in enumerate(S):
-                assert out[a, b] == M[i, j]
-
-    def test_lifted_submatrix_entrywise(self):
-        rng = np.random.default_rng(12)
-        M = random_symmetric(5, rng)
-        S = [0, 2, 3]
-        out = lifted_submatrix(M, S)
-        for i in range(5):
-            for j in range(5):
-                expect = M[i, j] if (i in S and j in S) else 0.0
-                assert out[i, j] == expect
-
-    def test_slicing_consistency(self):
-        # principal_submatrix(lifted_submatrix(M, S), S) == principal_submatrix(M, S)
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(2, 8))
-            M = random_symmetric(n, rng)
-            size = int(rng.integers(1, n + 1))
-            S = np.sort(rng.choice(n, size=size, replace=False))
-            assert np.array_equal(
-                principal_submatrix(lifted_submatrix(M, S), S),
-                principal_submatrix(M, S),
-            )
-
-    def test_restrict_vector(self):
-        h = np.array([1.0, -2.0, 3.0, 4.0])
-        out = restrict_vector(h, [1, 3])
-        assert out.tolist() == [0.0, -2.0, 0.0, 4.0]
-
-    def test_restrict_vector_bad_shape(self):
-        with pytest.raises(ValueError):
-            restrict_vector(np.zeros((2, 2)), [0], 2)
 
 
 class TestLiftedInverse:
@@ -256,6 +205,16 @@ class TestSpectra:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigen_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_check_symmetric_returns_symmetric_part(self):
+        rng = np.random.default_rng(33)
+        M = random_symmetric(5, rng)
+        assert check_symmetric(M) is M  # exactly symmetric: no copy
+        near = M.copy()
+        near[0, 3] += 1e-12
+        out = check_symmetric(near)
+        assert np.array_equal(out, out.T)
+        assert np.array_equal(out, 0.5 * (near + near.T))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_check_symmetric_rejects_non_finite(self, bad):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psn.linalg import lifted_inverse, lifted_submatrix, make_rho_matrix, make_tridiagonal
+from psn.linalg import lifted_inverse, make_rho_matrix, make_tridiagonal
 from psn.rates import rho_closed_forms
 from psn.sampling import (
     PARALLEL_KINDS,
@@ -26,6 +26,8 @@ from psn.sampling import (
     parse_scheme,
     probability_matrix,
 )
+
+from reference import lifted_submatrix
 
 
 class TestSchemeValidation:

@@ -1,9 +1,8 @@
 """Solver driver tests.
 
 Step formulas are checked against hand-solved small systems and the
-exact Newton step; the parallel driver must reproduce the serial loop
-bit for bit when c = 1 and b = 1, and must be invariant to the thread
-count.
+exact Newton step; the driver must reproduce the reference loop of
+reference.py bit for bit, and must be invariant to the thread count.
 """
 
 import io
@@ -11,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,12 +22,11 @@ from psn.solver import (
     SolverConfig,
     block_step,
     least_squares_objective,
-    psn_step,
     quadratic_objective,
     run,
-    run_serial,
-    sn_step,
 )
+
+from reference import reference_block_step, reference_run, reference_step
 
 
 def random_quadratic(n, seed):
@@ -61,14 +58,12 @@ def nonquadratic_objective(n, mu=0.1):
     )
 
 
-def reference_block_step(M, sets, block_gradient):
-    """Sum of the block Newton directions of sets, one scipy Cholesky
-    factor and solve per set, added up in set order."""
-    total = np.zeros(M.shape[0])
-    for S in sets:
-        factor = scipy.linalg.cho_factor(M[np.ix_(S, S)], lower=True, check_finite=False)
-        total[S] -= scipy.linalg.cho_solve(factor, block_gradient(S), check_finite=False)
-    return total
+def kernel_step(x, objective, sets, b=1.0):
+    """x + (1/b) sum_i h_i through the library kernel; the sets may
+    differ in size, so each is its own one-row draw."""
+    g = objective.gradient(x)
+    total = sum(block_step(objective.M, np.asarray(S)[None], g.__getitem__) for S in sets)
+    return x + total / b
 
 
 def trace_values(trace):
@@ -142,7 +137,7 @@ class TestSteps:
         rng = np.random.default_rng(5)
         for _ in range(3):
             x = rng.standard_normal(6)
-            x1 = sn_step(x, obj, np.arange(6))
+            x1 = kernel_step(x, obj, [np.arange(6)])
             assert np.abs(x1 - obj.x_star).max() < 1e-10
 
     def test_block_step_hand_solved(self):
@@ -155,7 +150,7 @@ class TestSteps:
         h = np.linalg.solve(M[np.ix_(S, S)], -g[S])
         expect = x.copy()
         expect[S] += h
-        got = sn_step(x, obj, S)
+        got = kernel_step(x, obj, [S])
         assert np.allclose(got, expect, atol=1e-14)
         assert got[1] == x[1]  # untouched outside the block
 
@@ -165,20 +160,20 @@ class TestSteps:
         for _ in range(20):
             x = rng.standard_normal(7)
             S = np.sort(rng.choice(7, size=3, replace=False))
-            assert obj.value(sn_step(x, obj, S)) <= obj.value(x) + 1e-12
+            assert obj.value(kernel_step(x, obj, [S])) <= obj.value(x) + 1e-12
 
     def test_psn_single_set_matches_serial(self):
         obj = random_quadratic(5, 8)
         x = np.arange(5, dtype=float)
         S = np.array([1, 3])
-        assert np.array_equal(psn_step(x, obj, [S], 1.0), sn_step(x, obj, S))
+        assert np.array_equal(kernel_step(x, obj, [S]), reference_step(x, obj, [S], 1.0))
 
     def test_psn_damping_scales_step(self):
         obj = random_quadratic(5, 9)
         x = np.ones(5)
         sets = [np.array([0, 1]), np.array([2, 4])]
-        full = psn_step(x, obj, sets, 1.0) - x
-        half = psn_step(x, obj, sets, 2.0) - x
+        full = kernel_step(x, obj, sets, 1.0) - x
+        half = kernel_step(x, obj, sets, 2.0) - x
         assert np.allclose(half, full / 2.0, atol=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -198,18 +193,11 @@ class TestSteps:
             h = np.zeros(n)
             h[S] = np.linalg.solve(obj.M[np.ix_(S, S)], -g[S])
             total += h
-        got = psn_step(x, obj, sets, b)
+        got = kernel_step(x, obj, sets, b)
         err = np.abs(got - (x + total / b)).max()
         assert err <= 1e-10 * (1.0 + np.abs(total).max() / b)
         # Ragged sets through the kernel equal the per-block reference.
-        assert np.array_equal(got, x + reference_block_step(obj.M, sets, g.__getitem__) / b)
-
-    def test_psn_validation(self):
-        obj = random_quadratic(4, 11)
-        with pytest.raises(ValueError):
-            psn_step(np.zeros(4), obj, [np.array([0])], 0.0)
-        with pytest.raises(ValueError):
-            psn_step(np.zeros(4), obj, [], 1.0)
+        assert np.array_equal(got, reference_step(x, obj, sets, b))
 
 
 class TestBlockKernel:
@@ -380,11 +368,20 @@ class TestDeterminism:
         obj = random_quadratic(9, 40 + seed)
         config = SolverConfig(SamplingScheme(kind, 9, 2), b=1.0, seed=seed, max_iter=400)
         a = run(obj, config)
-        b = run_serial(obj, config)
+        b = reference_run(obj, config, 1.0)
         assert a.status == b.status
         assert np.array_equal(a.x, b.x)
         assert [r.value for r in a.records] == [r.value for r in b.records]
         assert [r.grad_norm for r in a.records] == [r.grad_norm for r in b.records]
+
+    @pytest.mark.parametrize("kind", ["parallel-nice", "non-overlapping"])
+    def test_parallel_driver_matches_reference_loop(self, kind):
+        obj = random_quadratic(9, 47)
+        config = SolverConfig(SamplingScheme(kind, 9, 2, c=3), b=2.5, seed=4, max_iter=300)
+        a, b = run(obj, config), reference_run(obj, config, 2.5)
+        assert a.status == b.status
+        assert trace_values(a) == trace_values(b)
+        assert np.array_equal(a.x, b.x)
 
     @pytest.mark.parametrize("kind", ["nice", "list"])
     @pytest.mark.parametrize(
@@ -474,6 +471,27 @@ class TestIncrementalGradient:
         assert [r.grad_norm for r in fast.records] == [r.grad_norm for r in slow.records]
         assert np.array_equal(fast.x, slow.x)
 
+    def test_nearly_symmetric_M_does_not_drift(self):
+        # An M symmetric only within check_symmetric's tolerance is
+        # symmetrised on entry, so the row updates read the matrix the
+        # gradient uses.  The run ends before the first full recompute;
+        # without the symmetrisation its last gradient norm was off by
+        # 8e-3 relative, against 1e-8 for an exactly symmetric M.
+        rng = np.random.default_rng(57)
+        A = rng.standard_normal((40, 40))
+        M = A @ A.T / 40 + 40 * np.eye(40)
+        upper = np.triu_indices(40, 1)
+        M[upper] += 1e-11 * np.abs(M).max() * rng.standard_normal(upper[0].size)
+        q = rng.standard_normal(40)
+        obj = quadratic_objective(M, q)
+        config = SolverConfig(
+            SamplingScheme("list", 40, 5), b=1.0, seed=3, incremental_gradient=True
+        )
+        trace = run(obj, config)
+        assert trace.converged and trace.iterations < 250
+        residual = np.linalg.norm(obj.M @ trace.x - q)
+        assert trace.records[-1].grad_norm == pytest.approx(residual, rel=1e-6)
+
     def test_ignored_for_nonquadratic(self):
         obj = nonquadratic_objective(5)
         config = SolverConfig(
@@ -546,12 +564,6 @@ class TestGuards:
         assert trace.records[0].value == pytest.approx(obj.value(x0))
         with pytest.raises(ValueError):
             run(obj, SolverConfig(SamplingScheme("nice", 5, 2), b=1.0, x0=np.zeros(4)))
-
-    def test_run_serial_rejects_parallel_scheme(self):
-        obj = random_quadratic(6, 53)
-        config = SolverConfig(SamplingScheme("parallel-nice", 6, 2, c=2), b=1.0)
-        with pytest.raises(ValueError, match="serial"):
-            run_serial(obj, config)
 
 
 class TestTraceCsv:
