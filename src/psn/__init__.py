@@ -17,7 +17,6 @@ from .sampling import (
     draw,
     expected_lifted_inverse,
     parse_scheme,
-    probability_matrix,
 )
 from .rates import (
     CurvaturePair,

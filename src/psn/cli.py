@@ -93,21 +93,13 @@ def _parse_gen(text: str) -> dict:
     return out
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type = int) -> list:
+    """The comma-separated values of flag, each converted by kind."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of integers") from None
-    if not values:
-        raise ValueError(f"{flag} is empty")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of numbers") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects a comma-separated list of {noun}") from None
     if not values:
         raise ValueError(f"{flag} is empty")
     return values
@@ -183,13 +175,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _scheme_for(args, n: int) -> SamplingScheme:
-    return parse_scheme(args.scheme, n)
-
-
 def _worker_grid(args, scheme: SamplingScheme) -> list[int]:
     if args.c is not None:
-        return _parse_int_list(args.c, "--c")
+        return _parse_list(args.c, "--c")
     return [scheme.c]
 
 
@@ -226,24 +214,24 @@ def _solve_grid(args, scheme: SamplingScheme, solve) -> int:
 def cmd_solve(args) -> int:
     objective, _ = _build_objective(args)
     return _solve_grid(
-        args, _scheme_for(args, objective.n), lambda config: run(objective, config)
+        args, parse_scheme(args.scheme, objective.n), lambda config: run(objective, config)
     )
 
 
 def cmd_rates(args) -> int:
     objective, decomposition = _build_objective(args)
-    scheme = _scheme_for(args, objective.n)
-    pair = CurvaturePair.from_hessian(objective.M)
+    scheme = parse_scheme(args.scheme, objective.n)
+    pair = objective.curvature()
+    # Without Monte Carlo the pair enumerates E once for every c.
+    expected = None
     if args.mc_samples > 0:
         expected = expected_lifted_inverse(
             pair.M, scheme, mode="monte-carlo", samples=args.mc_samples, seed=args.seed
-        )
-    else:
-        expected = expected_lifted_inverse(pair.M, scheme)
+        ).matrix
     rows = []
     for c in _worker_grid(args, scheme):
         sch = scheme.with_workers(c)
-        report = rate_report(pair, sch, expected_inverse=expected.matrix)
+        report = rate_report(pair, sch, expected_inverse=expected)
         tau_c = sch.tau * c
         if tau_c <= pair.n:
             pcdm = pcdm_constants(
@@ -283,9 +271,9 @@ def cmd_rates(args) -> int:
 
 def cmd_rho(args) -> int:
     rows = []
-    for rho in _parse_float_list(args.rho_grid, "--rho-grid"):
+    for rho in _parse_list(args.rho_grid, "--rho-grid", float):
         analysis = rho_closed_forms(args.n, args.tau, rho)
-        for c in _parse_int_list(args.c, "--c"):
+        for c in _parse_list(args.c, "--c"):
             b_min = b_threshold(c, 1.0, analysis.theta)
             sp = sigma_p(c, b_min, analysis.sigma1, b_min)
             rows.append(
@@ -311,13 +299,10 @@ def cmd_rho(args) -> int:
 
 def cmd_tridiag(args) -> int:
     rows = []
-    for n in _parse_int_list(args.n_grid, "--n-grid"):
-        for alpha in _parse_float_list(args.alpha_grid, "--alpha-grid"):
-            T = make_tridiagonal(n, alpha)
-            pair = CurvaturePair.from_hessian(T)
-            scheme = SamplingScheme("list", n, 2)
-            expected = expected_lifted_inverse(T, scheme)
-            report = rate_report(pair, scheme, expected_inverse=expected.matrix)
+    for n in _parse_list(args.n_grid, "--n-grid"):
+        for alpha in _parse_list(args.alpha_grid, "--alpha-grid", float):
+            pair = CurvaturePair.from_hessian(make_tridiagonal(n, alpha))
+            report = rate_report(pair, SamplingScheme("list", n, 2))
             rows.append(
                 [
                     n,
@@ -357,7 +342,7 @@ def cmd_erm(args) -> int:
     loss = LogisticLoss(args.epsilon) if args.loss == "logistic" else SquaredLoss()
     problem = ErmProblem(A, y, loss, args.reg)
     return _solve_grid(
-        args, _scheme_for(args, problem.n), lambda config: run_erm(problem, config)
+        args, parse_scheme(args.scheme, problem.n), lambda config: run_erm(problem, config)
     )
 
 
@@ -373,7 +358,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser, default_scheme: str) -> None
                      help="comma-separated worker counts (overrides the scheme's c)")
     sub.add_argument("--b", default="auto", help="damping: 'auto' or a number")
     sub.add_argument("--theta", default=None,
-                     help="theta source for auto damping: 'exact', 'bound', or a number")
+                     help="theta source for auto damping: 'exact', 'bound' (any scheme) or a number")
     sub.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
     sub.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
     sub.add_argument("--threads", type=int, default=1,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -182,16 +183,16 @@ class ErmProblem:
 
     A and y are stored as read-only copies, so later changes to the
     caller's arrays cannot reach the problem.  That keeps valid the
-    damping memo, a private dict in which run_erm keeps lambda and each
-    resolved theta as scalars (see solver.resolve_damping), so that
-    runs at several worker counts resolve them once.
+    curvature pair of the dual, which holds M (the Hessian bound X) and
+    G and every spectral constant derived from them: curvature() builds
+    it once and keeps it for the life of the problem, so runs at
+    several worker counts resolve lambda and theta once.
     """
 
     A: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     loss: object = field(default_factory=SquaredLoss)
     lam_reg: float = 1.0
-    _damping_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A = np.array(self.A, dtype=np.float64)
@@ -219,32 +220,38 @@ class ErmProblem:
     def d(self) -> int:
         return self.A.shape[0]
 
-    def smoothness_matrix(self) -> np.ndarray:
-        """Dual Hessian bound X = (1/(lam n^2)) A'A + I/(gamma n)."""
+    @property
+    def quadratic(self) -> bool:
+        """Whether the dual is quadratic: L == gamma (the squared loss)."""
+        return math.isclose(self.loss.gamma, self.loss.smoothness)
+
+    def _dual_bound(self, curv: float) -> np.ndarray:
+        """(1/(lam n^2)) A'A + I/(curv n)."""
         n = self.n
         X = (self.A.T @ self.A) / (self.lam_reg * n * n)
         X = 0.5 * (X + X.T)
-        X[np.diag_indices_from(X)] += 1.0 / (self.loss.gamma * n)
+        X[np.diag_indices_from(X)] += 1.0 / (curv * n)
         return X
 
+    def smoothness_matrix(self) -> np.ndarray:
+        """Dual Hessian bound X = (1/(lam n^2)) A'A + I/(gamma n)."""
+        return self._dual_bound(self.loss.gamma)
+
     def curvature(self) -> CurvaturePair:
-        """Curvature pair of the (negated) dual objective.
+        """Curvature pair of the (negated) dual objective, built and
+        validated on the first call and the same object after that.
 
         The quadratic part contributes (1/(lam n^2)) A'A to both bounds;
         the separable part is between I/(L n) and I/(gamma n), where L
         is the loss smoothness.  For the squared loss L == gamma and the
         dual is exactly quadratic.
         """
-        n = self.n
-        base = (self.A.T @ self.A) / (self.lam_reg * n * n)
-        base = 0.5 * (base + base.T)
-        M = base.copy()
-        M[np.diag_indices_from(M)] += 1.0 / (self.loss.gamma * n)
-        if math.isclose(self.loss.gamma, self.loss.smoothness):
-            return CurvaturePair.from_hessian(M)
-        G = base
-        G[np.diag_indices_from(G)] += 1.0 / (self.loss.smoothness * n)
-        return CurvaturePair(M, G)
+        return self._pair
+
+    @cached_property
+    def _pair(self) -> CurvaturePair:
+        M = self.smoothness_matrix()
+        return CurvaturePair(M, M if self.quadratic else self._dual_bound(self.loss.smoothness))
 
     def average_of(self, alpha: np.ndarray) -> np.ndarray:
         """abar = (1/(lam n)) A alpha."""
@@ -375,10 +382,7 @@ def run_erm(problem: ErmProblem, config: SolverConfig) -> ErmTrace:
     """
     check_config(config, problem.n)
     X = problem.smoothness_matrix()
-    quadratic = math.isclose(problem.loss.gamma, problem.loss.smoothness)
-    b, theta_used = resolve_damping(
-        config, X, quadratic, problem.curvature, problem._damping_memo
-    )
+    b, theta_used = resolve_damping(config, problem)
     state = DualState.initial(problem, _initial_point(config, problem.n))
 
     def monitor():

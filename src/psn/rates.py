@@ -19,7 +19,8 @@ G^{1/2} E G^{1/2} has the spectrum of L^T E L (the pencil (G E G, G))
 and G^{-1/2} M G^{-1/2} that of L^{-1} M L^{-T} (the pencil (M, G)).
 Each constant is computed once per curvature pair and kept on it as a
 scalar: the extremes of G (those of M too when M == G), lambda, the
-dense sigma_3, and sigma_1 and theta for the last read-only E seen.
+dense sigma_3, and sigma_1 and theta per enumerated sampling and for
+the last read-only E seen.  Objectives keep one pair for life.
 """
 
 from __future__ import annotations
@@ -126,6 +127,29 @@ class CurvaturePair:
         tau*c: lambda_min(diag(M)^{-1/2} G diag(M)^{-1/2}) / n."""
         return _scaled_min(self.G, 1.0 / np.sqrt(self._m_diagonal)) / self.n
 
+    def cond_bound(self, tau: int) -> float:
+        """Bound (tau/n) lambda_max(G)/lambda_min(G) on theta for every
+        uniform sampling of tau-sets (P(i in S) = tau/n for all i).
+
+        Interlacing gives lambda_min(M_SS) >= lambda_min(M), so each
+        lifted inverse is at most I_S/lambda_min(M) and E <= (tau/n)
+        I/lambda_min(M).  Hence theta <= (tau/n) lambda_max(G)/
+        lambda_min(M) <= (tau/n) cond(G), as G <= M.  For M == G this is
+        theta_cond_bound(tau, M) bit for bit."""
+        if not 1 <= tau <= self.n:
+            raise ValueError(f"tau must lie in [1, n={self.n}], got {tau}")
+        lo, hi = self.g_extremes
+        return hi / lo * (tau / self.n)
+
+    def enumerated_extremes(self, scheme: SamplingScheme) -> tuple[float, float]:
+        """(sigma_1, theta) of the enumerated E[(M_S)^{-1}] of scheme,
+        computed once per constituent sampling, so for all c."""
+        memo = self.__dict__.setdefault("_enumerated_memo", {})
+        key = scheme.constituent()
+        if key not in memo:
+            memo[key] = self._weighted_extremes(expected_lifted_inverse(self.M, key).matrix)
+        return memo[key]
+
     def _weighted_extremes(self, expected_inverse: np.ndarray) -> tuple[float, float]:
         """(lambda_min, lambda_max) of L^T E L for G = L L^T, the
         spectrum of G^{1/2} E G^{1/2}.  The result for a read-only E is
@@ -210,9 +234,11 @@ def sigma_p(c: int, b: float, sigma1_value: float, b_min: float = 1.0) -> float:
 
 
 def theta_cond_bound(tau: int, M: np.ndarray) -> float:
-    """Upper bound (tau/n) * cond(M) on theta for list-type samplings
-    when the curvature pair is (M, M).  tau is checked against the
-    order of M first; condition_number then checks M itself, once."""
+    """Upper bound (tau/n) * cond(M) on theta for every uniform sampling
+    of tau-sets when the curvature pair is (M, M): by interlacing each
+    lifted block inverse is at most I_S/lambda_min(M), so E <= (tau/n)
+    I/lambda_min(M) (see CurvaturePair.cond_bound).  tau is checked
+    against the order of M first; condition_number then checks M."""
     shape = np.shape(M)
     if len(shape) == 2 and not 1 <= tau <= shape[0]:
         raise ValueError(f"tau must lie in [1, n={shape[0]}], got {tau}")
@@ -377,9 +403,6 @@ class RateReport:
     speedup: float
     hypotheses_hold: bool
 
-    def sigma_p_at(self, b: float) -> float:
-        return sigma_p(self.scheme.c, b, self.sigma1, self.b_min)
-
 
 def rate_report(
     pair: CurvaturePair,
@@ -387,8 +410,9 @@ def rate_report(
     expected_inverse: np.ndarray | None = None,
 ) -> RateReport:
     """Assemble sigma1, theta, lambda, b_min, sigma_p and the speedup
-    sigma_p/sigma1 for one scheme.  Without expected_inverse, E[(M_S)^-1]
-    is enumerated.
+    sigma_p/sigma1 for one scheme.  Without expected_inverse, sigma1 and
+    theta are those of the pair's enumerated E[(M_S)^-1], which the pair
+    computes once per constituent sampling.
 
     For non-overlapping samplings the constituent sets are not
     independent, so the parallel contraction guarantee is not
@@ -396,8 +420,9 @@ def rate_report(
     constituent set but clears ``hypotheses_hold``.
     """
     if expected_inverse is None:
-        expected_inverse = expected_lifted_inverse(pair.M, scheme).matrix
-    lo, hi = pair._weighted_extremes(expected_inverse)
+        lo, hi = pair.enumerated_extremes(scheme)
+    else:
+        lo, hi = pair._weighted_extremes(expected_inverse)
     lam = lambda_ratio(pair)
     b_min = b_threshold(scheme.c, lam, hi)
     sp = sigma_p(scheme.c, b_min, lo, b_min)

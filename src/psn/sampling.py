@@ -17,10 +17,10 @@ iteration:
 Every draw comes from the generator it is given, as one (c, tau) array
 of sorted index sets; worker threads never draw.
 
-Probability matrices and expected lifted inverses refer to one
-constituent set: for the parallel schemes each worker's set has the
-distribution of the serial counterpart, and for ``non-overlapping``
-each chunk of a uniform (c*tau)-subset is itself a uniform tau-subset.
+Expected lifted inverses refer to one constituent set: for the
+parallel schemes each worker's set has the distribution of the serial
+counterpart, and for ``non-overlapping`` each chunk of a uniform
+(c*tau)-subset is itself a uniform tau-subset.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "SamplingScheme",
     "parse_scheme",
     "draw",
-    "probability_matrix",
     "ExpectedInverse",
     "expected_lifted_inverse",
 ]
@@ -158,25 +157,6 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
         return _windows([rng.integers(n)] if c == 1 else rng.integers(n, size=c), tau, n)
     sets.sort(axis=1)
     return sets
-
-
-def probability_matrix(scheme: SamplingScheme) -> np.ndarray:
-    """Pairwise inclusion probabilities of one constituent set.
-
-    Entry (i, j) is P(i and j both sampled); the diagonal holds the
-    single-coordinate probabilities P(i sampled) = tau / n.  Parallel
-    kinds report the matrix of one constituent set.
-    """
-    n, tau = scheme.n, scheme.tau
-    if scheme.serial_kind == "nice":
-        off = tau * (tau - 1) / (n * (n - 1)) if n > 1 else 1.0
-        P = np.full((n, n), off)
-    else:
-        P = np.zeros((n, n))
-        windows = _windows(np.arange(n), tau, n)
-        np.add.at(P, (windows[:, :, None], windows[:, None, :]), 1.0 / n)
-    np.fill_diagonal(P, tau / n)
-    return P
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ any physical thread count.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -35,8 +35,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .linalg import check_symmetric, solve_pd
 from .matrixio import write_csv
-from .rates import CurvaturePair, b_threshold, lambda_ratio, theta, theta_cond_bound
-from .sampling import SamplingScheme, draw, expected_lifted_inverse
+from .rates import CurvaturePair, b_threshold, lambda_ratio
+from .sampling import SamplingScheme, draw
 
 __all__ = [
     "DivergenceError",
@@ -75,10 +75,10 @@ class SmoothObjective:
     only used to report optimality gaps in traces.
 
     The objective is a snapshot of M and G: x_star and f_star are fixed
-    when it is built, and so is what ``run`` resolves for auto damping.
-    A private dict keeps lambda and each resolved theta as scalars (see
-    resolve_damping), so runs at several worker counts resolve them
-    once.  Changing M in place afterwards invalidates all of these;
+    when it is built, and curvature() builds and validates the pair
+    (M, G) once and keeps it, with every spectral constant cached on
+    it, for the life of the objective; runs at several worker counts
+    share it.  Changing M in place afterwards invalidates all of these;
     build a new objective instead.
     """
 
@@ -90,12 +90,14 @@ class SmoothObjective:
     x_star: np.ndarray | None = field(default=None, repr=False)
     f_star: float | None = None
     quadratic: bool = False
-    _damping_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def _pair(self) -> CurvaturePair:
+        return CurvaturePair(self.M, self.M if self.quadratic else self.G)
 
     def curvature(self) -> CurvaturePair:
-        if self.quadratic:
-            return CurvaturePair.from_hessian(self.M)
-        return CurvaturePair(self.M, self.G)
+        """The validated pair (M, G), the same object on every call."""
+        return self._pair
 
 
 def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
@@ -203,8 +205,8 @@ class SolverConfig:
     b is either an explicit positive damping or "auto", which sets
     b = (c-1)*lambda*theta + 1.  Auto mode needs a theta source: a
     number, "exact" (enumerate the expected lifted inverse), or "bound"
-    ((tau/n) cond(M), list samplings with M == G only).  There is no
-    silent default.
+    ((tau/n) lambda_max(G)/lambda_min(G), valid for every scheme and
+    every curvature pair).  There is no silent default.
 
     incremental_gradient switches quadratic objectives to gradient
     updates g += step[changed] @ M[changed], which read the rows of the
@@ -319,66 +321,33 @@ def check_config(config: SolverConfig, n: int) -> None:
         raise ValueError(f"threads must be at least 1, got {config.threads}")
 
 
-def resolve_damping(
-    config: SolverConfig,
-    M: np.ndarray,
-    quadratic: bool,
-    curvature: Callable[[], CurvaturePair],
-    memo: dict,
-) -> tuple[float, float | None]:
+def resolve_damping(config: SolverConfig, problem) -> tuple[float, float | None]:
     """Damping b and the theta it came from (None for an explicit b).
 
-    M is the matrix the blocks are solved against and quadratic says
-    whether it is the exact Hessian (M == G, so lambda = 1).  For
-    b='auto', b = (c-1)*lambda*theta + 1 with theta a number, 'exact'
-    (from the expected lifted inverse of M) or 'bound' ((tau/n) cond(M),
-    list samplings of quadratics only).  curvature() is called at most
-    once, and only when exact theta or lambda != 1 needs the pair.
-
-    memo is a dict owned by the problem M belongs to.  It keeps lambda
-    and theta per source, keyed ('exact', serial kind, tau) or
-    ('bound', tau), as scalars only, so that another call for the same
-    problem at another worker count c recomputes only b.  A numeric
-    theta is used as given.
+    For b='auto', b = (c-1)*lambda*theta + 1 with theta a number (used
+    as given), 'exact' (the pair's enumerated E) or 'bound' (the pair's
+    cond_bound, valid for every scheme).  problem is a SmoothObjective
+    or an erm.ErmProblem; lambda is 1 when problem.quadratic.  Its pair,
+    built only when needed, keeps every spectral constant, so a run at
+    another worker count c recomputes only b.
     """
     if config.b != "auto":
         return float(config.b), None
     scheme = config.scheme
     spec = config.theta
-    pair = functools.cache(curvature)
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         th = float(spec)
     elif spec == "exact":
-        th = _memoized(
-            memo,
-            ("exact", scheme.serial_kind, scheme.tau),
-            lambda: theta(pair(), expected_lifted_inverse(M, scheme).matrix),
-        )
+        th = problem.curvature().enumerated_extremes(scheme)[1]
     elif spec == "bound":
-        if scheme.serial_kind != "list":
-            raise ValueError(
-                "theta='bound' uses (tau/n) cond(M), which covers list "
-                "samplings only; supply a numeric theta or 'exact'"
-            )
-        if not quadratic:
-            raise ValueError(
-                "theta='bound' requires a quadratic problem (M == G; for ERM, "
-                "the squared loss)"
-            )
-        th = _memoized(memo, ("bound", scheme.tau), lambda: theta_cond_bound(scheme.tau, M))
+        th = problem.curvature().cond_bound(scheme.tau)
     else:
         raise ValueError(
             "b='auto' needs an explicit theta source: a number, 'exact', or "
             "'bound' (no silent default)"
         )
-    lam = 1.0 if quadratic else _memoized(memo, "lambda", lambda: lambda_ratio(pair()))
+    lam = 1.0 if problem.quadratic else lambda_ratio(problem.curvature())
     return b_threshold(scheme.c, lam, th), th
-
-
-def _memoized(memo: dict, key, compute: Callable[[], float]) -> float:
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
 
 
 def worker_pool(threads: int):
@@ -456,10 +425,7 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
     the admissible threshold.
     """
     check_config(config, objective.n)
-    b, theta_used = resolve_damping(
-        config, objective.M, objective.quadratic, objective.curvature,
-        objective._damping_memo,
-    )
+    b, theta_used = resolve_damping(config, objective)
     x = _initial_point(config, objective.n)
     g = objective.gradient(x)
     incremental = config.incremental_gradient and objective.quadratic

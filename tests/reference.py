@@ -1,13 +1,17 @@
 """Reference paths the tests compare the library against.
 
 They are written for clarity, not speed: one scipy Cholesky factor and
-solve per block, and a serial loop that recomputes the objective and
-the full gradient at every iterate.
+solve per block, a serial loop that recomputes the objective and the
+full gradient at every iterate, and the inclusion probabilities of a
+sampling written out from its definition.  count_spectral_work lets a
+test see which spectral work the curvature pairs do.
 """
 
 import numpy as np
 import scipy.linalg
 
+import psn.rates
+from psn.rates import CurvaturePair
 from psn.sampling import draw
 from psn.solver import IterationTrace, TraceRecord
 
@@ -56,3 +60,44 @@ def lifted_submatrix(M, S):
     out = np.zeros_like(M)
     out[np.ix_(S, S)] = M[np.ix_(S, S)]
     return out
+
+
+def probability_matrix(scheme):
+    """Pairwise inclusion probabilities of one constituent set of scheme.
+
+    Entry (i, j) is P(i and j both sampled); the diagonal holds the
+    single-coordinate probabilities P(i sampled) = tau / n.  Parallel
+    kinds report the matrix of one constituent set.
+    """
+    n, tau = scheme.n, scheme.tau
+    if scheme.serial_kind == "nice":
+        off = tau * (tau - 1) / (n * (n - 1)) if n > 1 else 1.0
+        P = np.full((n, n), off)
+    else:
+        P = np.zeros((n, n))
+        for start in range(n):
+            window = (start + np.arange(tau)) % n
+            P[np.ix_(window, window)] += 1.0 / n
+    np.fill_diagonal(P, tau / n)
+    return P
+
+
+def count_spectral_work(monkeypatch):
+    """A list that records, by name, every enumeration of E, eigenvalue
+    solve and Cholesky factor of G that the rate module and the
+    curvature pairs make while monkeypatch is active."""
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("expected_lifted_inverse", "eigen_extremes", "psd_order_holds"):
+        monkeypatch.setattr(psn.rates, name, counting(name, getattr(psn.rates, name)))
+    monkeypatch.setattr(
+        CurvaturePair, "_cholesky", counting("_cholesky", CurvaturePair._cholesky)
+    )
+    return calls

@@ -35,10 +35,10 @@ from psn.rates import (
     theta_cond_bound,
     tridiag_theta_bound,
 )
-from psn.sampling import SamplingScheme, draw, expected_lifted_inverse, probability_matrix
+from psn.sampling import SamplingScheme, draw, expected_lifted_inverse
 from psn.solver import SolverConfig, block_step, quadratic_objective, run
 
-from reference import lifted_submatrix, reference_run
+from reference import lifted_submatrix, probability_matrix, reference_run
 
 
 @contextlib.contextmanager

@@ -166,6 +166,30 @@ class TestSolve:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["rho", "--c", "1,x"], "--c expects a comma-separated list of integers"),
+            (["rho", "--rho-grid", "0.1,a"], "--rho-grid expects a comma-separated list of numbers"),
+            (["tridiag", "--n-grid", ","], "--n-grid is empty"),
+            (["tridiag", "--alpha-grid", "q"], "--alpha-grid expects a comma-separated list of numbers"),
+        ],
+    )
+    def test_list_flags_name_their_errors(self, argv, line, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_bound_damping_with_nice_sampling(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = main(
+            [
+                "solve", "--gen", "rho:8,0.3", "--scheme", "nice:tau=2", "--c", "1,2",
+                "--b", "auto", "--theta", "bound", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().err.count("converged") == 2
+
     def test_rhs_length_mismatch(self, tmp_path, capsys):
         write_matrix(tmp_path / "m.mtx", np.eye(4))
         write_vector(tmp_path / "q.txt", np.ones(3))

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import psn.solver
 from psn.erm import (
     DualState,
     ErmProblem,
@@ -24,8 +23,11 @@ from psn.erm import (
     load_libsvm,
     run_erm,
 )
+from psn.rates import b_threshold, rate_report
 from psn.sampling import SamplingScheme
 from psn.solver import DivergenceError, SolverConfig
+
+from reference import count_spectral_work
 
 
 def record_values(trace):
@@ -396,14 +398,21 @@ class TestRunErm:
                 run_erm(prob, SolverConfig(scheme, **{"b": 1.0, **bad}))
         with pytest.raises(ValueError, match="theta"):
             run_erm(prob, SolverConfig(scheme, b="auto"))
-        with pytest.raises(ValueError, match="list"):
-            run_erm(prob, SolverConfig(scheme, b="auto", theta="bound"))
-        logistic = random_problem(3, 8, 22, loss=LogisticLoss())
-        with pytest.raises(ValueError, match="squared"):
-            run_erm(
-                logistic,
-                SolverConfig(SamplingScheme("list", 8, 2), b="auto", theta="bound"),
-            )
+
+    @pytest.mark.parametrize("kind", ["nice", "list"])
+    @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(0.1)])
+    def test_bound_theta_for_any_sampling_and_loss(self, kind, loss):
+        # The bound covers every uniform sampling and non-quadratic
+        # duals; the run takes it from the problem's pair.
+        prob = random_problem(3, 8, 22, loss=loss, lam=1.0)
+        for c in (1, 2):
+            scheme = SamplingScheme(kind, 8, 2).with_workers(c)
+            trace = run_erm(prob, SolverConfig(scheme, b="auto", theta="bound", seed=1))
+            assert trace.converged
+            assert trace.theta_used == prob.curvature().cond_bound(2)
+            exact = rate_report(prob.curvature(), scheme)
+            assert exact.theta <= trace.theta_used
+            assert trace.b == pytest.approx(b_threshold(c, exact.lam, trace.theta_used), rel=1e-12)
 
     def test_csv_output(self):
         prob = random_problem(3, 8, 23)
@@ -480,33 +489,18 @@ class TestDualRunProperties:
 
 
 class TestDampingMemo:
-    COUNTED = ("expected_lifted_inverse", "theta", "lambda_ratio", "theta_cond_bound")
-
-    def count_calls(self, monkeypatch):
-        calls = []
-        for name in self.COUNTED:
-            original = getattr(psn.solver, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(psn.solver, name, counted)
-        return calls
-
     @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(1e-2)])
     def test_second_run_reuses_damping(self, loss, monkeypatch):
-        prob = random_problem(4, 12, 46, loss=loss)
         scheme = SamplingScheme("list", 12, 3)
-        calls = self.count_calls(monkeypatch)
+        calls = count_spectral_work(monkeypatch)
 
         def config(c, theta):
             return SolverConfig(
                 scheme.with_workers(c), b="auto", theta=theta, seed=1, max_iter=5
             )
 
-        sources = ["exact"] + (["bound"] if isinstance(loss, SquaredLoss) else [])
-        for theta in sources:
+        for theta in ("exact", "bound"):
+            prob = random_problem(4, 12, 46, loss=loss)
             run_erm(prob, config(1, theta))
             assert calls
             calls.clear()
@@ -516,6 +510,20 @@ class TestDampingMemo:
                 fresh = run_erm(ErmProblem(prob.A, prob.y, loss, prob.lam_reg), config(c, theta))
                 assert (trace.b, trace.theta_used) == (fresh.b, fresh.theta_used)
                 calls.clear()
+
+    @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(1e-2)])
+    def test_rate_report_and_runs_share_one_enumeration(self, loss, monkeypatch):
+        prob = random_problem(4, 12, 47, loss=loss)
+        assert prob.curvature() is prob.curvature()
+        scheme = SamplingScheme("nice", 12, 3)
+        calls = count_spectral_work(monkeypatch)
+        report = rate_report(prob.curvature(), scheme)
+        for c in (1, 2, 4):
+            config = SolverConfig(
+                scheme.with_workers(c), b="auto", theta="exact", seed=1, max_iter=5
+            )
+            assert run_erm(prob, config).theta_used == report.theta
+        assert calls.count("expected_lifted_inverse") == 1
 
 
 class TestLibsvmReader:

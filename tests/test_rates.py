@@ -30,6 +30,8 @@ from psn.rates import (
 )
 from psn.sampling import SamplingScheme, expected_lifted_inverse
 
+from reference import count_spectral_work
+
 
 def random_pd(n, seed, spread=1.0):
     rng = np.random.default_rng(seed)
@@ -231,6 +233,26 @@ class TestThetaBounds:
         E = expected_lifted_inverse(T, SamplingScheme("list", n, 2)).matrix
         assert theta(pair, E) == pytest.approx(tridiag_theta_bound(0.0, n), abs=1e-14)
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_pair_bound_covers_every_uniform_sampling(self, data):
+        # theta <= (tau/n) lambda_max(G)/lambda_min(G) for nice, list and
+        # non-overlapping sets, for M == G and for G = M - delta I.
+        n = data.draw(st.integers(2, 10), label="n")
+        kind = data.draw(st.sampled_from(["nice", "list", "non-overlapping"]), label="kind")
+        tau = data.draw(st.integers(1, min(n, 4) if kind != "list" else n), label="tau")
+        c = data.draw(st.integers(1, n // tau), label="c") if kind == "non-overlapping" else 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
+        B = rng.standard_normal((n, n))
+        M = B @ B.T + data.draw(st.sampled_from([1e-2, 0.1, 1.0]), label="shift") * np.eye(n)
+        frac = data.draw(st.sampled_from([0.0, 0.5, 0.99]), label="frac")
+        G = M - frac * np.linalg.eigvalsh(M)[0] * np.eye(n) if frac else M
+        pair = CurvaturePair(M, G)
+        exact = rate_report(pair, SamplingScheme(kind, n, tau, c)).theta
+        assert exact <= pair.cond_bound(tau) * (1 + 1e-12)
+        if G is M:
+            assert pair.cond_bound(tau) == theta_cond_bound(tau, M)
+
     def test_cond_bound_checks_matrix_once(self, monkeypatch):
         M = random_pd(7, 47)
         calls = []
@@ -381,9 +403,9 @@ class TestRateReport:
         M = make_rho_matrix(6, 0.3)
         pair = CurvaturePair.from_hessian(M)
         rep = rate_report(pair, SamplingScheme("parallel-nice", 6, 2, c=3))
-        assert rep.sigma_p_at(2 * rep.b_min) == pytest.approx(rep.sigma_p / 2)
+        assert sigma_p(3, 2 * rep.b_min, rep.sigma1, rep.b_min) == pytest.approx(rep.sigma_p / 2)
         with pytest.raises(ValueError):
-            rep.sigma_p_at(0.5 * rep.b_min)
+            sigma_p(3, 0.5 * rep.b_min, rep.sigma1, rep.b_min)
 
     def test_accepts_precomputed_expectation(self):
         M = make_rho_matrix(5, 0.4)
@@ -459,6 +481,20 @@ class TestPencilRoute:
 
 
 class TestMemo:
+    def test_enumerated_extremes_computed_once_per_constituent(self, monkeypatch):
+        M = random_pd(7, 32)
+        pair = CurvaturePair.from_hessian(M)
+        nice = SamplingScheme("nice", 7, 2)
+        E = expected_lifted_inverse(M, nice).matrix
+        calls = count_spectral_work(monkeypatch)
+        reports = [rate_report(pair, nice.with_workers(c)) for c in (1, 2, 3)]
+        reports.append(rate_report(pair, SamplingScheme("non-overlapping", 7, 2, c=3)))
+        assert calls.count("expected_lifted_inverse") == 1
+        assert len({(r.sigma1, r.theta) for r in reports}) == 1
+        rate_report(pair, SamplingScheme("list", 7, 2))
+        assert calls.count("expected_lifted_inverse") == 2
+        assert (reports[0].sigma1, reports[0].theta) == (sigma1(pair, E), theta(pair, E))
+
     def test_writeable_expectation_is_never_memoized(self):
         M = random_pd(6, 30)
         pair = CurvaturePair.from_hessian(M)

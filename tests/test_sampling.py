@@ -24,10 +24,9 @@ from psn.sampling import (
     draw,
     expected_lifted_inverse,
     parse_scheme,
-    probability_matrix,
 )
 
-from reference import lifted_submatrix
+from reference import lifted_submatrix, probability_matrix
 
 
 class TestSchemeValidation:

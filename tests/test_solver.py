@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import psn.solver
 from psn.linalg import make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, theta, theta_cond_bound
 from psn.sampling import PARALLEL_KINDS, SERIAL_KINDS, SamplingScheme, draw, expected_lifted_inverse
@@ -26,7 +25,7 @@ from psn.solver import (
     run,
 )
 
-from reference import reference_block_step, reference_run, reference_step
+from reference import count_spectral_work, reference_block_step, reference_run, reference_step
 
 
 def random_quadratic(n, seed):
@@ -281,6 +280,18 @@ class TestRunConvergence:
         expect_b = b_threshold(3, 1.0, theta_cond_bound(3, obj.M))
         assert trace.b == pytest.approx(expect_b, rel=1e-12)
 
+    def test_bound_damping_covers_nice_sampling(self):
+        # The bound holds for every uniform sampling, nice included, and
+        # for non-quadratic pairs; the run uses the pair's value.
+        for obj, scheme, lam in (
+            (random_quadratic(5, 50), SamplingScheme("parallel-nice", 5, 2, c=2), 1.0),
+            (nonquadratic_objective(6), SamplingScheme("parallel-nice", 6, 3, c=2), 1.1),
+        ):
+            trace = run(obj, SolverConfig(scheme, b="auto", theta="bound", seed=5))
+            assert trace.converged
+            assert trace.theta_used == obj.curvature().cond_bound(scheme.tau)
+            assert trace.b == pytest.approx(b_threshold(2, lam, trace.theta_used), rel=1e-12)
+
     def test_non_overlapping_converges(self):
         obj = random_quadratic(8, 15)
         config = SolverConfig(
@@ -327,15 +338,7 @@ class TestDampingMemo:
         ],
     )
     def test_second_run_reuses_damping(self, build, theta_source, monkeypatch):
-        calls = []
-        for name in ("expected_lifted_inverse", "theta", "lambda_ratio", "theta_cond_bound"):
-            original = getattr(psn.solver, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(psn.solver, name, counted)
+        calls = count_spectral_work(monkeypatch)
         obj = build()
         scheme = SamplingScheme("list", 9, 3)
 
@@ -352,6 +355,10 @@ class TestDampingMemo:
             assert calls == []
             fresh = run(build(), config(c))
             assert (trace.b, trace.theta_used) == (fresh.b, fresh.theta_used)
+
+    def test_one_pair_per_objective(self):
+        for obj in (random_quadratic(5, 57), nonquadratic_objective(5)):
+            assert obj.curvature() is obj.curvature()
 
     def test_numeric_theta_is_used_as_given(self):
         obj = random_quadratic(6, 49)
@@ -545,12 +552,6 @@ class TestGuards:
         obj = random_quadratic(5, 49)
         with pytest.raises(ValueError, match="theta"):
             run(obj, SolverConfig(SamplingScheme("nice", 5, 2), b="auto"))
-
-    def test_bound_theta_requires_list(self):
-        obj = random_quadratic(5, 50)
-        config = SolverConfig(SamplingScheme("nice", 5, 2), b="auto", theta="bound")
-        with pytest.raises(ValueError, match="list"):
-            run(obj, config)
 
     def test_dimension_mismatch(self):
         obj = random_quadratic(5, 51)
