@@ -74,20 +74,11 @@ def _parse_gen(text: str) -> dict:
             f"generator {kind!r} needs parameters {','.join(names)} "
             f"(e.g. --gen {kind}:{','.join(names)})"
         )
-    raw = {}
-    for name, part in zip(names, parts):
-        key, eq, value = part.partition("=")
-        if eq:
-            if key.strip() != name:
-                raise ValueError(f"generator parameter {key.strip()!r} unknown; expected {name!r}")
-            raw[name] = value.strip()
-        else:
-            raw[name] = part
     out: dict = {"kind": kind}
     try:
-        out["n"] = int(raw["n"])
-        for name in names[1:]:
-            out[name] = int(raw[name]) if name == "m" else float(raw[name])
+        out["n"] = int(parts[0])
+        for name, part in zip(names[1:], parts[1:]):
+            out[name] = int(part) if name == "m" else float(part)
     except ValueError:
         raise ValueError(f"bad numeric value in generator spec {text!r}") from None
     return out
@@ -353,7 +344,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(sub: argparse.ArgumentParser, default_scheme: str) -> None:
     sub.add_argument("--scheme", default=default_scheme,
-                     help="sampling, e.g. 'nice:tau=2' or 'parallel-list:tau=5,c=4'")
+                     help="sampling nice, list or non-overlapping, e.g. 'list:tau=5,c=4'; "
+                          "parallel-nice and parallel-list spell nice and list")
     sub.add_argument("--c", default=None,
                      help="comma-separated worker counts (overrides the scheme's c)")
     sub.add_argument("--b", default="auto", help="damping: 'auto' or a number")

@@ -182,11 +182,12 @@ class ErmProblem:
     example), targets y (length n), a loss object, and lam_reg > 0.
 
     A and y are stored as read-only copies, so later changes to the
-    caller's arrays cannot reach the problem.  That keeps valid the
-    curvature pair of the dual, which holds M (the Hessian bound X) and
-    G and every spectral constant derived from them: curvature() builds
-    it once and keeps it for the life of the problem, so runs at
-    several worker counts resolve lambda and theta once.
+    caller's arrays cannot reach the problem.  That keeps valid what the
+    problem builds on first use and keeps for its life: the Hessian
+    bound X (smoothness_matrix()) and the curvature pair of the dual
+    (curvature()), which holds X as M, and G, and every spectral
+    constant derived from them, so runs at several worker counts
+    resolve lambda and theta once.
     """
 
     A: np.ndarray = field(repr=False)
@@ -234,8 +235,15 @@ class ErmProblem:
         return X
 
     def smoothness_matrix(self) -> np.ndarray:
-        """Dual Hessian bound X = (1/(lam n^2)) A'A + I/(gamma n)."""
-        return self._dual_bound(self.loss.gamma)
+        """Dual Hessian bound X = (1/(lam n^2)) A'A + I/(gamma n), built
+        on the first call, read-only and the same array after that."""
+        return self._smoothness
+
+    @cached_property
+    def _smoothness(self) -> np.ndarray:
+        X = self._dual_bound(self.loss.gamma)
+        X.flags.writeable = False
+        return X
 
     def curvature(self) -> CurvaturePair:
         """Curvature pair of the (negated) dual objective, built and
@@ -271,15 +279,10 @@ class ErmProblem:
         """D from the terms phi_i*(-alpha_i, y_i) and abar of alpha."""
         return float(-np.sum(conjugates) / self.n - 0.5 * self.lam_reg * (abar @ abar))
 
-    def psi_gradient(self, alpha: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of psi_i(alpha_i) = (1/n) phi_i*(-alpha_i) at the
-        given coordinates (all of them by default)."""
-        if idx is None:
-            return -np.asarray(
-                self.loss.conjugate_derivative(-alpha, self.y), dtype=np.float64
-            ) / self.n
+    def psi_gradient(self, alpha: np.ndarray) -> np.ndarray:
+        """Gradient of psi_i(alpha_i) = (1/n) phi_i*(-alpha_i)."""
         return -np.asarray(
-            self.loss.conjugate_derivative(-alpha[idx], self.y[idx]), dtype=np.float64
+            self.loss.conjugate_derivative(-alpha, self.y), dtype=np.float64
         ) / self.n
 
 

@@ -20,18 +20,16 @@ from .linalg import check_symmetric
 __all__ = ["read_matrix", "write_matrix", "read_vector", "write_vector", "write_csv"]
 
 
-def read_matrix(path, require_symmetric: bool = True) -> np.ndarray:
-    """Read a dense or coordinate Matrix Market file into a dense array."""
+def read_matrix(path) -> np.ndarray:
+    """Read a dense or coordinate Matrix Market file into a dense
+    symmetric array; an asymmetric matrix raises ValueError."""
     try:
         M = scipy.io.mmread(path)
     except (ValueError, OSError) as err:
         raise ValueError(f"cannot read matrix from {path}: {err}") from err
     if scipy.sparse.issparse(M):
         M = M.toarray()
-    M = np.asarray(M, dtype=np.float64)
-    if require_symmetric:
-        M = check_symmetric(M)
-    return M
+    return check_symmetric(M)
 
 
 def write_matrix(path, M: np.ndarray, comment: str = "") -> None:

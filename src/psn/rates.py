@@ -69,7 +69,7 @@ class CurvaturePair:
 
     def __post_init__(self):
         M = check_symmetric(self.M)
-        G = check_symmetric(self.G)
+        G = M if self.G is self.M else check_symmetric(self.G)
         if M.shape != G.shape:
             raise ValueError(f"shape mismatch: M {M.shape} vs G {G.shape}")
         object.__setattr__(self, "M", M)
@@ -89,7 +89,6 @@ class CurvaturePair:
     @classmethod
     def from_hessian(cls, M: np.ndarray) -> "CurvaturePair":
         """Pair for a quadratic objective, where M and G coincide."""
-        M = check_symmetric(M)
         return cls(M, M)
 
     @property

@@ -1,26 +1,25 @@
 """Random index-set samplings and their first-moment statistics.
 
-A sampling scheme describes how blocks of coordinates are picked each
-iteration:
+A sampling scheme is a kind, a dimension n, a block size tau and a
+worker count c.  Each iteration every worker gets one index set:
 
-* ``nice``        -- one subset of size tau, uniform over all subsets.
-* ``list``        -- one of the n contiguous windows of length tau,
-                     taken cyclically modulo n, uniform over windows.
-* ``parallel-nice`` / ``parallel-list``
-                  -- c independent copies of the serial scheme, one per
-                     worker: c successive serial draws from the one
-                     generator, so c=1 reproduces the serial scheme.
+* ``nice``  -- a uniform subset of size tau, drawn by each worker
+               independently (spelled ``parallel-nice`` too).
+* ``list``  -- one of the n cyclic windows of length tau, uniform over
+               windows, drawn by each worker independently (spelled
+               ``parallel-list`` too).
 * ``non-overlapping``
-                  -- one uniform subset of size c*tau in random order,
-                     cut into c pairwise disjoint sets of size tau.
+            -- one uniform subset of size c*tau in random order, cut
+               into c pairwise disjoint sets of size tau.
 
 Every draw comes from the generator it is given, as one (c, tau) array
-of sorted index sets; worker threads never draw.
+of sorted index sets; worker threads never draw.  For nice and list the
+c rows are c successive one-worker draws, so c=1 is the serial scheme.
 
-Expected lifted inverses refer to one constituent set: for the
-parallel schemes each worker's set has the distribution of the serial
-counterpart, and for ``non-overlapping`` each chunk of a uniform
-(c*tau)-subset is itself a uniform tau-subset.
+Expected lifted inverses refer to one constituent set: for nice and
+list each worker's set has the one-worker distribution, and for
+``non-overlapping`` each chunk of a uniform (c*tau)-subset is itself a
+uniform tau-subset.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
-    "SERIAL_KINDS",
-    "PARALLEL_KINDS",
+    "KINDS",
     "SamplingScheme",
     "parse_scheme",
     "draw",
@@ -41,8 +39,8 @@ __all__ = [
     "expected_lifted_inverse",
 ]
 
-SERIAL_KINDS = ("nice", "list")
-PARALLEL_KINDS = ("parallel-nice", "parallel-list", "non-overlapping")
+KINDS = ("nice", "list", "non-overlapping")
+_ALIASES = {"parallel-nice": "nice", "parallel-list": "list"}
 
 # Refuse exact enumeration beyond this many subsets.
 ENUMERATION_LIMIT = 10**6
@@ -54,7 +52,7 @@ _CHUNK_ENTRIES = 4096 * 16
 @dataclass(frozen=True)
 class SamplingScheme:
     """Immutable description of a sampling: kind, dimension n, block size
-    tau, and worker count c (1 for the serial kinds)."""
+    tau, and worker count c."""
 
     kind: str
     n: int
@@ -62,52 +60,33 @@ class SamplingScheme:
     c: int = 1
 
     def __post_init__(self):
-        if self.kind not in SERIAL_KINDS + PARALLEL_KINDS:
-            raise ValueError(
-                f"unknown sampling kind {self.kind!r}; expected one of "
-                f"{SERIAL_KINDS + PARALLEL_KINDS}"
-            )
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown sampling kind {self.kind!r}; expected one of {KINDS}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if not 1 <= self.tau <= self.n:
             raise ValueError(f"tau must lie in [1, n={self.n}], got {self.tau}")
         if self.c < 1:
             raise ValueError(f"c must be positive, got {self.c}")
-        if self.kind in SERIAL_KINDS and self.c != 1:
-            raise ValueError(f"serial sampling {self.kind!r} requires c=1, got c={self.c}")
         if self.kind == "non-overlapping" and self.c * self.tau > self.n:
             raise ValueError(
                 f"non-overlapping sampling needs c*tau <= n, got "
                 f"{self.c}*{self.tau} > {self.n}"
             )
 
-    @property
-    def serial_kind(self) -> str:
-        """Kind of one constituent set ('nice' or 'list')."""
-        if self.kind in ("nice", "parallel-nice", "non-overlapping"):
-            return "nice"
-        return "list"
-
     def constituent(self) -> "SamplingScheme":
-        """Serial scheme with the distribution of one constituent set."""
-        return SamplingScheme(self.serial_kind, self.n, self.tau, 1)
+        """One-worker scheme with the distribution of one constituent set."""
+        return SamplingScheme("list" if self.kind == "list" else "nice", self.n, self.tau)
 
     def with_workers(self, c: int) -> "SamplingScheme":
-        """Same sampling family at a different worker count.
-
-        c == 1 drops to the serial kind; c > 1 lifts 'nice'/'list' to
-        their parallel variants.  Non-overlapping stays non-overlapping.
-        """
-        if self.kind == "non-overlapping":
-            return replace(self, c=c)
-        if c == 1:
-            return SamplingScheme(self.serial_kind, self.n, self.tau, 1)
-        return SamplingScheme("parallel-" + self.serial_kind, self.n, self.tau, c)
+        """The same sampling at worker count c."""
+        return replace(self, c=c)
 
 
 def parse_scheme(text: str, n: int) -> SamplingScheme:
-    """Parse a scheme string such as 'nice:tau=2' or
-    'parallel-list:tau=5,c=4' against dimension n."""
+    """Parse a scheme string such as 'nice:tau=2' or 'list:tau=5,c=4'
+    against dimension n; 'parallel-nice' and 'parallel-list' spell
+    'nice' and 'list'."""
     kind, _, params = text.strip().partition(":")
     kind = kind.strip()
     opts: dict[str, int] = {}
@@ -125,7 +104,7 @@ def parse_scheme(text: str, n: int) -> SamplingScheme:
                 raise ValueError(f"bad integer in scheme parameter {item!r}") from None
     if "tau" not in opts:
         raise ValueError(f"scheme {text!r} does not specify tau")
-    return SamplingScheme(kind, n, opts["tau"], opts.get("c", 1))
+    return SamplingScheme(_ALIASES.get(kind, kind), n, opts["tau"], opts.get("c", 1))
 
 
 def _windows(starts, tau: int, n: int) -> np.ndarray:
@@ -140,16 +119,16 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
     """Draw one realisation: a (c, tau) int64 array whose row i is
     worker i's index set, sorted.
 
-    All sets come from rng.  For the serial and parallel kinds the c
-    rows are c successive serial draws, so the sets are independent and
-    a one-worker parallel scheme consumes the stream exactly as its
-    serial kind does.  Non-overlapping cuts one uniform (c*tau)-subset,
-    which choice returns in random order, into c rows.
+    All sets come from rng.  For nice and list the c rows are c
+    successive one-worker draws, so the sets are independent and the
+    stream is consumed as by c one-worker draws.  Non-overlapping cuts
+    one uniform (c*tau)-subset, which choice returns in random order,
+    into c rows.
     """
     n, tau, c = scheme.n, scheme.tau, scheme.c
     if scheme.kind == "non-overlapping":
         sets = rng.choice(n, size=c * tau, replace=False).reshape(c, tau)
-    elif scheme.serial_kind == "nice":
+    elif scheme.kind == "nice":
         sets = np.array([rng.choice(n, size=tau, replace=False) for _ in range(c)])
     else:
         # A scalar draw costs a third of a size-1 array draw and leaves

@@ -66,11 +66,11 @@ def probability_matrix(scheme):
     """Pairwise inclusion probabilities of one constituent set of scheme.
 
     Entry (i, j) is P(i and j both sampled); the diagonal holds the
-    single-coordinate probabilities P(i sampled) = tau / n.  Parallel
-    kinds report the matrix of one constituent set.
+    single-coordinate probabilities P(i sampled) = tau / n.  Schemes
+    with c > 1 report the matrix of one constituent set.
     """
     n, tau = scheme.n, scheme.tau
-    if scheme.serial_kind == "nice":
+    if scheme.constituent().kind == "nice":
         off = tau * (tau - 1) / (n * (n - 1)) if n > 1 else 1.0
         P = np.full((n, n), off)
     else:

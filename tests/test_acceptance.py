@@ -59,7 +59,7 @@ def test_01_parallel_one_step_contraction_bound():
         rng = np.random.default_rng(100)
         objective = quadratic_objective(M, rng.standard_normal(n))
         pair = CurvaturePair.from_hessian(M)
-        scheme = SamplingScheme("parallel-nice", n, 2, c=2)
+        scheme = SamplingScheme("nice", n, 2, c=2)
         E = expected_lifted_inverse(M, scheme).matrix
         th = theta(pair, E)
         b_star = b_threshold(2, 1.0, th)
@@ -212,7 +212,7 @@ def test_09_heat_solve_and_worker_speedup():
         th = theta_cond_bound(5, M)
         mean_iterations = []
         for c in (1, 2, 4):
-            scheme = SamplingScheme("list" if c == 1 else "parallel-list", n, 5, c=c)
+            scheme = SamplingScheme("list", n, 5, c=c)
             counts = []
             for seed in range(5):
                 config = SolverConfig(

@@ -73,6 +73,15 @@ class TestSolve:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_parallel_spelling_writes_the_same_bytes(self, tmp_path):
+        blobs = []
+        for scheme in ("nice:tau=2,c=3", "parallel-nice:tau=2,c=3"):
+            out = tmp_path / f"{scheme.partition(':')[0]}.csv"
+            args = ["solve", "--gen", "dense:10,14", "--scheme", scheme, "--b", "1.5"]
+            assert main(args + ["--seed", "7", "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_matrix_input_with_rhs(self, tmp_path):
         M = make_rho_matrix(6, 0.4)
         write_matrix(tmp_path / "m.mtx", M)
@@ -178,6 +187,11 @@ class TestSolve:
     def test_list_flags_name_their_errors(self, argv, line, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_generator_values_are_positional(self, capsys):
+        assert main(["solve", "--gen", "dense:n=10,m=14", "--b", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad numeric value in generator spec 'dense:n=10,m=14'\n"
 
     def test_bound_damping_with_nice_sampling(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"

@@ -206,6 +206,27 @@ class TestProblemSetup:
         assert pair.quadratic
         assert np.abs(pair.M - prob.smoothness_matrix()).max() < 1e-14
 
+    @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(1e-2)])
+    def test_smoothness_matrix_built_once(self, loss, monkeypatch):
+        prob = random_problem(3, 6, 8, loss=loss)
+        built, dual_bound = [], ErmProblem._dual_bound
+
+        def counting(self, curv):
+            built.append(curv)
+            return dual_bound(self, curv)
+
+        monkeypatch.setattr(ErmProblem, "_dual_bound", counting)
+        calls = count_spectral_work(monkeypatch)
+        config = SolverConfig(SamplingScheme("nice", 6, 2), b=1.0, seed=0, max_iter=5)
+        for _ in range(2):
+            run_erm(prob, config)
+            assert built == [loss.gamma]
+        assert calls == []  # an explicit b builds no pair
+        X = prob.smoothness_matrix()
+        assert not X.flags.writeable
+        assert prob.curvature().M is X
+        assert prob.smoothness_matrix() is X
+
     def test_curvature_gap_for_logistic(self):
         prob = random_problem(3, 5, 7, loss=LogisticLoss(1e-2))
         pair = prob.curvature()
@@ -277,7 +298,7 @@ class TestRunErm:
     def test_parallel_auto_damping(self):
         prob = random_problem(5, 16, 17)
         config = SolverConfig(
-            SamplingScheme("parallel-nice", 16, 4, c=3),
+            SamplingScheme("nice", 16, 4, c=3),
             b="auto",
             theta="exact",
             tol=1e-9,
@@ -292,11 +313,7 @@ class TestRunErm:
         prob = random_problem(6, 24, 30, lam=0.5)
         counts = {}
         for c in (1, 4):
-            scheme = (
-                SamplingScheme("nice", 24, 3)
-                if c == 1
-                else SamplingScheme("parallel-nice", 24, 3, c=4)
-            )
+            scheme = SamplingScheme("nice", 24, 3, c=c)
             config = SolverConfig(scheme, b="auto", theta="exact", tol=1e-9, seed=5)
             trace = run_erm(prob, config)
             assert trace.converged
@@ -322,7 +339,7 @@ class TestRunErm:
         base = None
         for threads in (1, 2, 4):
             config = SolverConfig(
-                SamplingScheme("parallel-nice", 18, 3, c=3),
+                SamplingScheme("nice", 18, 3, c=3),
                 b=2.0,
                 seed=6,
                 threads=threads,
@@ -348,7 +365,7 @@ class TestRunErm:
         # 8 blocks of 10 of the 20 coordinates at b = 1 overshoot: -D
         # rises until the guard stops the run, before anything overflows.
         prob = random_problem(5, 20, 0, loss=loss, lam=0.01)
-        config = SolverConfig(SamplingScheme("parallel-nice", 20, 10, c=8), b=1.0)
+        config = SolverConfig(SamplingScheme("nice", 20, 10, c=8), b=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="damping"):

@@ -32,9 +32,6 @@ def test_rejects_asymmetric_when_required(tmp_path):
     scipy.io.mmwrite(path, np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         read_matrix(path)
-    # but passes when symmetry is not demanded
-    out = read_matrix(path, require_symmetric=False)
-    assert out[0, 1] == 2.0
 
 
 def test_missing_file_raises_value_error():

@@ -52,6 +52,24 @@ class TestCurvaturePair:
         assert pair.quadratic
         assert lambda_ratio(pair) == 1.0
 
+    def test_shared_matrix_is_checked_once(self, monkeypatch):
+        M = random_pd(5, 2)
+        M[0, 1] += 1e-12 * np.abs(M).max()  # symmetric only within tolerance
+        checks, check = [], psn.linalg.check_symmetric
+
+        def counting(A, *args, **kwargs):
+            checks.append(A)
+            return check(A, *args, **kwargs)
+
+        monkeypatch.setattr(psn.linalg, "check_symmetric", counting)
+        monkeypatch.setattr(psn.rates, "check_symmetric", counting)
+        for pair in (CurvaturePair(M, M), CurvaturePair.from_hessian(M)):
+            assert pair.M is pair.G
+            assert pair.quadratic
+            assert np.array_equal(pair.M, pair.M.T)
+        # One pass in the pair and one in eigen_extremes, for each pair.
+        assert len(checks) == 4
+
     def test_rejects_indefinite(self):
         M = np.diag([1.0, -1.0])
         with pytest.raises(ValueError):
@@ -377,7 +395,7 @@ class TestRateReport:
         pair = CurvaturePair.from_hessian(M)
         base = rate_report(pair, SamplingScheme("nice", 6, 2))
         for c in (2, 4, 8):
-            rep = rate_report(pair, SamplingScheme("parallel-nice", 6, 2, c=c))
+            rep = rate_report(pair, SamplingScheme("nice", 6, 2, c=c))
             assert rep.sigma1 == pytest.approx(base.sigma1, rel=1e-12)
             assert rep.b_min == pytest.approx((c - 1) * base.theta + 1, rel=1e-12)
             assert rep.sigma_p == pytest.approx(c * base.sigma1 / rep.b_min)
@@ -389,7 +407,7 @@ class TestRateReport:
         M = make_rho_matrix(8, 0.5)
         pair = CurvaturePair.from_hessian(M)
         base = rate_report(pair, SamplingScheme("nice", 8, 2))
-        rep = rate_report(pair, SamplingScheme("parallel-nice", 8, 2, c=64))
+        rep = rate_report(pair, SamplingScheme("nice", 8, 2, c=64))
         assert rep.speedup < 1.0 / base.theta
 
     def test_non_overlapping_flagged(self):
@@ -402,7 +420,7 @@ class TestRateReport:
     def test_sigma_p_at_other_damping(self):
         M = make_rho_matrix(6, 0.3)
         pair = CurvaturePair.from_hessian(M)
-        rep = rate_report(pair, SamplingScheme("parallel-nice", 6, 2, c=3))
+        rep = rate_report(pair, SamplingScheme("nice", 6, 2, c=3))
         assert sigma_p(3, 2 * rep.b_min, rep.sigma1, rep.b_min) == pytest.approx(rep.sigma_p / 2)
         with pytest.raises(ValueError):
             sigma_p(3, 0.5 * rep.b_min, rep.sigma1, rep.b_min)

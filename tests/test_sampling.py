@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from psn.linalg import lifted_inverse, make_rho_matrix, make_tridiagonal
 from psn.rates import rho_closed_forms
 from psn.sampling import (
-    PARALLEL_KINDS,
-    SERIAL_KINDS,
+    KINDS,
     SamplingScheme,
     draw,
     expected_lifted_inverse,
@@ -40,9 +39,22 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             SamplingScheme("nice", 5, 6)
 
-    def test_serial_kinds_require_c_one(self):
-        with pytest.raises(ValueError):
-            SamplingScheme("nice", 5, 2, c=2)
+    def test_parallel_spelling_draws_the_same(self):
+        for kind in ("nice", "list"):
+            scheme = SamplingScheme(kind, 9, 2, c=3)
+            spelled = parse_scheme(f"parallel-{kind}:tau=2,c=3", 9)
+            assert spelled == scheme
+            rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+            for _ in range(3):
+                assert draw(scheme, rng).tobytes() == draw(spelled, ref).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_only_canonical_kinds(self):
+        for kind in ("parallel-nice", "parallel-list"):
+            with pytest.raises(ValueError, match="unknown sampling kind"):
+                SamplingScheme(kind, 5, 2, c=2)
+        with pytest.raises(ValueError, match="unknown sampling kind"):
+            parse_scheme("parallel-non-overlapping:tau=2", 8)
 
     def test_non_overlapping_capacity(self):
         SamplingScheme("non-overlapping", 6, 2, c=3)
@@ -50,8 +62,9 @@ class TestSchemeValidation:
             SamplingScheme("non-overlapping", 6, 2, c=4)
 
     def test_parse_round_trip(self):
-        s = parse_scheme("parallel-list:tau=5,c=4", 20)
-        assert (s.kind, s.n, s.tau, s.c) == ("parallel-list", 20, 5, 4)
+        s = parse_scheme("list:tau=5,c=4", 20)
+        assert (s.kind, s.n, s.tau, s.c) == ("list", 20, 5, 4)
+        assert parse_scheme("parallel-list:tau=5,c=4", 20) == s
         s = parse_scheme("nice:tau=2", 7)
         assert (s.kind, s.tau, s.c) == ("nice", 2, 1)
 
@@ -65,13 +78,14 @@ class TestSchemeValidation:
 
     def test_with_workers_lifts_and_drops(self):
         s = parse_scheme("nice:tau=2", 8)
-        assert s.with_workers(4).kind == "parallel-nice"
-        assert s.with_workers(4).c == 4
-        assert s.with_workers(1).kind == "nice"
+        assert s.with_workers(4) == SamplingScheme("nice", 8, 2, c=4)
+        assert s.with_workers(4).with_workers(1) == s
         p = parse_scheme("parallel-list:tau=2,c=3", 8)
-        assert p.with_workers(1).kind == "list"
+        assert p.with_workers(1) == SamplingScheme("list", 8, 2)
         no = SamplingScheme("non-overlapping", 8, 2, c=2)
-        assert no.with_workers(4).kind == "non-overlapping"
+        assert no.with_workers(4) == SamplingScheme("non-overlapping", 8, 2, c=4)
+        with pytest.raises(ValueError):
+            no.with_workers(5)
 
 
 class TestDraws:
@@ -108,7 +122,7 @@ class TestDraws:
         assert seen == windows  # all n windows occur
 
     def test_parallel_draw_structure(self):
-        scheme = SamplingScheme("parallel-nice", 5, 2, c=2)
+        scheme = SamplingScheme("nice", 5, 2, c=2)
         rng = np.random.default_rng(3)
         sets = draw(scheme, rng)
         assert len(sets) == 2
@@ -116,7 +130,7 @@ class TestDraws:
             assert len(S) == 2 and np.all((0 <= S) & (S < 5))
 
     def test_parallel_draw_reproducible(self):
-        scheme = SamplingScheme("parallel-list", 10, 3, c=4)
+        scheme = SamplingScheme("list", 10, 3, c=4)
         a = draw(scheme, np.random.default_rng(42))
         b = draw(scheme, np.random.default_rng(42))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -156,20 +170,15 @@ def draw_schemes(data, kinds, max_n):
     kind = data.draw(st.sampled_from(kinds), label="kind")
     n = data.draw(st.integers(1, max_n), label="n")
     tau = data.draw(st.integers(1, min(n, 8)), label="tau")
-    if kind in SERIAL_KINDS:
-        c = 1
-    elif kind == "non-overlapping":
-        c = data.draw(st.integers(1, n // tau), label="c")
-    else:
-        c = data.draw(st.integers(1, 6), label="c")
-    return SamplingScheme(kind, n, tau, c)
+    c_max = n // tau if kind == "non-overlapping" else 6
+    return SamplingScheme(kind, n, tau, data.draw(st.integers(1, c_max), label="c"))
 
 
 class TestDrawProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_rows_are_sorted_sets_in_range(self, data):
-        scheme = draw_schemes(data, SERIAL_KINDS + PARALLEL_KINDS, 40)
+        scheme = draw_schemes(data, KINDS, 40)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         for _ in range(3):
             sets = draw(scheme, rng)
@@ -183,13 +192,12 @@ class TestDrawProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_rows_are_successive_serial_draws(self, data):
-        kinds = ("nice", "list", "parallel-nice", "parallel-list")
-        scheme = draw_schemes(data, kinds, 10**6)
+        scheme = draw_schemes(data, ("nice", "list"), 10**6)
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):
             expected = [
-                serial_draw(scheme.serial_kind, scheme.n, scheme.tau, ref)
+                serial_draw(scheme.constituent().kind, scheme.n, scheme.tau, ref)
                 for _ in range(scheme.c)
             ]
             assert np.array_equal(draw(scheme, rng), expected)
@@ -223,7 +231,7 @@ class TestProbabilityMatrix:
         for scheme in (
             SamplingScheme("nice", 8, 3),
             SamplingScheme("list", 8, 3),
-            SamplingScheme("parallel-nice", 8, 3, c=2),
+            SamplingScheme("nice", 8, 3, c=2),
             SamplingScheme("non-overlapping", 8, 2, c=3),
         ):
             P = probability_matrix(scheme)
@@ -302,7 +310,7 @@ class TestExpectedInverse:
         M = make_rho_matrix(5, 0.5)
         serial = expected_lifted_inverse(M, SamplingScheme("nice", 5, 2)).matrix
         par = expected_lifted_inverse(
-            M, SamplingScheme("parallel-nice", 5, 2, c=3)
+            M, SamplingScheme("nice", 5, 2, c=3)
         ).matrix
         non = expected_lifted_inverse(
             M, SamplingScheme("non-overlapping", 5, 2, c=2)

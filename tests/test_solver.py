@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from psn.linalg import make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, theta, theta_cond_bound
-from psn.sampling import PARALLEL_KINDS, SERIAL_KINDS, SamplingScheme, draw, expected_lifted_inverse
+from psn.sampling import KINDS, SamplingScheme, draw, expected_lifted_inverse, parse_scheme
 from psn.solver import (
     DivergenceError,
     SolverConfig,
@@ -204,13 +204,10 @@ class TestBlockKernel:
     @given(data=st.data())
     def test_draws_match_per_block_reference(self, data):
         n = data.draw(st.integers(1, 30), label="n")
-        kind = data.draw(st.sampled_from(SERIAL_KINDS + PARALLEL_KINDS), label="kind")
+        kind = data.draw(st.sampled_from(KINDS), label="kind")
         tau = data.draw(st.integers(1, n), label="tau")
-        if kind in SERIAL_KINDS:
-            c = 1
-        else:
-            top = n // tau if kind == "non-overlapping" else 4
-            c = data.draw(st.integers(1, min(4, top)), label="c")
+        top = n // tau if kind == "non-overlapping" else 4
+        c = data.draw(st.integers(1, min(4, top)), label="c")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n))
@@ -261,7 +258,7 @@ class TestRunConvergence:
     def test_parallel_auto_damping_converges(self):
         obj = random_quadratic(8, 13)
         config = SolverConfig(
-            SamplingScheme("parallel-nice", 8, 2, c=4), b="auto", theta="exact", seed=1
+            SamplingScheme("nice", 8, 2, c=4), b="auto", theta="exact", seed=1
         )
         trace = run(obj, config)
         assert trace.converged
@@ -273,7 +270,7 @@ class TestRunConvergence:
     def test_list_bound_damping_converges(self):
         obj = random_quadratic(9, 14)
         config = SolverConfig(
-            SamplingScheme("parallel-list", 9, 3, c=3), b="auto", theta="bound", seed=2
+            SamplingScheme("list", 9, 3, c=3), b="auto", theta="bound", seed=2
         )
         trace = run(obj, config)
         assert trace.converged
@@ -284,8 +281,8 @@ class TestRunConvergence:
         # The bound holds for every uniform sampling, nice included, and
         # for non-quadratic pairs; the run uses the pair's value.
         for obj, scheme, lam in (
-            (random_quadratic(5, 50), SamplingScheme("parallel-nice", 5, 2, c=2), 1.0),
-            (nonquadratic_objective(6), SamplingScheme("parallel-nice", 6, 3, c=2), 1.1),
+            (random_quadratic(5, 50), SamplingScheme("nice", 5, 2, c=2), 1.0),
+            (nonquadratic_objective(6), SamplingScheme("nice", 6, 3, c=2), 1.1),
         ):
             trace = run(obj, SolverConfig(scheme, b="auto", theta="bound", seed=5))
             assert trace.converged
@@ -302,7 +299,7 @@ class TestRunConvergence:
     def test_nonquadratic_converges_to_zero(self):
         obj = nonquadratic_objective(6)
         config = SolverConfig(
-            SamplingScheme("parallel-nice", 6, 2, c=2), b="auto", theta="exact", seed=4
+            SamplingScheme("nice", 6, 2, c=2), b="auto", theta="exact", seed=4
         )
         trace = run(obj, config)
         assert trace.converged
@@ -363,7 +360,7 @@ class TestDampingMemo:
     def test_numeric_theta_is_used_as_given(self):
         obj = random_quadratic(6, 49)
         for th in (0.5, 0.25):
-            config = SolverConfig(SamplingScheme("parallel-nice", 6, 2, c=3), theta=th, max_iter=2)
+            config = SolverConfig(SamplingScheme("nice", 6, 2, c=3), theta=th, max_iter=2)
             trace = run(obj, config)
             assert (trace.b, trace.theta_used) == (2.0 * th + 1.0, th)
 
@@ -384,7 +381,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", ["parallel-nice", "non-overlapping"])
     def test_parallel_driver_matches_reference_loop(self, kind):
         obj = random_quadratic(9, 47)
-        config = SolverConfig(SamplingScheme(kind, 9, 2, c=3), b=2.5, seed=4, max_iter=300)
+        config = SolverConfig(parse_scheme(f"{kind}:tau=2,c=3", 9), b=2.5, seed=4, max_iter=300)
         a, b = run(obj, config), reference_run(obj, config, 2.5)
         assert a.status == b.status
         assert trace_values(a) == trace_values(b)
@@ -397,13 +394,11 @@ class TestDeterminism:
          (random_quadratic(9, 44), 0)],
     )
     def test_one_worker_parallel_scheme_reproduces_serial(self, obj, seed, kind):
-        def trace(scheme_kind):
-            config = SolverConfig(
-                SamplingScheme(scheme_kind, obj.n, 3), b=1.0, seed=seed, max_iter=2000
-            )
-            return run(obj, config)
+        def trace(scheme):
+            return run(obj, SolverConfig(scheme, b=1.0, seed=seed, max_iter=2000))
 
-        serial, parallel = trace(kind), trace("parallel-" + kind)
+        serial = trace(SamplingScheme(kind, obj.n, 3))
+        parallel = trace(parse_scheme(f"parallel-{kind}:tau=3,c=1", obj.n))
         assert serial.status == parallel.status == "converged"
         assert trace_values(parallel) == trace_values(serial)
         assert np.array_equal(parallel.x, serial.x)
@@ -436,7 +431,7 @@ class TestDeterminism:
         base = None
         for threads in (1, 2, 4):
             config = SolverConfig(
-                SamplingScheme("parallel-nice", 10, 2, c=3),
+                SamplingScheme("nice", 10, 2, c=3),
                 b=2.0,
                 seed=5,
                 threads=threads,
@@ -452,14 +447,14 @@ class TestDeterminism:
 
     def test_same_seed_same_trace(self):
         obj = random_quadratic(8, 45)
-        config = SolverConfig(SamplingScheme("parallel-nice", 8, 2, c=2), b=1.5, seed=7)
+        config = SolverConfig(SamplingScheme("nice", 8, 2, c=2), b=1.5, seed=7)
         assert np.array_equal(run(obj, config).x, run(obj, config).x)
 
 
 class TestIncrementalGradient:
     def test_converges_and_matches_direct_solution(self):
         obj = random_quadratic(12, 46)
-        scheme = SamplingScheme("parallel-nice", 12, 3, c=2)
+        scheme = SamplingScheme("nice", 12, 3, c=2)
         fast = run(obj, SolverConfig(scheme, b=1.5, seed=8, incremental_gradient=True))
         slow = run(obj, SolverConfig(scheme, b=1.5, seed=8))
         assert fast.converged and slow.converged
@@ -513,7 +508,7 @@ class TestGuards:
         # x' - x* = -2 (x - x*), so the objective rises every iteration.
         obj = random_quadratic(6, 47)
         config = SolverConfig(
-            SamplingScheme("parallel-nice", 6, 6, c=3),
+            SamplingScheme("nice", 6, 6, c=3),
             b=1.0,
             seed=10,
             x0=obj.x_star + 1.0,
