@@ -44,7 +44,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.special
 
-from .linalg import check_index_set
+from .linalg import check_index_set, eigen_extremes
 from .rates import CurvaturePair
 from .solver import (
     SolverConfig,
@@ -116,8 +116,8 @@ class LogisticLoss:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def gamma(self) -> float:
@@ -179,15 +179,18 @@ class LogisticLoss:
 @dataclass(frozen=True)
 class ErmProblem:
     """Dataset and regulariser: feature matrix A (d x n, one column per
-    example), targets y (length n), a loss object, and lam_reg > 0.
+    example) and targets y (length n), both finite, a loss object, and
+    a finite lam_reg > 0.
 
     A and y are stored as read-only copies, so later changes to the
     caller's arrays cannot reach the problem.  That keeps valid what the
     problem builds on first use and keeps for its life: the Hessian
-    bound X (smoothness_matrix()) and the curvature pair of the dual
-    (curvature()), which holds X as M, and G, and every spectral
-    constant derived from them, so runs at several worker counts
-    resolve lambda and theta once.
+    bound X (smoothness_matrix()), from the problem's one n x n Gram
+    product, and the curvature pair of the dual (curvature()), which
+    holds X as M, and G, and every spectral constant derived from them,
+    so runs at several worker counts resolve lambda and theta once.
+    The pair's extremes and lambda come from the smaller Gram matrix
+    (d x d when d < n); only an exact theta works at order n.
     """
 
     A: np.ndarray = field(repr=False)
@@ -204,8 +207,10 @@ class ErmProblem:
             raise ValueError(
                 f"y must have one entry per column of A ({A.shape[1]}), got {y.shape}"
             )
-        if self.lam_reg <= 0.0:
-            raise ValueError(f"lam_reg must be positive, got {self.lam_reg}")
+        if not (np.isfinite(A).all() and np.isfinite(y).all()):
+            raise ValueError("A and y must be finite")
+        if not 0.0 < self.lam_reg < math.inf:
+            raise ValueError(f"lam_reg must be positive and finite, got {self.lam_reg}")
         if isinstance(self.loss, LogisticLoss) and not np.all(np.abs(y) == 1.0):
             raise ValueError("logistic loss expects labels in {-1, +1}")
         A.flags.writeable = False
@@ -226,40 +231,75 @@ class ErmProblem:
         """Whether the dual is quadratic: L == gamma (the squared loss)."""
         return math.isclose(self.loss.gamma, self.loss.smoothness)
 
-    def _dual_bound(self, curv: float) -> np.ndarray:
-        """(1/(lam n^2)) A'A + I/(curv n)."""
-        n = self.n
-        X = (self.A.T @ self.A) / (self.lam_reg * n * n)
-        X = 0.5 * (X + X.T)
-        X[np.diag_indices_from(X)] += 1.0 / (curv * n)
-        return X
-
     def smoothness_matrix(self) -> np.ndarray:
         """Dual Hessian bound X = (1/(lam n^2)) A'A + I/(gamma n), built
         on the first call, read-only and the same array after that."""
-        return self._smoothness
+        return self._bound[0]
 
     @cached_property
-    def _smoothness(self) -> np.ndarray:
-        X = self._dual_bound(self.loss.gamma)
+    def _bound(self) -> tuple[np.ndarray, np.ndarray]:
+        """X and the diagonal of B = (1/(lam n^2)) A'A, from the one
+        n x n Gram product the problem forms."""
+        n = self.n
+        X = (self.A.T @ self.A) / (self.lam_reg * n * n)
+        X = 0.5 * (X + X.T)
+        b_diagonal = np.diag(X).copy()
+        X[np.diag_indices_from(X)] += 1.0 / (self.loss.gamma * n)
         X.flags.writeable = False
-        return X
+        return X, b_diagonal
+
+    def _with_diagonal(self, diagonal: np.ndarray) -> np.ndarray:
+        """A writeable copy of X with its diagonal replaced."""
+        out = self.smoothness_matrix().copy()
+        np.fill_diagonal(out, diagonal)
+        return out
+
+    def _gram_extremes(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max) of B = (1/(lam n^2)) A'A from the
+        smaller Gram matrix.  For d < n that is A A' (d x d): it shares
+        B's nonzero eigenvalues, and B, of rank at most d, has
+        lambda_min = 0 exactly.  Otherwise it is B itself, whose
+        lambda_min is clamped at 0 against round-off."""
+        d, n = self.A.shape
+        if d < n:
+            top = eigen_extremes(self.A @ self.A.T)[1] if d else 0.0
+            return 0.0, top / (self.lam_reg * n * n)
+        lo, hi = eigen_extremes(self._with_diagonal(self._bound[1]))
+        return max(lo, 0.0), hi
 
     def curvature(self) -> CurvaturePair:
-        """Curvature pair of the (negated) dual objective, built and
-        validated on the first call and the same object after that.
+        """Curvature pair of the (negated) dual objective, built on the
+        first call and the same object after that.
 
-        The quadratic part contributes (1/(lam n^2)) A'A to both bounds;
-        the separable part is between I/(L n) and I/(gamma n), where L
-        is the loss smoothness.  For the squared loss L == gamma and the
-        dual is exactly quadratic.
+        The quadratic part B = (1/(lam n^2)) A'A is in both bounds; the
+        separable part is between I/(L n) and I/(gamma n), where L is
+        the loss smoothness.  So M = X and G = B + I/(L n) differ by a
+        multiple of the identity: G <= M is the scalar gamma <= L, G is
+        X with its diagonal lowered, its extremes are those of B plus
+        1/(L n), and lambda = lambda_max(G^{-1/2} M G^{-1/2}) is
+        (mu + 1/(gamma n)) / (mu + 1/(L n)) with mu = lambda_min(B).
+        For the squared loss L == gamma and the dual is exactly
+        quadratic.
         """
         return self._pair
 
     @cached_property
     def _pair(self) -> CurvaturePair:
-        M = self.smoothness_matrix()
-        return CurvaturePair(M, M if self.quadratic else self._dual_bound(self.loss.smoothness))
+        gamma, smooth = self.loss.gamma, self.loss.smoothness
+        if not gamma <= smooth:
+            raise ValueError(
+                f"loss strong convexity {gamma} exceeds its smoothness {smooth}: G <= M fails"
+            )
+        n = self.n
+        X = self.smoothness_matrix()
+        lo, hi = self._gram_extremes()
+        floor = 1.0 / (smooth * n)
+        if self.quadratic:
+            G, lam = X, 1.0
+        else:
+            G = self._with_diagonal(self._bound[1] + floor)
+            lam = (lo + 1.0 / (gamma * n)) / (lo + floor)
+        return CurvaturePair.from_spectrum(X, G, (lo + floor, hi + floor), lam)
 
     def average_of(self, alpha: np.ndarray) -> np.ndarray:
         """abar = (1/(lam n)) A alpha."""

@@ -20,13 +20,17 @@ and G^{-1/2} M G^{-1/2} that of L^{-1} M L^{-T} (the pencil (M, G)).
 Each constant is computed once per curvature pair and kept on it as a
 scalar: the extremes of G (those of M too when M == G), lambda, the
 dense sigma_3, and sigma_1 and theta per enumerated sampling and for
-the last read-only E seen.  Objectives keep one pair for life.
+the last read-only E seen.  Objectives keep one pair for life.  A pair
+whose structure gives the extremes of G and lambda in closed form is
+built by CurvaturePair.from_spectrum, which makes no eigenvalue solve;
+the ERM dual does so from a d x d Gram matrix (erm.ErmProblem).  Only
+theta and sigma_1 of an enumerated E still work at order n.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,30 +62,39 @@ class CurvaturePair:
     """Upper/lower curvature matrices (M, G), validated so that both are
     positive definite and G <= M in the semidefinite order.
 
-    ``g_extremes`` holds (lambda_min(G), lambda_max(G)) from that check.
-    Derived spectral constants are cached on the pair as scalars, never
-    as n x n arrays; the one cached vector is the diagonal of M.
+    ``g_extremes`` holds (lambda_min(G), lambda_max(G)) from that check,
+    or as given to from_spectrum.  Derived spectral constants are cached
+    on the pair as scalars, never as n x n arrays; the one cached vector
+    is the diagonal of M.
     """
 
     M: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
+    spectrum: InitVar[tuple[tuple[float, float], float] | None] = None
     g_extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum):
         M = check_symmetric(self.M)
-        G = M if self.G is self.M else check_symmetric(self.G)
+        if self.G is self.M:
+            G = M
+        elif spectrum is None:
+            G = check_symmetric(self.G)
+        else:
+            G = np.asarray(self.G, dtype=np.float64)
         if M.shape != G.shape:
             raise ValueError(f"shape mismatch: M {M.shape} vs G {G.shape}")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "G", G)
-        g_extremes = eigen_extremes(G)
+        if spectrum is None:
+            g_extremes = eigen_extremes(G)
+        else:
+            g_extremes, lam = spectrum
+            self.__dict__["_lam"] = lam
         object.__setattr__(self, "g_extremes", g_extremes)
-        if self.quadratic:
-            if g_extremes[0] <= 0.0:
-                raise ValueError("M must be positive definite")
+        if not g_extremes[0] > 0.0:
+            raise ValueError(f"{'M' if self.quadratic else 'G'} must be positive definite")
+        if spectrum is not None or self.quadratic:
             return
-        if g_extremes[0] <= 0.0:
-            raise ValueError("G must be positive definite")
         scale = float(np.abs(M).max(initial=1.0))
         if not psd_order_holds(G, M, tol=1e-9 * max(1.0, scale)):
             raise ValueError("G <= M fails in the semidefinite order")
@@ -90,6 +103,18 @@ class CurvaturePair:
     def from_hessian(cls, M: np.ndarray) -> "CurvaturePair":
         """Pair for a quadratic objective, where M and G coincide."""
         return cls(M, M)
+
+    @classmethod
+    def from_spectrum(
+        cls, M: np.ndarray, G: np.ndarray, g_extremes: tuple[float, float], lam: float
+    ) -> "CurvaturePair":
+        """Pair whose extremes of G and whose lambda the caller knows
+        from the structure of its problem.  M is checked to be finite
+        and symmetric and lambda_min(G) to be positive; G <= M, the
+        symmetry of G and the values given are the caller's to vouch
+        for, so the pair makes no eigenvalue solve."""
+        lo, hi = g_extremes
+        return cls(M, G, ((float(lo), float(hi)), float(lam)))
 
     @property
     def n(self) -> int:

@@ -2,16 +2,18 @@
 
 They are written for clarity, not speed: one scipy Cholesky factor and
 solve per block, a serial loop that recomputes the objective and the
-full gradient at every iterate, and the inclusion probabilities of a
-sampling written out from its definition.  count_spectral_work lets a
-test see which spectral work the curvature pairs do.
+full gradient at every iterate, the inclusion probabilities of a
+sampling written out from its definition, and the ERM curvature pair
+built and validated at order n.  count_spectral_work lets a test see
+which spectral work the curvature pairs do, and at which order.
 """
 
 import numpy as np
 import scipy.linalg
 
+import psn.erm
 import psn.rates
-from psn.rates import CurvaturePair
+from psn.rates import CurvaturePair, lambda_ratio
 from psn.sampling import draw
 from psn.solver import IterationTrace, TraceRecord
 
@@ -82,22 +84,50 @@ def probability_matrix(scheme):
     return P
 
 
+def reference_erm_pair(problem):
+    """The dual curvature pair of an erm.ErmProblem by the general
+    route, with lambda: M and G each formed from its own Gram product,
+    validated by CurvaturePair (eigenvalue solves of G and of M - G, of
+    order n), and lambda from the Cholesky factor of G."""
+    n = problem.n
+
+    def bound(curv):
+        X = (problem.A.T @ problem.A) / (problem.lam_reg * n * n)
+        X = 0.5 * (X + X.T)
+        X[np.diag_indices_from(X)] += 1.0 / (curv * n)
+        return X
+
+    M = bound(problem.loss.gamma)
+    pair = CurvaturePair(M, M if problem.quadratic else bound(problem.loss.smoothness))
+    return pair, lambda_ratio(pair)
+
+
 def count_spectral_work(monkeypatch):
-    """A list that records, by name, every enumeration of E, eigenvalue
-    solve and Cholesky factor of G that the rate module and the
-    curvature pairs make while monkeypatch is active."""
+    """A list that records (name, order) for every enumeration of E,
+    eigenvalue solve and Cholesky factor of G that the rate module, the
+    ERM problems and the curvature pairs make while monkeypatch is
+    active; order is that of the matrix the call works on."""
     calls = []
 
-    def counting(name, original):
+    def counting(name, original, order):
         def counted(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, order(*args)))
             return original(*args, **kwargs)
 
         return counted
 
-    for name in ("expected_lifted_inverse", "eigen_extremes", "psd_order_holds"):
-        monkeypatch.setattr(psn.rates, name, counting(name, getattr(psn.rates, name)))
+    def first_order(M, *rest):
+        return np.shape(M)[0]
+
+    for module in (psn.rates, psn.erm):
+        for name in ("expected_lifted_inverse", "eigen_extremes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, counting(name, getattr(module, name), first_order)
+                )
     monkeypatch.setattr(
-        CurvaturePair, "_cholesky", counting("_cholesky", CurvaturePair._cholesky)
+        CurvaturePair,
+        "_cholesky",
+        counting("_cholesky", CurvaturePair._cholesky, lambda pair: pair.n),
     )
     return calls

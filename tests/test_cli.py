@@ -501,6 +501,28 @@ class TestErm:
         assert err.startswith("error: objective increased")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "value, flags, names",
+        [
+            ("1", ["--reg", "nan", "--b", "2"], "lam_reg"),
+            ("nan", ["--b", "2"], "A and y"),
+            ("1", ["--reg", "inf", "--theta", "bound"], "lam_reg"),
+            ("1", ["--loss", "logistic", "--epsilon", "nan", "--b", "2"], "epsilon"),
+            ("1", ["--loss", "logistic", "--epsilon", "inf", "--theta", "exact"], "epsilon"),
+        ],
+        ids=["reg-nan", "data-nan", "reg-inf", "epsilon-nan", "epsilon-inf"],
+    )
+    def test_non_finite_input_fails_early(self, tmp_path, capsys, value, flags, names):
+        data = tmp_path / "train.txt"
+        data.write_text(f"1 1:{value} 2:0.5\n-1 1:0.25 2:-1\n1 1:2 2:1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["erm", "--data", str(data), *flags, "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and names in err
+        assert len(err.splitlines()) == 1
+
     def test_empty_dataset(self, tmp_path, capsys):
         data = tmp_path / "empty.txt"
         data.write_text("\n")

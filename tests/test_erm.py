@@ -7,6 +7,7 @@ invariant.
 """
 
 import io
+import math
 import warnings
 
 import numpy as np
@@ -23,11 +24,11 @@ from psn.erm import (
     load_libsvm,
     run_erm,
 )
-from psn.rates import b_threshold, rate_report
+from psn.rates import b_threshold, lambda_ratio, rate_report
 from psn.sampling import SamplingScheme
 from psn.solver import DivergenceError, SolverConfig
 
-from reference import count_spectral_work
+from reference import count_spectral_work, reference_erm_pair
 
 
 def record_values(trace):
@@ -102,8 +103,9 @@ class TestLogisticLoss:
         )
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            LogisticLoss(0.0)
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                LogisticLoss(epsilon)
 
     def test_conjugate_with_derivative_matches_separate_calls(self):
         rng = np.random.default_rng(41)
@@ -180,10 +182,22 @@ class TestProblemSetup:
         A = np.ones((3, 4))
         with pytest.raises(ValueError):
             ErmProblem(A, np.ones(3))
-        with pytest.raises(ValueError):
-            ErmProblem(A, np.ones(4), SquaredLoss(), lam_reg=0.0)
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam_reg"):
+                ErmProblem(A, np.ones(4), SquaredLoss(), lam_reg=lam)
         with pytest.raises(ValueError, match="labels"):
             ErmProblem(A, np.array([1.0, -1.0, 0.5, 1.0]), LogisticLoss())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_data(self, bad):
+        A, y = np.ones((3, 4)), np.ones(4)
+        A_bad, y_bad = A.copy(), y.copy()
+        A_bad[1, 2] = y_bad[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data in ((A_bad, y), (A, y_bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    ErmProblem(*data)
 
     def test_smoothness_matrix_formula(self):
         prob = random_problem(4, 6, 4)
@@ -209,23 +223,51 @@ class TestProblemSetup:
     @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(1e-2)])
     def test_smoothness_matrix_built_once(self, loss, monkeypatch):
         prob = random_problem(3, 6, 8, loss=loss)
-        built, dual_bound = [], ErmProblem._dual_bound
+        products = []
 
-        def counting(self, curv):
-            built.append(curv)
-            return dual_bound(self, curv)
+        class CountingArray(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ np.asarray(other)
+                products.append(out.shape)
+                return out
 
-        monkeypatch.setattr(ErmProblem, "_dual_bound", counting)
+        object.__setattr__(prob, "A", prob.A.view(CountingArray))
+
+        def gram_products():
+            return products.count((6, 6))
+
         calls = count_spectral_work(monkeypatch)
         config = SolverConfig(SamplingScheme("nice", 6, 2), b=1.0, seed=0, max_iter=5)
         for _ in range(2):
             run_erm(prob, config)
-            assert built == [loss.gamma]
+            assert gram_products() == 1
         assert calls == []  # an explicit b builds no pair
         X = prob.smoothness_matrix()
         assert not X.flags.writeable
         assert prob.curvature().M is X
         assert prob.smoothness_matrix() is X
+        assert gram_products() == 1  # the pair forms no second n x n Gram product
+
+    @pytest.mark.parametrize("loss", [SquaredLoss(), LogisticLoss(1e-2)])
+    def test_bound_damping_works_at_order_d(self, loss, monkeypatch):
+        # d < n: the pair's extremes and lambda come from the d x d Gram,
+        # so neither building it nor a run with bound theta makes an
+        # eigenvalue solve or a Cholesky factor of order n.
+        prob = random_problem(3, 12, 48, loss=loss)
+        calls = count_spectral_work(monkeypatch)
+        prob.curvature()
+        assert calls == [("eigen_extremes", 3)]
+        for c in (1, 4):
+            scheme = SamplingScheme("list", 12, 3, c=c)
+            run_erm(prob, SolverConfig(scheme, b="auto", theta="bound", seed=1, max_iter=5))
+        assert calls == [("eigen_extremes", 3)]
+
+    def test_pair_rejects_gamma_above_smoothness(self):
+        class Inverted(SquaredLoss):
+            gamma = 2.0
+
+        with pytest.raises(ValueError, match="G <= M"):
+            ErmProblem(np.ones((2, 3)), np.ones(3), Inverted()).curvature()
 
     def test_curvature_gap_for_logistic(self):
         prob = random_problem(3, 5, 7, loss=LogisticLoss(1e-2))
@@ -233,6 +275,43 @@ class TestProblemSetup:
         assert not pair.quadratic
         diff = np.linalg.eigvalsh(pair.M - pair.G)[0]
         assert diff > -1e-14
+
+
+class TestCurvatureFromGram:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_order_n_route(self, data):
+        # The pair from the smaller Gram against full validation at
+        # order n and the numeric lambda.  lambda_min(G) is compared to
+        # 1e-12 relative or 1e-14 lambda_max(G) absolute: at lam = 1e-2
+        # a rank-deficient B is large next to I/(L n), and the order-n
+        # eigenvalue solve is accurate only to a few n eps lambda_max(G).
+        n = data.draw(st.integers(2, 12), label="n")
+        d = data.draw(st.sampled_from([n // 2, n, 2 * n]), label="d")
+        rank = data.draw(st.integers(1, min(d, n)), label="rank")
+        loss = data.draw(
+            st.sampled_from([SquaredLoss(), LogisticLoss(1e-2), LogisticLoss(0.1)]), label="loss"
+        )
+        lam = data.draw(st.sampled_from([1e-2, 0.1, 1.0]), label="lam")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        prob = ErmProblem(A, y, loss, lam)
+        pair = prob.curvature()
+        ref, ref_lam = reference_erm_pair(prob)
+        assert np.array_equal(pair.M, ref.M)
+        assert np.array_equal(pair.G, ref.G)
+        assert pair.quadratic == ref.quadratic == prob.quadratic
+        lo, hi = ref.g_extremes
+        assert pair.g_extremes[0] == pytest.approx(lo, rel=1e-12, abs=1e-14 * hi)
+        assert pair.g_extremes[1] == pytest.approx(hi, rel=1e-12)
+        if rank < n:  # lambda_min(B) = 0, so lambda_min(G) = 1/(L n)
+            floor = 1.0 / (loss.smoothness * n)
+            assert pair.g_extremes[0] == pytest.approx(floor, rel=1e-12)
+        assert lambda_ratio(pair) == pytest.approx(ref_lam, rel=1e-12)
+        scheme = SamplingScheme("nice", n, data.draw(st.integers(1, min(n, 3)), label="tau"))
+        assert pair.enumerated_extremes(scheme) == ref.enumerated_extremes(scheme)
 
 
 class TestDuality:
@@ -540,7 +619,7 @@ class TestDampingMemo:
                 scheme.with_workers(c), b="auto", theta="exact", seed=1, max_iter=5
             )
             assert run_erm(prob, config).theta_used == report.theta
-        assert calls.count("expected_lifted_inverse") == 1
+        assert [name for name, _ in calls].count("expected_lifted_inverse") == 1
 
 
 class TestLibsvmReader:

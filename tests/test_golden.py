@@ -44,7 +44,14 @@ CASES = {
             "erm", "--loss", "logistic", "--epsilon", "0.01", "--reg", "0.1",
             "--scheme", "nice:tau=4", "--c", "1,3", "--theta", "exact", "--tol", "1e-5",
         ],
-        "78bc8419216ce1f4d21e53111c971b4088f6d5cb0a567bc95bfb1df9f29a8086",
+        "d742795ab7ff5caff15a5e422f1d42a94cd8d3c741132c7da821ffeef6e51f7b",
+    ),
+    "erm-logistic-bound": (
+        [
+            "erm", "--loss", "logistic", "--epsilon", "0.1", "--reg", "0.1",
+            "--scheme", "nice:tau=4", "--c", "1,3", "--theta", "bound", "--tol", "1e-5",
+        ],
+        "5b3d57f7f6cdb439b8cab3ee54a2eb41a6c33465466534b1de638c863d43ed4e",
     ),
     "erm-squared": (
         [

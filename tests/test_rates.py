@@ -507,10 +507,10 @@ class TestMemo:
         calls = count_spectral_work(monkeypatch)
         reports = [rate_report(pair, nice.with_workers(c)) for c in (1, 2, 3)]
         reports.append(rate_report(pair, SamplingScheme("non-overlapping", 7, 2, c=3)))
-        assert calls.count("expected_lifted_inverse") == 1
+        assert [name for name, _ in calls].count("expected_lifted_inverse") == 1
         assert len({(r.sigma1, r.theta) for r in reports}) == 1
         rate_report(pair, SamplingScheme("list", 7, 2))
-        assert calls.count("expected_lifted_inverse") == 2
+        assert [name for name, _ in calls].count("expected_lifted_inverse") == 2
         assert (reports[0].sigma1, reports[0].theta) == (sigma1(pair, E), theta(pair, E))
 
     def test_writeable_expectation_is_never_memoized(self):

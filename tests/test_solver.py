@@ -394,11 +394,10 @@ class TestDeterminism:
          (random_quadratic(9, 44), 0)],
     )
     def test_one_worker_parallel_scheme_reproduces_serial(self, obj, seed, kind):
-        def trace(scheme):
-            return run(obj, SolverConfig(scheme, b=1.0, seed=seed, max_iter=2000))
-
-        serial = trace(SamplingScheme(kind, obj.n, 3))
-        parallel = trace(parse_scheme(f"parallel-{kind}:tau=3,c=1", obj.n))
+        config = SolverConfig(
+            parse_scheme(f"parallel-{kind}:tau=3,c=1", obj.n), b=1.0, seed=seed, max_iter=2000
+        )
+        parallel, serial = run(obj, config), reference_run(obj, config, 1.0)
         assert serial.status == parallel.status == "converged"
         assert trace_values(parallel) == trace_values(serial)
         assert np.array_equal(parallel.x, serial.x)
