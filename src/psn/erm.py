@@ -276,8 +276,9 @@ class ErmProblem:
         the loss smoothness.  So M = X and G = B + I/(L n) differ by a
         multiple of the identity: G <= M is the scalar gamma <= L, G is
         X with its diagonal lowered, its extremes are those of B plus
-        1/(L n), and lambda = lambda_max(G^{-1/2} M G^{-1/2}) is
-        (mu + 1/(gamma n)) / (mu + 1/(L n)) with mu = lambda_min(B).
+        1/(L n), those of M are those of B plus 1/(gamma n), and lambda
+        = lambda_max(G^{-1/2} M G^{-1/2}) is (mu + 1/(gamma n)) /
+        (mu + 1/(L n)) with mu = lambda_min(B).
         For the squared loss L == gamma and the dual is exactly
         quadratic.
         """
@@ -293,13 +294,15 @@ class ErmProblem:
         n = self.n
         X = self.smoothness_matrix()
         lo, hi = self._gram_extremes()
-        floor = 1.0 / (smooth * n)
+        floor, top = 1.0 / (smooth * n), 1.0 / (gamma * n)
         if self.quadratic:
             G, lam = X, 1.0
         else:
             G = self._with_diagonal(self._bound[1] + floor)
-            lam = (lo + 1.0 / (gamma * n)) / (lo + floor)
-        return CurvaturePair.from_spectrum(X, G, (lo + floor, hi + floor), lam)
+            lam = (lo + top) / (lo + floor)
+        return CurvaturePair.from_spectrum(
+            X, G, (lo + floor, hi + floor), (lo + top, hi + top), lam
+        )
 
     def average_of(self, alpha: np.ndarray) -> np.ndarray:
         """abar = (1/(lam n)) A alpha."""
@@ -448,10 +451,11 @@ def load_libsvm(path, n_features: int | None = None) -> tuple[np.ndarray, np.nda
     Each line is ``label index:value ...`` with 1-based feature indices.
     Returns (A, y) where A is d x n with one column per example.  The
     feature count is inferred from the largest index unless n_features
-    is given.  Malformed lines raise ValueError naming the line number.
+    is given.  Malformed lines, and a feature index repeated on one
+    line, raise ValueError naming the line number.
     """
     labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
+    rows: list[dict[int, float]] = []
     max_index = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -465,7 +469,7 @@ def load_libsvm(path, n_features: int | None = None) -> tuple[np.ndarray, np.nda
                 raise ValueError(
                     f"{path}:{lineno}: bad label {parts[0]!r}"
                 ) from None
-            entries: list[tuple[int, float]] = []
+            entries: dict[int, float] = {}
             for token in parts[1:]:
                 idx_text, colon, val_text = token.partition(":")
                 if not colon:
@@ -483,7 +487,11 @@ def load_libsvm(path, n_features: int | None = None) -> tuple[np.ndarray, np.nda
                     raise ValueError(
                         f"{path}:{lineno}: feature indices are 1-based, got {idx}"
                     )
-                entries.append((idx - 1, val))
+                if idx - 1 in entries:
+                    raise ValueError(
+                        f"{path}:{lineno}: feature index {idx} repeated"
+                    )
+                entries[idx - 1] = val
                 max_index = max(max_index, idx)
             labels.append(label)
             rows.append(entries)
@@ -496,6 +504,6 @@ def load_libsvm(path, n_features: int | None = None) -> tuple[np.ndarray, np.nda
         )
     A = np.zeros((d, len(labels)))
     for col, entries in enumerate(rows):
-        for idx, val in entries:
+        for idx, val in entries.items():
             A[idx, col] = val
     return A, np.asarray(labels)

@@ -18,10 +18,10 @@ No matrix square root is formed.  With the Cholesky factor G = L L^T,
 G^{1/2} E G^{1/2} has the spectrum of L^T E L (the pencil (G E G, G))
 and G^{-1/2} M G^{-1/2} that of L^{-1} M L^{-T} (the pencil (M, G)).
 Each constant is computed once per curvature pair and kept on it as a
-scalar: the extremes of G (those of M too when M == G), lambda, the
+scalar: the extremes of G (and of M where known), lambda, the
 dense sigma_3, and sigma_1 and theta per enumerated sampling and for
 the last read-only E seen.  Objectives keep one pair for life.  A pair
-whose structure gives the extremes of G and lambda in closed form is
+whose structure gives the extremes of G and M and lambda in closed form is
 built by CurvaturePair.from_spectrum, which makes no eigenvalue solve;
 the ERM dual does so from a d x d Gram matrix (erm.ErmProblem).  Only
 theta and sigma_1 of an enumerated E still work at order n.
@@ -63,15 +63,18 @@ class CurvaturePair:
     positive definite and G <= M in the semidefinite order.
 
     ``g_extremes`` holds (lambda_min(G), lambda_max(G)) from that check,
-    or as given to from_spectrum.  Derived spectral constants are cached
-    on the pair as scalars, never as n x n arrays; the one cached vector
-    is the diagonal of M.
+    or as given to from_spectrum.  ``m_extremes`` holds those of M where
+    they are known without a further solve: equal to ``g_extremes`` for
+    a quadratic pair, as given to from_spectrum, and None otherwise.
+    Derived spectral constants are cached on the pair as scalars, never
+    as n x n arrays; the one cached vector is the diagonal of M.
     """
 
     M: np.ndarray = field(repr=False)
     G: np.ndarray = field(repr=False)
-    spectrum: InitVar[tuple[tuple[float, float], float] | None] = None
+    spectrum: InitVar[tuple[tuple[float, float], tuple[float, float], float] | None] = None
     g_extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
+    m_extremes: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, spectrum):
         M = check_symmetric(self.M)
@@ -87,10 +90,12 @@ class CurvaturePair:
         object.__setattr__(self, "G", G)
         if spectrum is None:
             g_extremes = eigen_extremes(G)
+            m_extremes = g_extremes if self.quadratic else None
         else:
-            g_extremes, lam = spectrum
+            g_extremes, m_extremes, lam = spectrum
             self.__dict__["_lam"] = lam
         object.__setattr__(self, "g_extremes", g_extremes)
+        object.__setattr__(self, "m_extremes", m_extremes)
         if not g_extremes[0] > 0.0:
             raise ValueError(f"{'M' if self.quadratic else 'G'} must be positive definite")
         if spectrum is not None or self.quadratic:
@@ -106,15 +111,20 @@ class CurvaturePair:
 
     @classmethod
     def from_spectrum(
-        cls, M: np.ndarray, G: np.ndarray, g_extremes: tuple[float, float], lam: float
+        cls,
+        M: np.ndarray,
+        G: np.ndarray,
+        g_extremes: tuple[float, float],
+        m_extremes: tuple[float, float],
+        lam: float,
     ) -> "CurvaturePair":
-        """Pair whose extremes of G and whose lambda the caller knows
-        from the structure of its problem.  M is checked to be finite
-        and symmetric and lambda_min(G) to be positive; G <= M, the
-        symmetry of G and the values given are the caller's to vouch
+        """Pair whose extremes of G and of M and whose lambda the caller
+        knows from the structure of its problem.  M is checked to be
+        finite and symmetric and lambda_min(G) to be positive; G <= M,
+        the symmetry of G and the values given are the caller's to vouch
         for, so the pair makes no eigenvalue solve."""
-        lo, hi = g_extremes
-        return cls(M, G, ((float(lo), float(hi)), float(lam)))
+        spectrum = (tuple(map(float, g_extremes)), tuple(map(float, m_extremes)), float(lam))
+        return cls(M, G, spectrum)
 
     @property
     def n(self) -> int:
@@ -152,18 +162,20 @@ class CurvaturePair:
         return _scaled_min(self.G, 1.0 / np.sqrt(self._m_diagonal)) / self.n
 
     def cond_bound(self, tau: int) -> float:
-        """Bound (tau/n) lambda_max(G)/lambda_min(G) on theta for every
-        uniform sampling of tau-sets (P(i in S) = tau/n for all i).
+        """Bound min(1, (tau/n) lambda_max(G)/lambda_min(M)) on theta for
+        every uniform sampling of tau-sets (P(i in S) = tau/n for all i).
 
         Interlacing gives lambda_min(M_SS) >= lambda_min(M), so each
         lifted inverse is at most I_S/lambda_min(M) and E <= (tau/n)
         I/lambda_min(M).  Hence theta <= (tau/n) lambda_max(G)/
-        lambda_min(M) <= (tau/n) cond(G), as G <= M.  For M == G this is
+        lambda_min(M), and theta <= 1 always holds for G <= M.  Where
+        lambda_min(M) is not known (m_extremes is None) lambda_min(G) <=
+        lambda_min(M) stands in for it.  For M == G the value below 1 is
         theta_cond_bound(tau, M) bit for bit."""
         if not 1 <= tau <= self.n:
             raise ValueError(f"tau must lie in [1, n={self.n}], got {tau}")
-        lo, hi = self.g_extremes
-        return hi / lo * (tau / self.n)
+        lo = (self.m_extremes or self.g_extremes)[0]
+        return min(1.0, self.g_extremes[1] / lo * (tau / self.n))
 
     def enumerated_extremes(self, scheme: SamplingScheme) -> tuple[float, float]:
         """(sigma_1, theta) of the enumerated E[(M_S)^{-1}] of scheme,
@@ -380,8 +392,8 @@ def pcdm_constants(
     D^{1/2}), the spectrum of G^{1/2} D G^{1/2} without its square
     root.  Under assume_dense p/v = 1/(n M_ii) for every tau_c, so the
     pair computes sigma3 once.  sigma_b = p lambda_min(G)/lambda_max(M)
-    takes lambda_min(G) (and, for a quadratic pair, lambda_max(M)) from
-    the pair's validation.
+    takes lambda_min(G) from the pair, and lambda_max(M) too where the
+    pair knows it (m_extremes).
     """
     n = pair.n
     if not 1 <= tau_c <= n:
@@ -408,7 +420,7 @@ def pcdm_constants(
         raise ValueError(f"curvature weight v[{bad}] is not positive")
     p = tau_c / n
     sig3 = pair._dense_sigma3 if A is None else _scaled_min(pair.G, np.sqrt(p / v))
-    m_max = pair.g_extremes[1] if pair.quadratic else eigen_extremes(pair.M)[1]
+    m_max = (pair.m_extremes or eigen_extremes(pair.M))[1]
     sig_b = p * pair.g_extremes[0] / m_max
     return PcdmConstants(tau_c, np.asarray(v), sig3, sig_b)
 

@@ -3,9 +3,10 @@
 They are written for clarity, not speed: one scipy Cholesky factor and
 solve per block, a serial loop that recomputes the objective and the
 full gradient at every iterate, the inclusion probabilities of a
-sampling written out from its definition, and the ERM curvature pair
-built and validated at order n.  count_spectral_work lets a test see
-which spectral work the curvature pairs do, and at which order.
+sampling written out from its definition, the extreme eigenvalues from
+a dense eigvalsh, and the ERM curvature pair built and validated at
+order n.  count_spectral_work lets a test see which spectral work the
+curvature pairs do, and at which order.
 """
 
 import numpy as np
@@ -55,6 +56,19 @@ def reference_run(objective, config, b):
         if k < config.max_iter:
             x = reference_step(x, objective, draw(config.scheme, rng), b)
     return IterationTrace(records, status, b, None, x)
+
+
+def reference_eigen_extremes(M):
+    """(lambda_min, lambda_max) of a symmetric M from one dense
+    eigvalsh, whatever its bandwidth."""
+    w = np.linalg.eigvalsh(M)
+    return float(w[0]), float(w[-1])
+
+
+def reference_bandwidth(M):
+    """Largest i - j over the nonzero entries of M, by listing them."""
+    rows, cols = np.nonzero(M)
+    return int(max((i - j for i, j in zip(rows, cols)), default=0))
 
 
 def lifted_submatrix(M, S):

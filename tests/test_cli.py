@@ -536,6 +536,13 @@ class TestErm:
         assert code == 1
         assert "two label values" in capsys.readouterr().err
 
+    def test_repeated_feature_index(self, tmp_path, capsys):
+        data = tmp_path / "bad.txt"
+        data.write_text("-1 1:0.5 2:1\n+1 1:2.0 1:3.0\n")
+        assert main(["erm", "--data", str(data), "--b", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}:2: feature index 1 repeated\n"
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):

@@ -24,6 +24,7 @@ from psn.erm import (
     load_libsvm,
     run_erm,
 )
+from psn.linalg import eigen_extremes
 from psn.rates import b_threshold, lambda_ratio, rate_report
 from psn.sampling import SamplingScheme
 from psn.solver import DivergenceError, SolverConfig
@@ -309,9 +310,37 @@ class TestCurvatureFromGram:
         if rank < n:  # lambda_min(B) = 0, so lambda_min(G) = 1/(L n)
             floor = 1.0 / (loss.smoothness * n)
             assert pair.g_extremes[0] == pytest.approx(floor, rel=1e-12)
+        m_lo, m_hi = eigen_extremes(ref.M)
+        assert pair.m_extremes[0] == pytest.approx(m_lo, rel=1e-12, abs=1e-14 * m_hi)
+        assert pair.m_extremes[1] == pytest.approx(m_hi, rel=1e-12)
         assert lambda_ratio(pair) == pytest.approx(ref_lam, rel=1e-12)
         scheme = SamplingScheme("nice", n, data.draw(st.integers(1, min(n, 3)), label="tau"))
         assert pair.enumerated_extremes(scheme) == ref.enumerated_extremes(scheme)
+
+
+class TestThetaBound:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bound_lies_between_exact_theta_and_one(self, data):
+        # sigma1 <= theta_exact <= cond_bound <= 1: the bound divides by
+        # lambda_min(M) = mu_min + 1/(gamma n) and is clamped at the
+        # paper's theta <= 1.
+        n = data.draw(st.integers(2, 10), label="n")
+        d = data.draw(st.sampled_from([max(1, n // 2), n, 2 * n]), label="d")
+        loss = data.draw(
+            st.sampled_from([SquaredLoss(), LogisticLoss(1e-2), LogisticLoss(1.0)]), label="loss"
+        )
+        lam = data.draw(st.sampled_from([1e-2, 0.1, 1.0]), label="lam")
+        kind = data.draw(st.sampled_from(["nice", "list"]), label="kind")
+        tau = data.draw(st.integers(1, min(n, 4)), label="tau")
+        c = data.draw(st.integers(1, 4), label="c")
+        prob = random_problem(d, n, data.draw(st.integers(0, 2**16), label="seed"), loss, lam)
+        pair = prob.curvature()
+        report = rate_report(pair, SamplingScheme(kind, n, tau, c))
+        bound = pair.cond_bound(tau)
+        assert 0.0 < report.sigma1 <= report.theta * (1 + 1e-12)
+        assert report.theta <= bound * (1 + 1e-12)
+        assert bound <= 1.0
 
 
 class TestDuality:

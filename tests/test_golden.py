@@ -30,7 +30,7 @@ def write_libsvm(path, d=6, n=40, seed=0):
 CASES = {
     "heat": (
         ["heat", "--n", "60", "--scheme", "list:tau=5", "--c", "1,4", "--theta", "bound"],
-        "17441bce51aa5ab1dd8c847ea28d98d546b5e46cd6daaa5d29f507c2cdae58df",
+        "f42b6ab616fdeaf40ae68797ae4c89ba7f471d69a6e8e5f818755a8dfc835665",
     ),
     "solve-dense-threads": (
         [
@@ -51,7 +51,7 @@ CASES = {
             "erm", "--loss", "logistic", "--epsilon", "0.1", "--reg", "0.1",
             "--scheme", "nice:tau=4", "--c", "1,3", "--theta", "bound", "--tol", "1e-5",
         ],
-        "5b3d57f7f6cdb439b8cab3ee54a2eb41a6c33465466534b1de638c863d43ed4e",
+        "b24cc1614347b1c54552e3ae1ab5fe403d100bc8183ace6fbffa2ba12e8a374a",
     ),
     "erm-squared": (
         [

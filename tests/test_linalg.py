@@ -6,10 +6,17 @@ characteristic-polynomial roots, and the generators against their
 closed-form spectra.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psn.linalg import (
+    _band_is_cheaper,
+    _lower_bandwidth,
     check_index_set,
     check_symmetric,
     condition_number,
@@ -25,6 +32,8 @@ from psn.linalg import (
     sqrt_pd,
 )
 
+from reference import reference_bandwidth, reference_eigen_extremes
+
 
 def random_symmetric(n, rng):
     A = rng.standard_normal((n, n))
@@ -34,6 +43,22 @@ def random_symmetric(n, rng):
 def random_pd(n, rng, shift=0.5):
     A = rng.standard_normal((n, n))
     return A @ A.T + shift * np.eye(n)
+
+
+@contextlib.contextmanager
+def counting_banded_solves():
+    """A list that gets one entry per scipy.linalg.eigvals_banded call
+    made inside the block."""
+    calls = []
+    original = scipy.linalg.eigvals_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "eigvals_banded", counted)
+        yield calls
 
 
 def charpoly_roots(M):
@@ -186,6 +211,65 @@ class TestSpectra:
         lo, hi = eigen_extremes(np.diag([3.0, -1.0, 2.0]))
         assert (lo, hi) == (-1.0, 3.0)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_banded_route_matches_dense_reference(self, data):
+        # Random symmetric (indefinite) matrices of every bandwidth, with
+        # bandwidths just either side of the switch, a zero corner over a
+        # full interior, and an all-zero row.  Both routes are backward
+        # stable, so the extremes agree within a few n eps ||M||.
+        n = data.draw(st.integers(1, 60), label="n")
+        switch = (n - 1) // 20  # the widest band the banded route takes
+        shape = data.draw(st.sampled_from(["band", "switch", "zero-corner"]), label="shape")
+        if shape == "switch":
+            b = min(n - 1, max(0, switch + data.draw(st.integers(-1, 2), label="offset")))
+        else:
+            b = data.draw(st.integers(0, n - 1), label="b")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]), label="scale")
+        M = scale * rng.standard_normal((n, n))
+        M = M + M.T
+        if shape == "zero-corner":
+            M[n - 1, 0] = M[0, n - 1] = 0.0
+        else:
+            M = np.triu(np.tril(M, b), -b)
+        if data.draw(st.booleans(), label="zero row"):
+            k = data.draw(st.integers(0, n - 1), label="row")
+            M[k, :] = M[:, k] = 0.0
+        width = reference_bandwidth(M)
+        assert _lower_bandwidth(M) == width
+        with counting_banded_solves() as calls:
+            lo, hi = eigen_extremes(M)
+        assert len(calls) == (2 if _band_is_cheaper(width, n) else 0)
+        ref_lo, ref_hi = reference_eigen_extremes(M)
+        tol = 8 * n * np.finfo(float).eps * max(abs(ref_lo), abs(ref_hi))
+        assert abs(lo - ref_lo) <= tol
+        assert abs(hi - ref_hi) <= tol
+
+    def test_switch_follows_the_bandwidth(self):
+        assert _band_is_cheaper(0, 1)
+        assert _band_is_cheaper(2, 41) and not _band_is_cheaper(2, 40)
+        assert not _band_is_cheaper(59, 60)
+
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_banded_tridiagonal_closed_form(self, n, alpha):
+        # Eigenvalues 1 + 2 alpha cos(k pi/(n+1)), k = 1..n.
+        with counting_banded_solves() as calls:
+            lo, hi = eigen_extremes(make_tridiagonal(n, alpha))
+        assert len(calls) == 2
+        tol = 8 * n * np.finfo(float).eps * (1.0 + 2.0 * alpha)
+        assert abs(lo - (1.0 + 2.0 * alpha * np.cos(n * np.pi / (n + 1)))) <= tol
+        assert abs(hi - (1.0 + 2.0 * alpha * np.cos(np.pi / (n + 1)))) <= tol
+
+    def test_dense_corner_reads_no_further(self):
+        M = np.zeros((50, 50))
+        M[49, 0] = M[0, 49] = 1.0
+        assert _lower_bandwidth(M) == 49
+        with counting_banded_solves() as calls:
+            assert eigen_extremes(M) == reference_eigen_extremes(M)
+        assert calls == []
+
     def test_gershgorin_contains_spectrum(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
@@ -233,6 +317,13 @@ class TestPsdOrder:
         v = rng.standard_normal(5)
         assert psd_order_holds(A, A + np.outer(v, v))
         assert not psd_order_holds(A + np.outer(v, v), A)
+
+    def test_banded_difference_takes_banded_route(self):
+        M = make_heat_matrix(60)
+        with counting_banded_solves() as calls:
+            assert psd_order_holds(M, M + 1e-3 * np.eye(60))
+            assert not psd_order_holds(M + 1e-3 * np.eye(60), M)
+        assert len(calls) == 4
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -254,8 +254,8 @@ class TestThetaBounds:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_pair_bound_covers_every_uniform_sampling(self, data):
-        # theta <= (tau/n) lambda_max(G)/lambda_min(G) for nice, list and
-        # non-overlapping sets, for M == G and for G = M - delta I.
+        # theta <= min(1, (tau/n) lambda_max(G)/lambda_min(G)) for nice,
+        # list and non-overlapping sets, for M == G and for G = M - delta I.
         n = data.draw(st.integers(2, 10), label="n")
         kind = data.draw(st.sampled_from(["nice", "list", "non-overlapping"]), label="kind")
         tau = data.draw(st.integers(1, min(n, 4) if kind != "list" else n), label="tau")
@@ -269,7 +269,7 @@ class TestThetaBounds:
         exact = rate_report(pair, SamplingScheme(kind, n, tau, c)).theta
         assert exact <= pair.cond_bound(tau) * (1 + 1e-12)
         if G is M:
-            assert pair.cond_bound(tau) == theta_cond_bound(tau, M)
+            assert pair.cond_bound(tau) == min(1.0, theta_cond_bound(tau, M))
 
     def test_cond_bound_checks_matrix_once(self, monkeypatch):
         M = random_pd(7, 47)

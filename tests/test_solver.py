@@ -274,7 +274,7 @@ class TestRunConvergence:
         )
         trace = run(obj, config)
         assert trace.converged
-        expect_b = b_threshold(3, 1.0, theta_cond_bound(3, obj.M))
+        expect_b = b_threshold(3, 1.0, min(1.0, theta_cond_bound(3, obj.M)))
         assert trace.b == pytest.approx(expect_b, rel=1e-12)
 
     def test_bound_damping_covers_nice_sampling(self):
