@@ -2,8 +2,6 @@
 
 from .linalg import (
     eigen_extremes,
-    gershgorin_bounds,
-    lifted_inverse,
     make_heat_matrix,
     make_rho_matrix,
     make_tridiagonal,
@@ -49,7 +47,6 @@ from .erm import (
     ErmTrace,
     LogisticLoss,
     SquaredLoss,
-    block_subproblem,
     load_libsvm,
     run_erm,
 )

@@ -32,6 +32,10 @@ coordinate alone, so the maintained arrays equal a full recompute bit
 for bit; the dual value is summed from them and the block gradient
 reads them.  ErmProblem.dual_value and psi_gradient evaluate the same
 quantities from scratch and serve as the reference path.
+
+A loss is any object with value(z, y), the constants gamma (strong
+convexity) and smoothness, and conjugate_with_derivative(s, y), which
+returns phi*(s, y) and phi*'(s, y) together; nothing else is read.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ __all__ = [
     "LogisticLoss",
     "ErmProblem",
     "DualState",
-    "block_subproblem",
     "ErmRecord",
     "ErmTrace",
     "run_erm",
@@ -80,21 +83,9 @@ class SquaredLoss:
         return 0.5 * (z - y) ** 2
 
     @staticmethod
-    def derivative(z, y):
-        return z - y
-
-    @staticmethod
-    def conjugate(s, y):
-        return 0.5 * s**2 + s * y
-
-    @staticmethod
-    def conjugate_derivative(s, y):
-        return s + y
-
-    @staticmethod
     def conjugate_with_derivative(s, y):
         """(phi*(s, y), phi*'(s, y))."""
-        return SquaredLoss.conjugate(s, y), SquaredLoss.conjugate_derivative(s, y)
+        return 0.5 * s**2 + s * y, s + y
 
 
 @dataclass(frozen=True)
@@ -131,16 +122,10 @@ class LogisticLoss:
         # log(1 + exp(-yz)) computed without overflow
         return np.logaddexp(0.0, -np.asarray(y) * z) + 0.5 * self.epsilon * np.asarray(z) ** 2
 
-    def derivative(self, z, y):
-        y = np.asarray(y)
-        return -y * scipy.special.expit(-y * np.asarray(z)) + self.epsilon * np.asarray(z)
-
-    def _second_derivative(self, z, y):
-        sig = scipy.special.expit(-np.asarray(y) * np.asarray(z))
-        return sig * (1.0 - sig) + self.epsilon
-
     def _root(self, s, y):
         # Solve phi'(z) = s elementwise: Newton with bisection fallback.
+        # Each pass evaluates sig = expit(-y z) once, for
+        # phi'(z) = -y sig + epsilon z and phi''(z) = sig (1 - sig) + epsilon.
         s = np.asarray(s, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         bound = (np.abs(s) + 1.0) / self.epsilon + 1.0
@@ -148,13 +133,14 @@ class LogisticLoss:
         z = np.clip(s / (0.25 + self.epsilon), lo, hi)
         tol = 1e-13 * np.maximum(1.0, np.abs(s))
         for _ in range(200):
-            r = self.derivative(z, y) - s
+            sig = scipy.special.expit(-y * z)
+            r = (-y * sig + self.epsilon * z) - s
             done = np.abs(r) <= tol
             if np.all(done):
                 break
             lo = np.where(r <= 0.0, z, lo)
             hi = np.where(r > 0.0, z, hi)
-            z_new = z - r / self._second_derivative(z, y)
+            z_new = z - r / (sig * (1.0 - sig) + self.epsilon)
             mid = 0.5 * (lo + hi)
             bad = ~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi)
             # A converged entry stays put.  One edge of its bracket sits on
@@ -162,12 +148,6 @@ class LogisticLoss:
             # and send it to the bracket's midpoint.
             z = np.where(done, z, np.where(bad, mid, z_new))
         return z
-
-    def conjugate(self, s, y):
-        return self.conjugate_with_derivative(s, y)[0]
-
-    def conjugate_derivative(self, s, y):
-        return self._root(s, y)
 
     def conjugate_with_derivative(self, s, y):
         """(phi*(s, y), phi*'(s, y)) from one root solve: the derivative
@@ -316,7 +296,9 @@ class ErmProblem:
         )
 
     def dual_value(self, alpha: np.ndarray) -> float:
-        return self._dual_from(self.loss.conjugate(-alpha, self.y), self.average_of(alpha))
+        return self._dual_from(
+            self.loss.conjugate_with_derivative(-alpha, self.y)[0], self.average_of(alpha)
+        )
 
     def _dual_from(self, conjugates: np.ndarray, abar: np.ndarray) -> float:
         """D from the terms phi_i*(-alpha_i, y_i) and abar of alpha."""
@@ -325,7 +307,7 @@ class ErmProblem:
     def psi_gradient(self, alpha: np.ndarray) -> np.ndarray:
         """Gradient of psi_i(alpha_i) = (1/n) phi_i*(-alpha_i)."""
         return -np.asarray(
-            self.loss.conjugate_derivative(-alpha, self.y), dtype=np.float64
+            self.loss.conjugate_with_derivative(-alpha, self.y)[1], dtype=np.float64
         ) / self.n
 
 
@@ -389,7 +371,8 @@ def block_subproblem(
 ) -> np.ndarray:
     """Newton direction of one dual block: zero outside S, and on S the
     solution of X[S, S] h = -((1/n) A'w + grad psi(alpha))[S], where
-    w is the primal point of the current state."""
+    w is the primal point of the current state.  Not exported: kept for
+    the benchmark's span tracer and the tests."""
     idx = check_index_set(S, problem.n)
     return block_step(X, idx[None], _dual_gradient(problem, state))
 

@@ -20,17 +20,12 @@ import scipy.linalg
 __all__ = [
     "check_index_set",
     "check_symmetric",
-    "lifted_inverse",
     "make_rho_matrix",
     "make_tridiagonal",
     "make_heat_matrix",
     "eigen_extremes",
-    "gershgorin_bounds",
-    "condition_number",
     "psd_order_holds",
     "solve_pd",
-    "sqrt_pd",
-    "invsqrt_pd",
 ]
 
 # Eigenvalues below this are clamped before forming matrix square roots.
@@ -65,13 +60,15 @@ def check_symmetric(M, tol: float = 1e-10) -> np.ndarray:
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    # The maximum propagates NaN and inf, so this one pass also catches
-    # the entries every comparison below would let through.
-    largest = float(np.abs(A).max(initial=0.0))
+    # The maximum and minimum propagate NaN and inf, so these two passes
+    # also catch the entries every comparison below would let through;
+    # a NaN makes both NaN, and max() keeps its first argument then.
+    largest = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
     if not np.isfinite(largest):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, largest)
-    asymmetry = np.abs(A - A.T).max(initial=0.0)
+    difference = A - A.T
+    asymmetry = np.abs(difference, out=difference).max(initial=0.0)
     if asymmetry > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (A + A.T) if asymmetry else A
@@ -83,7 +80,8 @@ def lifted_inverse(M: np.ndarray, S) -> np.ndarray:
     The result Z satisfies Z[S, S] = inv(M[S, S]) and is zero outside
     S x S.  Raises numpy.linalg.LinAlgError when the block is singular
     or so ill-conditioned that the inverse is meaningless; the message
-    carries a condition estimate for diagnosis.
+    carries a condition estimate for diagnosis.  Not exported: kept for
+    the benchmark's span tracer and the tests.
     """
     M = np.asarray(M, dtype=np.float64)
     idx = check_index_set(S, M.shape[0])
@@ -221,29 +219,6 @@ def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def gershgorin_bounds(M: np.ndarray) -> tuple[float, float]:
-    """Gershgorin enclosure of the spectrum of a symmetric matrix.
-
-    Returns (min_i (M_ii - R_i), max_i (M_ii + R_i)) with R_i the sum of
-    absolute off-diagonal entries in row i.  Every eigenvalue lies in
-    this interval.
-    """
-    M = check_symmetric(M)
-    d = np.diag(M)
-    radii = np.abs(M).sum(axis=1) - np.abs(d)
-    return float((d - radii).min()), float((d + radii).max())
-
-
-def condition_number(M: np.ndarray) -> float:
-    """lambda_max / lambda_min for a positive definite symmetric matrix."""
-    lo, hi = eigen_extremes(M)
-    if lo <= 0.0:
-        raise np.linalg.LinAlgError(
-            f"matrix is not positive definite (lambda_min = {lo:.3e})"
-        )
-    return hi / lo
-
-
 def psd_order_holds(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
     """Whether A <= B in the positive semidefinite order, i.e. whether
     lambda_min(B - A) >= -tol."""
@@ -292,17 +267,15 @@ def sqrt_pd(G: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive definite matrix.
 
     Eigenvalues below 1e-14 are clamped so that near-singular inputs
-    fail loudly in later solves instead of producing NaNs here.  The
-    rate constants in ``psn.rates`` no longer use it: they work with the
-    Cholesky factor of G instead.
+    fail loudly in later solves instead of producing NaNs here.  Not
+    exported: kept for the benchmark's span tracer and the tests.
     """
     w, V = _clamped_eigh(G)
     return (V * np.sqrt(w)) @ V.T
 
 def invsqrt_pd(G: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of a positive definite matrix.
-
-    ``psn.rates`` no longer uses it (see ``sqrt_pd``).
+    Not exported: kept for the benchmark's span tracer and the tests.
     """
     w, V = _clamped_eigh(G)
     return (V / np.sqrt(w)) @ V.T

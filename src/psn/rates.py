@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .linalg import check_symmetric, condition_number, eigen_extremes, psd_order_holds
+from .linalg import check_symmetric, eigen_extremes, psd_order_holds
 from .sampling import SamplingScheme, expected_lifted_inverse
 
 __all__ = [
@@ -274,11 +274,17 @@ def theta_cond_bound(tau: int, M: np.ndarray) -> float:
     of tau-sets when the curvature pair is (M, M): by interlacing each
     lifted block inverse is at most I_S/lambda_min(M), so E <= (tau/n)
     I/lambda_min(M) (see CurvaturePair.cond_bound).  tau is checked
-    against the order of M first; condition_number then checks M."""
+    against the order of M first, then M is checked to be symmetric and
+    positive definite."""
     shape = np.shape(M)
     if len(shape) == 2 and not 1 <= tau <= shape[0]:
         raise ValueError(f"tau must lie in [1, n={shape[0]}], got {tau}")
-    return condition_number(M) * (tau / shape[0])
+    lo, hi = eigen_extremes(M)
+    if lo <= 0.0:
+        raise np.linalg.LinAlgError(
+            f"matrix is not positive definite (lambda_min = {lo:.3e})"
+        )
+    return hi / lo * (tau / shape[0])
 
 
 def tridiag_theta_bound(alpha: float, n: int) -> float:

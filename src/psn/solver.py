@@ -34,7 +34,6 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .linalg import check_symmetric, solve_pd
-from .matrixio import write_csv
 from .rates import CurvaturePair, b_threshold, lambda_ratio
 from .sampling import SamplingScheme, draw
 
@@ -205,8 +204,9 @@ class SolverConfig:
     b is either an explicit positive damping or "auto", which sets
     b = (c-1)*lambda*theta + 1.  Auto mode needs a theta source: a
     number, "exact" (enumerate the expected lifted inverse), or "bound"
-    ((tau/n) lambda_max(G)/lambda_min(G), valid for every scheme and
-    every curvature pair).  There is no silent default.
+    (CurvaturePair.cond_bound(tau) = min(1, (tau/n) lambda_max(G)/
+    lambda_min(M)), valid for every scheme and every curvature pair).
+    There is no silent default.
 
     incremental_gradient switches quadratic objectives to gradient
     updates g += step[changed] @ M[changed], which read the rows of the
@@ -267,22 +267,13 @@ class Trace:
     def iterations(self) -> int:
         return self.records[-1].iteration
 
-    def csv_rows(self, include_elapsed: bool = False):
+    def csv_rows(self):
         """One row per record: the iteration, then each column as the
-        repr of a float (blank for None) and, if asked, the elapsed
-        seconds."""
+        repr of a float (blank for None).  Timing is never a column, so
+        the rows of a seeded run are the same bytes on every run."""
         for rec in self.records:
             values = (getattr(rec, attr) for attr in self.COLUMNS.values())
-            row = [rec.iteration] + ["" if v is None else repr(float(v)) for v in values]
-            yield row + [repr(rec.elapsed)] if include_elapsed else row
-
-    def write_csv(self, path_or_file, include_elapsed: bool = True) -> None:
-        """Write the trace as CSV with columns iteration, COLUMNS and,
-        unless disabled, elapsed_seconds.  Timing is excluded by callers
-        that need byte-identical output across runs."""
-        elapsed = ["elapsed_seconds"] if include_elapsed else []
-        header = ["iteration", *self.COLUMNS] + elapsed
-        write_csv(path_or_file, header, self.csv_rows(include_elapsed))
+            yield [rec.iteration] + ["" if v is None else repr(float(v)) for v in values]
 
 
 @dataclass

@@ -4,13 +4,15 @@ They are written for clarity, not speed: one scipy Cholesky factor and
 solve per block, a serial loop that recomputes the objective and the
 full gradient at every iterate, the inclusion probabilities of a
 sampling written out from its definition, the extreme eigenvalues from
-a dense eigvalsh, and the ERM curvature pair built and validated at
-order n.  count_spectral_work lets a test see which spectral work the
-curvature pairs do, and at which order.
+a dense eigvalsh, the ERM curvature pair built and validated at
+order n, and the slopes phi' of the losses written out from their
+definitions.  count_spectral_work lets a test see which spectral work
+the curvature pairs do, and at which order.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 import psn.erm
 import psn.rates
@@ -96,6 +98,18 @@ def probability_matrix(scheme):
             P[np.ix_(window, window)] += 1.0 / n
     np.fill_diagonal(P, tau / n)
     return P
+
+
+def squared_slope(z, y):
+    """phi'(z, y) = z - y of the squared loss (z - y)^2 / 2."""
+    return z - y
+
+
+def logistic_slope(loss, z, y):
+    """phi'(z, y) = -y sigmoid(-y z) + epsilon z of the smoothed
+    logistic loss log(1 + exp(-y z)) + (epsilon/2) z^2."""
+    z, y = np.asarray(z, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return -y * scipy.special.expit(-y * z) + loss.epsilon * z
 
 
 def reference_erm_pair(problem):

@@ -6,15 +6,16 @@ dual driver against weak/strong duality and the running-average
 invariant.
 """
 
-import io
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psn.cli import main
 from psn.erm import (
     DualState,
     ErmProblem,
@@ -29,7 +30,7 @@ from psn.rates import b_threshold, lambda_ratio, rate_report
 from psn.sampling import SamplingScheme
 from psn.solver import DivergenceError, SolverConfig
 
-from reference import count_spectral_work, reference_erm_pair
+from reference import count_spectral_work, logistic_slope, reference_erm_pair, squared_slope
 
 
 def record_values(trace):
@@ -59,63 +60,86 @@ class TestSquaredLoss:
         rng = np.random.default_rng(0)
         for _ in range(10):
             z, y = rng.standard_normal(2)
-            s = SquaredLoss.derivative(z, y)
-            assert SquaredLoss.value(z, y) + SquaredLoss.conjugate(s, y) == pytest.approx(
-                s * z, abs=1e-12
-            )
+            s = squared_slope(z, y)
+            conjugate = SquaredLoss.conjugate_with_derivative(s, y)[0]
+            assert SquaredLoss.value(z, y) + conjugate == pytest.approx(s * z, abs=1e-12)
 
     def test_conjugate_derivative_inverts(self):
         rng = np.random.default_rng(1)
         s, y = rng.standard_normal(2)
-        z = SquaredLoss.conjugate_derivative(s, y)
-        assert SquaredLoss.derivative(z, y) == pytest.approx(s, abs=1e-14)
+        z = SquaredLoss.conjugate_with_derivative(s, y)[1]
+        assert squared_slope(z, y) == pytest.approx(s, abs=1e-14)
 
 
 class TestLogisticLoss:
     def test_derivative_matches_finite_difference(self):
+        # The reference slope the root checks below rely on is the
+        # derivative of the loss's own value.
         loss = LogisticLoss(1e-2)
         rng = np.random.default_rng(2)
         for y in (-1.0, 1.0):
             z = rng.standard_normal()
             h = 1e-6
             fd = (loss.value(z + h, y) - loss.value(z - h, y)) / (2 * h)
-            assert loss.derivative(z, y) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+            assert logistic_slope(loss, z, y) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
     def test_conjugate_derivative_inverts(self):
         loss = LogisticLoss(1e-3)
         s = np.array([-50.0, -1.0, -1e-4, 0.0, 1e-4, 1.0, 50.0])
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-        z = loss.conjugate_derivative(s, y)
-        assert np.abs(loss.derivative(z, y) - s).max() < 1e-10 * max(1.0, np.abs(s).max())
+        z = loss.conjugate_with_derivative(s, y)[1]
+        resid = logistic_slope(loss, z, y) - s
+        assert np.abs(resid).max() < 1e-10 * max(1.0, np.abs(s).max())
 
     def test_fenchel_young_equality(self):
         loss = LogisticLoss(1e-2)
         rng = np.random.default_rng(3)
         z = rng.standard_normal(8) * 3.0
         y = np.where(rng.random(8) < 0.5, -1.0, 1.0)
-        s = loss.derivative(z, y)
-        total = loss.value(z, y) + loss.conjugate(s, y)
+        s = logistic_slope(loss, z, y)
+        total = loss.value(z, y) + loss.conjugate_with_derivative(s, y)[0]
         assert np.abs(total - s * z).max() < 1e-10
 
     def test_conjugate_is_scalar_friendly(self):
         loss = LogisticLoss()
-        assert float(loss.conjugate(0.3, 1.0)) == pytest.approx(
-            float(loss.conjugate(np.array([0.3]), np.array([1.0]))[0])
-        )
+        scalar = loss.conjugate_with_derivative(0.3, 1.0)
+        vector = loss.conjugate_with_derivative(np.array([0.3]), np.array([1.0]))
+        for got, want in zip(scalar, vector):
+            assert float(got) == pytest.approx(float(want[0]))
 
     def test_epsilon_validation(self):
         for epsilon in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 LogisticLoss(epsilon)
 
-    def test_conjugate_with_derivative_matches_separate_calls(self):
-        rng = np.random.default_rng(41)
-        s = rng.uniform(-5.0, 5.0, 20)
-        y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
-        for loss in (SquaredLoss(), LogisticLoss(1e-2)):
-            value, slope = loss.conjugate_with_derivative(s, y)
-            assert np.array_equal(value, loss.conjugate(s, y))
-            assert np.array_equal(slope, loss.conjugate_derivative(s, y))
+
+class BareSquaredLoss:
+    """The squared loss with only the members ErmProblem reads."""
+
+    gamma = 1.0
+    smoothness = 1.0
+
+    def value(self, z, y):
+        return 0.5 * (z - y) ** 2
+
+    def conjugate_with_derivative(self, s, y):
+        return 0.5 * s**2 + s * y, s + y
+
+
+class TestLossInterface:
+    def test_bare_loss_object_is_enough(self):
+        rng = np.random.default_rng(47)
+        A, y = rng.standard_normal((3, 9)), rng.standard_normal(9)
+        bare, full = ErmProblem(A, y, BareSquaredLoss(), 0.1), ErmProblem(A, y, SquaredLoss(), 0.1)
+        config = SolverConfig(SamplingScheme("nice", 9, 2).with_workers(2), theta="exact", seed=4)
+        got, want = run_erm(bare, config), run_erm(full, config)
+        assert got.status == want.status == "converged"
+        assert (got.b, got.theta_used) == (want.b, want.theta_used)
+        assert record_values(got) == record_values(want)
+        assert np.array_equal(got.alpha, want.alpha)
+        alpha = rng.standard_normal(9)
+        assert bare.dual_value(alpha) == full.dual_value(alpha)
+        assert np.array_equal(bare.psi_gradient(alpha), full.psi_gradient(alpha))
 
 
 def random_slopes(seed, size):
@@ -146,23 +170,26 @@ class TestLogisticRoot:
         loss = LogisticLoss(epsilon)
         s, y = random_slopes(43, 2000)
         z = loss._root(s, y)
-        resid = np.abs(loss.derivative(z, y) - s)
+        resid = np.abs(logistic_slope(loss, z, y) - s)
         assert np.all(resid <= 1e-13 * np.maximum(1.0, np.abs(s)))
 
     @pytest.mark.parametrize("epsilon", [1e-3, 0.1])
     def test_few_newton_passes(self, epsilon, monkeypatch):
+        # Each pass evaluates the sigmoid once, and the pass that finds
+        # every entry converged takes no Newton step.
         calls = []
-        second = LogisticLoss._second_derivative
+        expit = scipy.special.expit
 
-        def counted(self, z, y):
+        def counted(x):
             calls.append(1)
-            return second(self, z, y)
+            return expit(x)
 
-        monkeypatch.setattr(LogisticLoss, "_second_derivative", counted)
+        monkeypatch.setattr(scipy.special, "expit", counted)
         s, y = random_slopes(44, 2000)
         small = np.abs(s) <= 10.0
         LogisticLoss(epsilon)._root(s[small], y[small])
-        assert 0 < len(calls) <= 10
+        newton_steps = len(calls) - 1
+        assert 0 < newton_steps <= 10
 
 
 class TestProblemSetup:
@@ -539,15 +566,29 @@ class TestRunErm:
             assert exact.theta <= trace.theta_used
             assert trace.b == pytest.approx(b_threshold(c, exact.lam, trace.theta_used), rel=1e-12)
 
-    def test_csv_output(self):
+    def test_csv_output(self, tmp_path):
+        # The CLI is the one CSV writer: its rows are the trace's
+        # csv_rows, each led by c, and its floats are reprs that
+        # round-trip.
         prob = random_problem(3, 8, 23)
         trace = run_erm(prob, SolverConfig(SamplingScheme("nice", 8, 2), b=1.0, max_iter=4))
-        buf = io.StringIO()
-        trace.write_csv(buf, include_elapsed=False)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "iteration,primal,dual,gap"
-        assert len(lines) == len(trace.records) + 1
-        assert float(lines[1].split(",")[3]) == trace.records[0].gap
+        rows = list(trace.csv_rows())
+        assert len(rows) == len(trace.records)
+        assert float(rows[0][3]) == trace.records[0].gap
+        data = tmp_path / "data.svm"
+        data.write_text("".join(
+            f"{label!r} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(col)) + "\n"
+            for label, col in zip(prob.y.tolist(), prob.A.T.tolist())
+        ))
+        out = tmp_path / "trace.csv"
+        argv = [
+            "erm", "--data", str(data), "--reg", "0.1", "--scheme", "nice:tau=2",
+            "--b", "1", "--max-iter", "4", "--out", str(out),
+        ]
+        assert main(argv) == (0 if trace.converged else 2)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "c,iteration,primal,dual,gap"
+        assert lines[1:] == [",".join(map(str, [1, *row])) for row in rows]
 
 
 class TestDualRunProperties:
@@ -585,8 +626,9 @@ class TestDualRunProperties:
         assert trace.records[-1].dual == pytest.approx(prob.dual_value(trace.alpha), rel=1e-12)
         (state,) = states
         assert state.alpha is trace.alpha
-        assert np.array_equal(state.conjugate, prob.loss.conjugate(-trace.alpha, prob.y))
-        assert np.array_equal(state.zeta, prob.loss.conjugate_derivative(-trace.alpha, prob.y))
+        conjugate, zeta = prob.loss.conjugate_with_derivative(-trace.alpha, prob.y)
+        assert np.array_equal(state.conjugate, conjugate)
+        assert np.array_equal(state.zeta, zeta)
         assert np.array_equal(-state.zeta / n, prob.psi_gradient(trace.alpha))
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -19,9 +19,7 @@ from psn.linalg import (
     _lower_bandwidth,
     check_index_set,
     check_symmetric,
-    condition_number,
     eigen_extremes,
-    gershgorin_bounds,
     invsqrt_pd,
     lifted_inverse,
     make_heat_matrix,
@@ -31,6 +29,7 @@ from psn.linalg import (
     solve_pd,
     sqrt_pd,
 )
+from psn.rates import theta_cond_bound
 
 from reference import reference_bandwidth, reference_eigen_extremes
 
@@ -183,9 +182,13 @@ class TestGenerators:
         assert np.all(np.diag(M) == M[2, 2])
 
     def test_heat_matrix_gershgorin_condition(self):
-        # default r keeps the Gershgorin condition estimate under 1.68
+        # default r keeps the Gershgorin condition estimate under 1.68:
+        # every eigenvalue lies in [min(M_ii - R_i), max(M_ii + R_i)],
+        # R_i the absolute off-diagonal sum of row i.
         for n in (10, 200):
-            lo, hi = gershgorin_bounds(make_heat_matrix(n))
+            M = make_heat_matrix(n)
+            radii = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
+            lo, hi = (np.diag(M) - radii).min(), (np.diag(M) + radii).max()
             assert lo > 0.0
             assert hi / lo < 1.68
 
@@ -270,21 +273,15 @@ class TestSpectra:
             assert eigen_extremes(M) == reference_eigen_extremes(M)
         assert calls == []
 
-    def test_gershgorin_contains_spectrum(self):
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            M = random_symmetric(int(rng.integers(2, 9)), rng)
-            lo_g, hi_g = gershgorin_bounds(M)
-            lo, hi = eigen_extremes(M)
-            assert lo_g <= lo + 1e-12
-            assert hi <= hi_g + 1e-12
-
     def test_condition_number_diagonal(self):
-        assert condition_number(np.diag([2.0, 8.0])) == pytest.approx(4.0)
+        # With tau = n the theta bound (tau/n) cond(M) is cond(M).
+        assert theta_cond_bound(2, np.diag([2.0, 8.0])) == pytest.approx(4.0)
 
     def test_condition_number_requires_pd(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            condition_number(np.diag([1.0, -1.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            theta_cond_bound(2, np.diag([1.0, -1.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            theta_cond_bound(1, np.zeros((3, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -308,6 +305,23 @@ class TestSpectra:
         M[0, 1] = M[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             check_symmetric(M)
+
+    def test_check_symmetric_scale_is_largest_magnitude(self):
+        # Every entry is near -1e6, so the largest entry is negative;
+        # the tolerance is relative to the largest magnitude, 1e6.
+        rng = np.random.default_rng(34)
+        M = -1e6 - random_symmetric(4, rng) ** 2
+        near = M.copy()
+        near[0, 2] += 1e-5  # relative asymmetry 1e-11
+        assert np.array_equal(check_symmetric(near), 0.5 * (near + near.T))
+        far = M.copy()
+        far[0, 2] += 1e-3  # relative asymmetry 1e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(far)
+
+    def test_check_symmetric_rejects_only_negative_infinity(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_symmetric(np.full((3, 3), -np.inf))
 
 
 class TestPsdOrder:

@@ -5,7 +5,6 @@ exact Newton step; the driver must reproduce the reference loop of
 reference.py bit for bit, and must be invariant to the thread count.
 """
 
-import io
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psn.cli import main
 from psn.linalg import make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, theta, theta_cond_bound
 from psn.sampling import KINDS, SamplingScheme, draw, expected_lifted_inverse, parse_scheme
@@ -562,40 +562,28 @@ class TestGuards:
 
 
 class TestTraceCsv:
-    def test_columns_and_blank_gap(self):
+    def test_columns_and_blank_gap(self, tmp_path):
         from dataclasses import replace
 
         obj = nonquadratic_objective(4)
         obj = replace(obj, x_star=None, f_star=None)  # optimum unknown
         trace = run(obj, SolverConfig(SamplingScheme("nice", 4, 2), b=1.0, max_iter=5))
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "iteration,f_gap,grad_norm,elapsed_seconds"
-        assert len(lines) == len(trace.records) + 1
-        assert all(line.split(",")[1] == "" for line in lines[1:])
-        assert "\r" not in buf.getvalue()
-
-    def test_elapsed_excluded(self):
-        obj = random_quadratic(4, 54)
-        trace = run(obj, SolverConfig(SamplingScheme("nice", 4, 2), b=1.0, max_iter=5))
-        buf = io.StringIO()
-        trace.write_csv(buf, include_elapsed=False)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "iteration,f_gap,grad_norm"
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == pytest.approx(
-            trace.records[0].gap, rel=1e-15
-        )
+        rows = list(trace.csv_rows())
+        assert list(trace.COLUMNS) == ["f_gap", "grad_norm"]
+        assert [row[0] for row in rows] == [rec.iteration for rec in trace.records]
+        assert all(len(row) == 3 and row[1] == "" for row in rows)
+        # The CLI is the one CSV writer, and no timing column reaches it.
+        out = tmp_path / "trace.csv"
+        argv = ["solve", "--gen", "rho:4,0.3", "--scheme", "nice:tau=2", "--b", "1",
+                "--max-iter", "5", "--out", str(out)]
+        assert main(argv) in (0, 2)
+        text = out.read_bytes().decode()
+        assert "\r" not in text
+        assert text.splitlines()[0] == "c,iteration,f_gap,grad_norm"
 
     def test_round_trip_precision(self):
         obj = random_quadratic(4, 55)
         trace = run(obj, SolverConfig(SamplingScheme("nice", 4, 2), b=1.0, max_iter=8))
-        buf = io.StringIO()
-        trace.write_csv(buf, include_elapsed=False)
-        rows = buf.getvalue().splitlines()[1:]
-        for row, rec in zip(rows, trace.records):
-            _, gap, gnorm = row.split(",")
+        for (_, gap, gnorm), rec in zip(trace.csv_rows(), trace.records):
             assert float(gap) == rec.gap  # repr round-trips exactly
             assert float(gnorm) == rec.grad_norm
