@@ -17,7 +17,8 @@ Subcommands:
 * erm           -- dual solver on a LIBSVM dataset.
 
 All CSV output is deterministic for a fixed seed and flag set: rows
-carry no timing, and randomness never depends on thread scheduling.
+carry no timing, and every run takes its draws from one seeded stream
+in the calling thread (--threads is accepted but selects nothing).
 Exit codes: 0 success, 1 bad input, 2 did not converge (budget
 exhausted, or diverged in solve, heat or erm).
 """
@@ -354,8 +355,8 @@ def _add_solver_flags(sub: argparse.ArgumentParser, default_scheme: str) -> None
     sub.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
     sub.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
     sub.add_argument("--threads", type=int, default=1,
-                     help="physical threads for block solves, in solve, heat and erm "
-                          "(results do not depend on it)")
+                     help="accepted for compatibility (at least 1); blocks are always "
+                          "solved in the calling thread")
 
 
 def _add_problem_source(sub: argparse.ArgumentParser) -> None:

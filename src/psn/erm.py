@@ -53,7 +53,6 @@ from .rates import CurvaturePair
 from .solver import (
     SolverConfig,
     Trace,
-    _initial_point,
     _iterate,
     block_step,
     check_config,
@@ -159,8 +158,8 @@ class LogisticLoss:
 @dataclass(frozen=True)
 class ErmProblem:
     """Dataset and regulariser: feature matrix A (d x n, one column per
-    example) and targets y (length n), both finite, a loss object, and
-    a finite lam_reg > 0.
+    example, n >= 1) and targets y (length n), both finite, a loss
+    object, and a finite lam_reg > 0.
 
     A and y are stored as read-only copies, so later changes to the
     caller's arrays cannot reach the problem.  That keeps valid what the
@@ -183,6 +182,8 @@ class ErmProblem:
         y = np.array(self.y, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError(f"A must be d x n, got shape {A.shape}")
+        if A.shape[1] == 0:
+            raise ValueError("A has no examples: it needs at least one column")
         if y.shape != (A.shape[1],):
             raise ValueError(
                 f"y must have one entry per column of A ({A.shape[1]}), got {y.shape}"
@@ -347,11 +348,9 @@ class DualState:
             -self.alpha[changed], problem.y[changed]
         )
 
-    def consistency_error(self, problem: ErmProblem, average: np.ndarray | None = None) -> float:
-        """Max-norm drift between abar and (1/(lam n)) A alpha; average
-        is that product when the caller has already formed it."""
-        if average is None:
-            average = problem.average_of(self.alpha)
+    def consistency_error(self, average: np.ndarray) -> float:
+        """Max-norm drift between abar and average, the product
+        (1/(lam n)) A alpha as the caller formed it from scratch."""
         return float(np.abs(self.alpha_bar - average).max(initial=0.0))
 
 
@@ -398,9 +397,8 @@ class ErmTrace(Trace):
 
 
 def run_erm(problem: ErmProblem, config: SolverConfig) -> ErmTrace:
-    """Run the dual block-Newton iteration from alpha = config.x0
-    (zero by default) until the duality gap P(w) - D(alpha) falls to
-    config.tol.
+    """Run the dual block-Newton iteration from alpha = 0 until the
+    duality gap P(w) - D(alpha) falls to config.tol.
 
     config.scheme samples over the n dual coordinates.  Every record
     carries primal, dual, gap and the abar consistency drift; the
@@ -412,13 +410,13 @@ def run_erm(problem: ErmProblem, config: SolverConfig) -> ErmTrace:
     check_config(config, problem.n)
     X = problem.smoothness_matrix()
     b, theta_used = resolve_damping(config, problem)
-    state = DualState.initial(problem, _initial_point(config, problem.n))
+    state = DualState.initial(problem, np.zeros(problem.n))
 
     def monitor():
         average = problem.average_of(state.alpha)
         primal = problem.primal_value(state.alpha_bar)
         dual = problem._dual_from(state.conjugate, average)
-        drift = state.consistency_error(problem, average)
+        drift = state.consistency_error(average)
         return (primal, dual, primal - dual, drift), primal - dual, -dual
 
     records, status = _iterate(
@@ -428,14 +426,13 @@ def run_erm(problem: ErmProblem, config: SolverConfig) -> ErmTrace:
     return ErmTrace(records, status, b, theta_used, state.alpha, state.alpha_bar)
 
 
-def load_libsvm(path, n_features: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a LIBSVM sparse text file.
 
     Each line is ``label index:value ...`` with 1-based feature indices.
-    Returns (A, y) where A is d x n with one column per example.  The
-    feature count is inferred from the largest index unless n_features
-    is given.  Malformed lines, and a feature index repeated on one
-    line, raise ValueError naming the line number.
+    Returns (A, y) where A is d x n with one column per example, and d
+    is the largest feature index.  Malformed lines, and a feature index
+    repeated on one line, raise ValueError naming the line number.
     """
     labels: list[float] = []
     rows: list[dict[int, float]] = []
@@ -480,12 +477,7 @@ def load_libsvm(path, n_features: int | None = None) -> tuple[np.ndarray, np.nda
             rows.append(entries)
     if not labels:
         raise ValueError(f"{path}: no data lines")
-    d = n_features if n_features is not None else max_index
-    if max_index > d:
-        raise ValueError(
-            f"{path}: feature index {max_index} exceeds n_features={d}"
-        )
-    A = np.zeros((d, len(labels)))
+    A = np.zeros((max_index, len(labels)))
     for col, entries in enumerate(rows):
         for idx, val in entries.items():
             A[idx, col] = val

@@ -49,12 +49,12 @@ def check_index_set(S, n: int) -> np.ndarray:
     return idx
 
 
-def check_symmetric(M, tol: float = 1e-10) -> np.ndarray:
+def check_symmetric(M) -> np.ndarray:
     """Return M as a symmetric float64 array, raising ValueError if it
     is not square, has a non-finite entry, or is not symmetric within
-    tol (relative to the largest entry).
+    1e-10 relative to its largest entry.
 
-    An M that is symmetric only within tol is replaced by (M + M')/2,
+    An M that is only nearly symmetric is replaced by (M + M')/2,
     since block solves read one triangle and gradient updates read rows
     for columns; an exactly symmetric M is returned as it is."""
     A = np.asarray(M, dtype=np.float64)
@@ -69,7 +69,7 @@ def check_symmetric(M, tol: float = 1e-10) -> np.ndarray:
     scale = max(1.0, largest)
     difference = A - A.T
     asymmetry = np.abs(difference, out=difference).max(initial=0.0)
-    if asymmetry > tol * scale:
+    if asymmetry > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (A + A.T) if asymmetry else A
 
@@ -145,13 +145,13 @@ def make_heat_matrix(n: int, r: float = 0.1) -> np.ndarray:
     (stencil entries outside the grid are dropped).  The result is a
     penta-diagonal matrix with diagonal 1 + (5/2) r, first off-diagonals
     -(4/3) r and second off-diagonals (1/12) r.  r = dt/dx^2 must be
-    positive; the default 0.1 keeps the Gershgorin condition estimate
-    below 1.68.
+    positive and finite; the default 0.1 keeps the Gershgorin condition
+    estimate below 1.68.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
     M = np.eye(n) * (1.0 + 2.5 * r)
     if n >= 2:
         first = np.full(n - 1, -(4.0 / 3.0) * r)

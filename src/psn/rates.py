@@ -130,9 +130,11 @@ class CurvaturePair:
     def n(self) -> int:
         return self.M.shape[0]
 
-    @cached_property
+    @property
     def quadratic(self) -> bool:
-        return self.M is self.G or np.array_equal(self.M, self.G)
+        """Whether G is M itself; a G that only equals M is validated
+        as a general pair."""
+        return self.M is self.G
 
     @cached_property
     def _lam(self) -> float:

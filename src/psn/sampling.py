@@ -13,8 +13,8 @@ worker count c.  Each iteration every worker gets one index set:
                into c pairwise disjoint sets of size tau.
 
 Every draw comes from the generator it is given, as one (c, tau) array
-of sorted index sets; worker threads never draw.  For nice and list the
-c rows are c successive one-worker draws, so c=1 is the serial scheme.
+of sorted index sets.  For nice and list the c rows are c successive
+one-worker draws, so c=1 is the serial scheme.
 
 Expected lifted inverses refer to one constituent set: for nice and
 list each worker's set has the one-worker distribution, and for
@@ -86,7 +86,7 @@ class SamplingScheme:
 def parse_scheme(text: str, n: int) -> SamplingScheme:
     """Parse a scheme string such as 'nice:tau=2' or 'list:tau=5,c=4'
     against dimension n; 'parallel-nice' and 'parallel-list' spell
-    'nice' and 'list'."""
+    'nice' and 'list'.  A repeated parameter raises ValueError."""
     kind, _, params = text.strip().partition(":")
     kind = kind.strip()
     opts: dict[str, int] = {}
@@ -98,6 +98,8 @@ def parse_scheme(text: str, n: int) -> SamplingScheme:
                 raise ValueError(
                     f"bad scheme parameter {item!r}; expected tau=INT or c=INT"
                 )
+            if key in opts:
+                raise ValueError(f"scheme {text!r} repeats parameter {key!r}")
             try:
                 opts[key] = int(value)
             except ValueError:

@@ -15,17 +15,15 @@ block_step computes sum_i h_i for one draw.  run (here) and
 erm.run_erm (on the dual of an ERM problem) share the loop around it;
 each supplies only what it monitors and how it applies the step.
 
-All randomness flows from a single master seed on the coordinator;
-worker threads only execute block solves, so traces are identical for
-any physical thread count.
+The c workers are simulated in the calling thread: every block is
+factored and solved there, in row order, and all randomness flows from
+a single master seed, so a seeded run gives the same trace every time.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar
@@ -46,7 +44,6 @@ __all__ = [
     "SolverConfig",
     "check_config",
     "resolve_damping",
-    "worker_pool",
     "TraceRecord",
     "Trace",
     "IterationTrace",
@@ -71,7 +68,8 @@ class SmoothObjective:
     value/gradient are plain callables on length-n vectors.  M bounds
     the Hessians from above and G from below in the semidefinite order;
     block steps always solve against M.  x_star/f_star are optional and
-    only used to report optimality gaps in traces.
+    only used to report optimality gaps in traces.  The objective is
+    quadratic, with G = M, exactly when G is M itself.
 
     The objective is a snapshot of M and G: x_star and f_star are fixed
     when it is built, and curvature() builds and validates the pair
@@ -88,11 +86,14 @@ class SmoothObjective:
     G: np.ndarray = field(repr=False)
     x_star: np.ndarray | None = field(default=None, repr=False)
     f_star: float | None = None
-    quadratic: bool = False
+
+    @property
+    def quadratic(self) -> bool:
+        return self.G is self.M
 
     @cached_property
     def _pair(self) -> CurvaturePair:
-        return CurvaturePair(self.M, self.M if self.quadratic else self.G)
+        return CurvaturePair(self.M, self.G)
 
     def curvature(self) -> CurvaturePair:
         """The validated pair (M, G), the same object on every call."""
@@ -136,7 +137,6 @@ def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
         G=M,
         x_star=x_star,
         f_star=value(x_star),
-        quadratic=True,
     )
 
 
@@ -160,7 +160,6 @@ def block_step(
     M: np.ndarray,
     sets: np.ndarray,
     block_gradient: Callable[[np.ndarray], np.ndarray],
-    executor: Executor | None = None,
 ) -> np.ndarray:
     """Sum of the block Newton directions of the rows of ``sets``, a
     (k, tau) integer array such as a draw returns.
@@ -169,31 +168,20 @@ def block_step(
     M[S, S] h = -block_gradient(S).  All k blocks are gathered with one
     fancy index; each is factored and solved on its lower triangle by
     LAPACK's dpotrf/dpotrs, the routines behind scipy.linalg.cho_factor
-    and cho_solve, so the directions equal theirs bit for bit.  With an
-    executor and more than one block the blocks are factored and solved
-    on it; a single block is solved in the calling thread.  Directions
-    are summed in row order, so the result does not depend on the
-    thread count.  A block that is not positive definite raises
-    LinAlgError naming its index set.
+    and cho_solve, so the directions equal theirs bit for bit.  Blocks
+    are factored, solved and summed in row order.  A block that is not
+    positive definite raises LinAlgError naming its index set.
     """
     blocks = M[sets[:, :, None], sets[:, None, :]]
-
-    def solve(S: np.ndarray, block: np.ndarray) -> np.ndarray:
+    total = np.zeros(M.shape[0])
+    for S, block in zip(sets, blocks):
         factor, info = dpotrf(block, lower=1, clean=0)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"block {S.tolist()} is not positive definite: its "
                 f"{info}-th leading minor is not positive"
             )
-        return dpotrs(factor, block_gradient(S), lower=1)[0]
-
-    total = np.zeros(M.shape[0])
-    if executor is None or len(sets) == 1:
-        solutions = map(solve, sets, blocks)
-    else:
-        solutions = executor.map(solve, sets, blocks)
-    for S, u in zip(sets, solutions):
-        total[S] -= u
+        total[S] -= dpotrs(factor, block_gradient(S), lower=1)[0]
     return total
 
 
@@ -216,12 +204,8 @@ class SolverConfig:
     cheaper.  It changes round-off, not semantics, and is off by default
     so that step-for-step comparisons stay exact.
 
-    threads is the number of threads that factor and solve the blocks
-    of one iteration; a draw of a single block is solved in the calling
-    thread.  Results do not depend on it.
-
-    x0 is the starting point, of the problem's dimension n (the dual
-    alpha for erm.run_erm); the default is zero.
+    threads is checked to be at least 1 and selects nothing: every
+    block is solved in the calling thread.
     """
 
     scheme: SamplingScheme
@@ -231,7 +215,6 @@ class SolverConfig:
     max_iter: int = 100_000
     seed: int = 0
     threads: int = 1
-    x0: np.ndarray | None = field(default=None, repr=False)
     incremental_gradient: bool = False
 
 
@@ -341,22 +324,6 @@ def resolve_damping(config: SolverConfig, problem) -> tuple[float, float | None]
     return b_threshold(scheme.c, lam, th), th
 
 
-def worker_pool(threads: int):
-    """Context manager giving the thread pool for block solves, or None
-    for a single thread."""
-    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
-
-
-def _initial_point(config: SolverConfig, n: int) -> np.ndarray:
-    """A copy of config.x0, checked to have shape (n,), or zeros."""
-    if config.x0 is None:
-        return np.zeros(n)
-    x0 = np.asarray(config.x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
-    return x0.copy()
-
-
 def _iterate(
     config: SolverConfig,
     M: np.ndarray,
@@ -383,31 +350,31 @@ def _iterate(
     prev_value = np.inf
     rises = 0
     t0 = time.perf_counter()
-    with worker_pool(config.threads) as pool:
-        for k in range(config.max_iter + 1):
-            fields, residual, value = monitor()
-            records.append(record(k, *fields, time.perf_counter() - t0))
-            if not (math.isfinite(residual) and math.isfinite(value)):
-                return records, "non-finite"
-            if residual <= config.tol:
-                return records, "converged"
-            rises = rises + 1 if value > prev_value else 0
-            if rises >= _DIVERGENCE_PATIENCE:
-                raise DivergenceError(
-                    f"objective increased for {rises} consecutive iterations; "
-                    "the damping b is likely below the admissible threshold "
-                    "(c-1)*lambda*theta + 1"
-                )
-            prev_value = value
-            if k == config.max_iter:
-                break
-            sets = draw(config.scheme, rng)
-            update(k, sets, block_step(M, sets, block_gradient, pool))
+    for k in range(config.max_iter + 1):
+        fields, residual, value = monitor()
+        records.append(record(k, *fields, time.perf_counter() - t0))
+        if not (math.isfinite(residual) and math.isfinite(value)):
+            return records, "non-finite"
+        if residual <= config.tol:
+            return records, "converged"
+        rises = rises + 1 if value > prev_value else 0
+        if rises >= _DIVERGENCE_PATIENCE:
+            raise DivergenceError(
+                f"objective increased for {rises} consecutive iterations; "
+                "the damping b is likely below the admissible threshold "
+                "(c-1)*lambda*theta + 1"
+            )
+        prev_value = value
+        if k == config.max_iter:
+            break
+        sets = draw(config.scheme, rng)
+        update(k, sets, block_step(M, sets, block_gradient))
     return records, "max-iterations"
 
 
 def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
-    """Run the damped parallel iteration until ||grad|| <= tol.
+    """Run the damped parallel iteration from x = 0 until
+    ||grad|| <= tol.
 
     The trace records every iterate including the initial point.  A
     non-finite objective or gradient norm ends the run with status
@@ -417,7 +384,7 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
     """
     check_config(config, objective.n)
     b, theta_used = resolve_damping(config, objective)
-    x = _initial_point(config, objective.n)
+    x = np.zeros(objective.n)
     g = objective.gradient(x)
     incremental = config.incremental_gradient and objective.quadratic
     # With a maintained gradient and a known optimum the quadratic value

@@ -39,12 +39,12 @@ def reference_step(x, objective, sets, b):
 
 def reference_run(objective, config, b):
     """The iteration of solver.run without its optimisations: from
-    config.x0 (or zero), one reference_step with damping b per draw of
-    config.scheme until the gradient norm reaches config.tol or
-    config.max_iter steps are taken.  Returns an IterationTrace whose
-    records carry no timing (elapsed is 0)."""
+    zero, one reference_step with damping b per draw of config.scheme
+    until the gradient norm reaches config.tol or config.max_iter steps
+    are taken.  Returns an IterationTrace whose records carry no timing
+    (elapsed is 0)."""
     rng = np.random.default_rng(config.seed)
-    x = np.zeros(objective.n) if config.x0 is None else np.array(config.x0, dtype=float)
+    x = np.zeros(objective.n)
     records = []
     status = "max-iterations"
     for k in range(config.max_iter + 1):

@@ -5,6 +5,7 @@ structure, and determinism of the emitted tables.
 """
 
 import csv
+import threading
 import warnings
 
 import numpy as np
@@ -72,6 +73,21 @@ class TestSolve:
         assert main(args + ["--threads", "4", "--out", str(paths[2])]) == 0
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_threads_flag_starts_no_thread(self, tmp_path, monkeypatch):
+        # --threads is accepted and selects nothing: every block is
+        # solved in the calling thread, so no pool can hide behind it.
+        def refuse(thread):
+            raise AssertionError(f"a thread was started: {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "trace.csv"
+        argv = [
+            "solve", "--gen", "dense:40,160", "--scheme", "nice:tau=8", "--c", "1,4",
+            "--theta", "1", "--threads", "4", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert {row[0] for row in read_csv(out)[1]} == {"1", "4"}
 
     def test_parallel_spelling_writes_the_same_bytes(self, tmp_path):
         blobs = []
@@ -182,6 +198,8 @@ class TestSolve:
             (["rho", "--rho-grid", "0.1,a"], "--rho-grid expects a comma-separated list of numbers"),
             (["tridiag", "--n-grid", ","], "--n-grid is empty"),
             (["tridiag", "--alpha-grid", "q"], "--alpha-grid expects a comma-separated list of numbers"),
+            (["solve", "--gen", "rho:8,0.3", "--scheme", "nice:tau=2,tau=5"],
+             "scheme 'nice:tau=2,tau=5' repeats parameter 'tau'"),
         ],
     )
     def test_list_flags_name_their_errors(self, argv, line, capsys):

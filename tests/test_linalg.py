@@ -193,8 +193,10 @@ class TestGenerators:
             assert hi / lo < 1.68
 
     def test_heat_matrix_domain(self):
-        with pytest.raises(ValueError):
-            make_heat_matrix(5, 0.0)
+        # NaN fails every comparison, so a check of r <= 0 alone lets it through.
+        for r in (0.0, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="r must be positive and finite"):
+                make_heat_matrix(5, r)
         with pytest.raises(ValueError):
             make_heat_matrix(0, 0.1)
 

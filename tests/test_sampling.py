@@ -75,6 +75,11 @@ class TestSchemeValidation:
             parse_scheme("nice:tau=x", 7)
         with pytest.raises(ValueError):
             parse_scheme("nice:frobs=2", 7)
+        # Keeping the last of a repeated parameter would hide a typo.
+        for text, key in (("nice:tau=2,tau=5", "tau"), ("list:tau=2,c=3,c=1", "c"),
+                          ("nice:tau=2, tau=2", "tau")):
+            with pytest.raises(ValueError, match=f"repeats parameter '{key}'"):
+                parse_scheme(text, 7)
 
     def test_with_workers_lifts_and_drops(self):
         s = parse_scheme("nice:tau=2", 8)

@@ -2,22 +2,24 @@
 
 Step formulas are checked against hand-solved small systems and the
 exact Newton step; the driver must reproduce the reference loop of
-reference.py bit for bit, and must be invariant to the thread count.
+reference.py bit for bit, and the threads setting must not change it.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psn.rates
 from psn.cli import main
 from psn.linalg import make_rho_matrix
-from psn.rates import CurvaturePair, b_threshold, theta, theta_cond_bound
+from psn.rates import CurvaturePair, b_threshold, lambda_ratio, theta, theta_cond_bound
 from psn.sampling import KINDS, SamplingScheme, draw, expected_lifted_inverse, parse_scheme
 from psn.solver import (
     DivergenceError,
+    SmoothObjective,
     SolverConfig,
     block_step,
     least_squares_objective,
@@ -38,8 +40,6 @@ def random_quadratic(n, seed):
 def nonquadratic_objective(n, mu=0.1):
     """f(x) = ||x||^2/2 + mu * sum log cosh x_i, minimised at 0 with
     Hessians between I and (1 + mu) I."""
-    from psn.solver import SmoothObjective
-
     def value(x):
         return float(0.5 * x @ x + mu * np.sum(np.logaddexp(x, -x) - np.log(2.0)))
 
@@ -71,6 +71,29 @@ def trace_values(trace):
 
 
 class TestObjectives:
+    def test_quadratic_exactly_when_G_is_M(self, monkeypatch):
+        assert "quadratic" not in {f.name for f in dataclasses.fields(SmoothObjective)}
+        order_checks = []
+        psd_order_holds = psn.rates.psd_order_holds
+
+        def counted(*args, **kwargs):
+            order_checks.append(args)
+            return psd_order_holds(*args, **kwargs)
+
+        monkeypatch.setattr(psn.rates, "psd_order_holds", counted)
+        obj = random_quadratic(5, 58)
+        assert obj.G is obj.M and obj.quadratic
+        assert obj.curvature().quadratic and order_checks == []
+        # G equal to M but another array is a general pair: G <= M is
+        # checked and lambda comes from a Cholesky factor of G.
+        copy = SmoothObjective(5, obj.value, obj.gradient, obj.M, obj.M.copy())
+        assert not copy.quadratic
+        pair = copy.curvature()
+        assert not pair.quadratic and pair.m_extremes is None and len(order_checks) == 1
+        calls = count_spectral_work(monkeypatch)
+        assert lambda_ratio(pair) == pytest.approx(1.0, rel=1e-12)
+        assert ("_cholesky", 5) in calls
+
     def test_quadratic_matches_formula(self):
         obj = random_quadratic(5, 0)
         rng = np.random.default_rng(1)
@@ -216,30 +239,13 @@ class TestBlockKernel:
         sets = draw(SamplingScheme(kind, n, tau, c), rng)
         expect = reference_block_step(M, sets, g.__getitem__)
         assert np.array_equal(block_step(M, sets, g.__getitem__), expect)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert np.array_equal(block_step(M, sets, g.__getitem__, pool), expect)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_bad_block_names_its_set(self, threads):
+    def test_bad_block_names_its_set(self):
         # [[1, 2], [2, 1]] on {0, 1} is indefinite; {0, 2} is fine.
         M = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         sets = np.array([[0, 2], [0, 1]])
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            with pytest.raises(np.linalg.LinAlgError, match=r"\[0, 1\]"):
-                block_step(M, sets, np.ones(3).__getitem__, pool)
-
-    def test_single_block_stays_in_calling_thread(self):
-        class NoPool:
-            def map(self, *args):
-                raise AssertionError("a single block was sent to the executor")
-
-        M = random_quadratic(6, 3).M
-        sets = np.array([[1, 3, 4]])
-        g = np.arange(6.0)
-        assert np.array_equal(
-            block_step(M, sets, g.__getitem__, NoPool()),
-            reference_block_step(M, sets, g.__getitem__),
-        )
+        with pytest.raises(np.linalg.LinAlgError, match=r"\[0, 1\]"):
+            block_step(M, sets, np.ones(3).__getitem__)
 
 
 class TestRunConvergence:
@@ -310,8 +316,9 @@ class TestRunConvergence:
         assert trace.b == pytest.approx(1.0 + 1.1 * th, rel=1e-9)
 
     def test_non_finite_status(self):
-        obj = random_quadratic(6, 17)
-        config = SolverConfig(SamplingScheme("nice", 6, 2), b=1.0, x0=np.full(6, np.nan))
+        M = random_quadratic(6, 17).M
+        obj = SmoothObjective(6, lambda x: 0.0, lambda x: np.full(6, np.nan), M, M)
+        config = SolverConfig(SamplingScheme("nice", 6, 2), b=1.0)
         trace = run(obj, config)
         assert trace.status == "non-finite"
         assert len(trace.records) == 1
@@ -504,14 +511,12 @@ class TestIncrementalGradient:
 class TestGuards:
     def test_divergence_raises(self):
         # c full-block directions with b = 1 triple the Newton step:
-        # x' - x* = -2 (x - x*), so the objective rises every iteration.
+        # x' - x* = -2 (x - x*), so from x = 0, away from x*, the
+        # objective rises every iteration.
         obj = random_quadratic(6, 47)
+        assert np.abs(obj.x_star).max() > 0.1
         config = SolverConfig(
-            SamplingScheme("nice", 6, 6, c=3),
-            b=1.0,
-            seed=10,
-            x0=obj.x_star + 1.0,
-            max_iter=10_000,
+            SamplingScheme("nice", 6, 6, c=3), b=1.0, seed=10, max_iter=10_000
         )
         with pytest.raises(DivergenceError, match="damping"):
             run(obj, config)
@@ -551,14 +556,6 @@ class TestGuards:
         obj = random_quadratic(5, 51)
         with pytest.raises(ValueError, match="dimension"):
             run(obj, SolverConfig(SamplingScheme("nice", 6, 2), b=1.0))
-
-    def test_x0_respected_and_validated(self):
-        obj = random_quadratic(5, 52)
-        x0 = np.full(5, 2.0)
-        trace = run(obj, SolverConfig(SamplingScheme("nice", 5, 2), b=1.0, x0=x0))
-        assert trace.records[0].value == pytest.approx(obj.value(x0))
-        with pytest.raises(ValueError):
-            run(obj, SolverConfig(SamplingScheme("nice", 5, 2), b=1.0, x0=np.zeros(4)))
 
 
 class TestTraceCsv:
