@@ -6,15 +6,18 @@ Subcommands:
                    emit per-iteration traces across a grid of worker
                    counts.
 * rates         -- tabulate sigma1/theta/lambda/b_min/sigma_p together
-                   with the PCDM baselines sigma3/sigma_b.
-* compare-pcdm  -- alias of rates.
+                   with the PCDM baselines sigma3/sigma_b.  E[(M_S)^-1]
+                   is enumerated unless --mc-samples N asks for a Monte
+                   Carlo mean of N draws.
 * rho           -- closed-form rate curves for the constant-correlation
                    matrix family.
 * tridiag       -- exact 2-list theta against its closed bound on the
                    tridiagonal family.
-* heat          -- alias of solve wired to the implicit heat-step
-                   generator.
+* heat          -- solve on the implicit heat-step system.
 * erm           -- dual solver on a LIBSVM dataset.
+
+Each subcommand takes only the flags it reads: --rhs (solve only) needs
+--matrix, and rho and tridiag, which draw nothing, take no --seed.
 
 All CSV output is deterministic for a fixed seed and flag set: rows
 carry no timing, and every run takes its draws from one seeded stream
@@ -43,13 +46,7 @@ from .rates import (
     tridiag_theta_bound,
 )
 from .sampling import SamplingScheme, expected_lifted_inverse, parse_scheme
-from .solver import (
-    DivergenceError,
-    SolverConfig,
-    least_squares_objective,
-    quadratic_objective,
-    run,
-)
+from .solver import DivergenceError, SolverConfig, quadratic_objective, run
 
 __all__ = ["main"]
 
@@ -94,6 +91,9 @@ def _parse_list(text: str, flag: str, kind: type = int) -> list:
         raise ValueError(f"{flag} expects a comma-separated list of {noun}") from None
     if not values:
         raise ValueError(f"{flag} is empty")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} repeats the value {value}")
     return values
 
 
@@ -130,37 +130,31 @@ def _heat_rhs(n: int) -> np.ndarray:
     return np.cos(0.5 * np.pi * x)
 
 
-def _build_objective(args) -> tuple:
-    """Returns (objective, decomposition_or_None)."""
-    if getattr(args, "matrix", None) and getattr(args, "gen", None):
+def _problem(args) -> tuple:
+    """The problem of --matrix or --gen as (M, A, rhs): the matrix; the
+    dense generator's A, with M = A'A, or None; and rhs(), which gives
+    solve's right-hand side: drawn from the data stream after M's draws,
+    or fixed for heat."""
+    if args.matrix and args.gen:
         raise ValueError("give either --matrix or --gen, not both")
-    if getattr(args, "matrix", None):
+    rng = _data_rng(args.seed)
+    if args.matrix:
         M = read_matrix(args.matrix)
-        if getattr(args, "rhs", None):
-            q = read_vector(args.rhs)
-            if q.shape != (M.shape[0],):
-                raise ValueError(
-                    f"rhs length {q.shape[0]} does not match matrix size {M.shape[0]}"
-                )
-        else:
-            q = _data_rng(args.seed).standard_normal(M.shape[0])
-        return quadratic_objective(M, q), None
-    if not getattr(args, "gen", None):
+        return M, None, lambda: rng.standard_normal(M.shape[0])
+    if not args.gen:
         raise ValueError("need a problem source: --matrix FILE or --gen SPEC")
     gen = _parse_gen(args.gen)
-    rng = _data_rng(args.seed)
+    n = gen["n"]
     if gen["kind"] == "dense":
-        A = rng.standard_normal((gen["m"], gen["n"]))
-        y = rng.standard_normal(gen["m"])
-        return least_squares_objective(A, y), A
+        A = rng.standard_normal((gen["m"], n))
+        return A.T @ A, A, lambda: A.T @ rng.standard_normal(gen["m"])
+    if gen["kind"] == "heat":
+        return make_heat_matrix(n, gen["r"]), None, lambda: _heat_rhs(n)
     if gen["kind"] == "rho":
-        M = make_rho_matrix(gen["n"], gen["rho"])
-    elif gen["kind"] == "tridiag":
-        M = make_tridiagonal(gen["n"], gen["alpha"])
+        M = make_rho_matrix(n, gen["rho"])
     else:
-        M = make_heat_matrix(gen["n"], gen["r"])
-        return quadratic_objective(M, _heat_rhs(gen["n"])), None
-    return quadratic_objective(M, rng.standard_normal(gen["n"])), None
+        M = make_tridiagonal(n, gen["alpha"])
+    return M, None, lambda: rng.standard_normal(n)
 
 
 def _fmt(x) -> str:
@@ -173,14 +167,16 @@ def _worker_grid(args, scheme: SamplingScheme) -> list[int]:
     return [scheme.c]
 
 
-def _solve_grid(args, scheme: SamplingScheme, solve) -> int:
-    """Solve at every worker count of the grid with solve(config),
-    print one status line per run to stderr and write the rows of all
-    traces, each led by its c, to one CSV."""
+def _solve_grid(args, problem, solve) -> int:
+    """Solve problem at every worker count of the grid with
+    solve(problem, config), print one status line per run to stderr and
+    write the rows of all traces, each led by its c, to one CSV."""
+    scheme = parse_scheme(args.scheme, problem.n)
     rows = []
     ok = True
     for c in _worker_grid(args, scheme):
         trace = solve(
+            problem,
             SolverConfig(
                 scheme=scheme.with_workers(c),
                 b=_parse_b(args.b),
@@ -190,7 +186,7 @@ def _solve_grid(args, scheme: SamplingScheme, solve) -> int:
                 seed=args.seed,
                 threads=args.threads,
                 incremental_gradient=True,
-            )
+            ),
         )
         ok = ok and trace.converged
         print(
@@ -204,22 +200,33 @@ def _solve_grid(args, scheme: SamplingScheme, solve) -> int:
 
 
 def cmd_solve(args) -> int:
-    objective, _ = _build_objective(args)
-    return _solve_grid(
-        args, parse_scheme(args.scheme, objective.n), lambda config: run(objective, config)
-    )
+    if args.rhs and not args.matrix:
+        raise ValueError("--rhs needs --matrix")
+    M, _, rhs = _problem(args)
+    if args.rhs:
+        q = read_vector(args.rhs)
+        if q.shape != (M.shape[0],):
+            raise ValueError(
+                f"rhs length {q.shape[0]} does not match matrix size {M.shape[0]}"
+            )
+    else:
+        q = rhs()
+    return _solve_grid(args, quadratic_objective(M, q), run)
+
+
+def cmd_heat(args) -> int:
+    M = make_heat_matrix(args.n, args.r)
+    return _solve_grid(args, quadratic_objective(M, _heat_rhs(args.n)), run)
 
 
 def cmd_rates(args) -> int:
-    objective, decomposition = _build_objective(args)
-    scheme = parse_scheme(args.scheme, objective.n)
-    pair = objective.curvature()
+    M, decomposition, _ = _problem(args)
+    scheme = parse_scheme(args.scheme, M.shape[0])
+    pair = CurvaturePair.from_hessian(M)
     # Without Monte Carlo the pair enumerates E once for every c.
     expected = None
-    if args.mc_samples > 0:
-        expected = expected_lifted_inverse(
-            pair.M, scheme, mode="monte-carlo", samples=args.mc_samples, seed=args.seed
-        ).matrix
+    if args.mc_samples is not None:
+        expected = expected_lifted_inverse(pair.M, scheme, args.mc_samples, args.seed).matrix
     rows = []
     for c in _worker_grid(args, scheme):
         sch = scheme.with_workers(c)
@@ -234,7 +241,7 @@ def cmd_rates(args) -> int:
             sigma3 = sigma_b = ""
         rows.append(
             [
-                args.scheme,
+                sch.kind,
                 pair.n,
                 sch.tau,
                 c,
@@ -308,13 +315,6 @@ def cmd_tridiag(args) -> int:
     return 0
 
 
-def cmd_heat(args) -> int:
-    args.gen = f"heat:{args.n},{args.r}"
-    args.matrix = None
-    args.rhs = None
-    return cmd_solve(args)
-
-
 def _erm_labels(y: np.ndarray, loss_kind: str) -> np.ndarray:
     if loss_kind != "logistic":
         return y
@@ -332,15 +332,7 @@ def cmd_erm(args) -> int:
     A, y = load_libsvm(args.data)
     y = _erm_labels(y, args.loss)
     loss = LogisticLoss(args.epsilon) if args.loss == "logistic" else SquaredLoss()
-    problem = ErmProblem(A, y, loss, args.reg)
-    return _solve_grid(
-        args, parse_scheme(args.scheme, problem.n), lambda config: run_erm(problem, config)
-    )
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
+    return _solve_grid(args, ErmProblem(A, y, loss, args.reg), run_erm)
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser, default_scheme: str) -> None:
@@ -357,11 +349,11 @@ def _add_solver_flags(sub: argparse.ArgumentParser, default_scheme: str) -> None
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility (at least 1); blocks are always "
                           "solved in the calling thread")
+    sub.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 def _add_problem_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--matrix", default=None, help="Matrix Market file")
-    sub.add_argument("--rhs", default=None, help="right-hand side vector file")
     sub.add_argument("--gen", default=None,
                      help="synthetic problem: dense:n,m | rho:n,rho | tridiag:n,alpha | heat:n,r")
 
@@ -375,39 +367,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="run the solver on a quadratic problem")
     _add_problem_source(p)
+    p.add_argument("--rhs", default=None, help="right-hand side vector file (needs --matrix)")
     _add_solver_flags(p, "nice:tau=2")
-    _add_common(p)
     p.set_defaults(func=cmd_solve)
 
-    for name in ("rates", "compare-pcdm"):
-        p = subs.add_parser(name, help="tabulate rate constants and PCDM baselines")
-        _add_problem_source(p)
-        p.add_argument("--scheme", default="nice:tau=2")
-        p.add_argument("--c", default=None, help="comma-separated worker counts")
-        p.add_argument("--mc-samples", type=int, default=0, dest="mc_samples",
-                       help="Monte Carlo sample count when enumeration is infeasible")
-        _add_common(p)
-        p.set_defaults(func=cmd_rates)
+    p = subs.add_parser("rates", help="tabulate rate constants and PCDM baselines")
+    _add_problem_source(p)
+    p.add_argument("--scheme", default="nice:tau=2")
+    p.add_argument("--c", default=None, help="comma-separated worker counts")
+    p.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
+                   help="estimate E[(M_S)^-1] from this many Monte Carlo samples "
+                        "(at least 2) instead of enumerating")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.set_defaults(func=cmd_rates)
 
     p = subs.add_parser("rho", help="closed-form curves for the rho-matrix family")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--tau", type=int, default=2)
     p.add_argument("--rho-grid", default="0.1,0.3,0.5,0.7,0.9", dest="rho_grid")
     p.add_argument("--c", default="1,2,4,8,16")
-    _add_common(p)
     p.set_defaults(func=cmd_rho)
 
     p = subs.add_parser("tridiag", help="exact 2-list theta vs its closed bound")
     p.add_argument("--n-grid", default="5,8,16,32,64", dest="n_grid")
     p.add_argument("--alpha-grid", default="0,0.1,0.2,0.3,0.4,0.5", dest="alpha_grid")
-    _add_common(p)
     p.set_defaults(func=cmd_tridiag)
 
     p = subs.add_parser("heat", help="solve the implicit heat-step system")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--r", type=float, default=0.1)
     _add_solver_flags(p, "list:tau=5")
-    _add_common(p)
     p.set_defaults(func=cmd_heat)
 
     p = subs.add_parser("erm", help="dual solver on a LIBSVM dataset")
@@ -417,9 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-3,
                    help="quadratic smoothing of the logistic loss")
     _add_solver_flags(p, "nice:tau=2")
-    _add_common(p)
     p.set_defaults(func=cmd_erm)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     return parser
 
 

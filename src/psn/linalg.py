@@ -233,8 +233,9 @@ def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve M x = q for positive definite M via Cholesky.
 
     One step of iterative refinement is applied if the raw solve misses
-    the residual target ||M x - q|| <= 1e-10 ||q||; failure to reach it
-    raises numpy.linalg.LinAlgError.
+    the residual target ||M x - q|| <= 1e-10 ||q||.  Failure to reach
+    it, or a non-finite x or residual (an overflowing solve), raises
+    numpy.linalg.LinAlgError.
     """
     M = np.asarray(M, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -242,17 +243,24 @@ def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
         factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"matrix is not positive definite: {err}") from err
-    x = scipy.linalg.cho_solve(factor, q, check_finite=False)
-    target = 1e-10 * np.linalg.norm(q)
-    resid = q - M @ x
-    if np.linalg.norm(resid) > target:
-        x = x + scipy.linalg.cho_solve(factor, resid, check_finite=False)
+    # An overflowing solve is reported below as one error, not warned
+    # about.  The norms overflow already for |q| above about 1e154, so
+    # finiteness is checked entry by entry.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = scipy.linalg.cho_solve(factor, q, check_finite=False)
+        target = 1e-10 * np.linalg.norm(q)
         resid = q - M @ x
         if np.linalg.norm(resid) > target:
-            raise np.linalg.LinAlgError(
-                "solve_pd failed to reach relative residual 1e-10 "
-                f"(got {np.linalg.norm(resid):.3e} vs target {target:.3e})"
-            )
+            x = x + scipy.linalg.cho_solve(factor, resid, check_finite=False)
+            resid = q - M @ x
+        norm = np.linalg.norm(resid)
+    if not (np.isfinite(x).all() and np.isfinite(resid).all()):
+        raise np.linalg.LinAlgError("solve_pd produced a non-finite solution or residual")
+    if norm > target:
+        raise np.linalg.LinAlgError(
+            "solve_pd failed to reach relative residual 1e-10 "
+            f"(got {norm:.3e} vs target {target:.3e})"
+        )
     return x
 
 

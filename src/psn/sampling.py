@@ -145,12 +145,12 @@ class ExpectedInverse:
     """E[(M_S)^{-1}] over one constituent set, with provenance.
 
     ``matrix`` is read-only, so rate functions may memoize values
-    derived from it.  ``standard_error`` is the Frobenius-norm standard
-    error of the Monte Carlo mean and None for exact enumeration.
+    derived from it.  ``samples`` is the Monte Carlo sample count and
+    ``standard_error`` the Frobenius-norm standard error of the mean;
+    both are None when the whole support was enumerated.
     """
 
     matrix: np.ndarray = field(repr=False)
-    mode: str
     samples: int | None = None
     standard_error: float | None = None
 
@@ -196,20 +196,20 @@ def _add_block_inverses(M, sets, acc, acc_sq=None) -> None:
 def expected_lifted_inverse(
     M: np.ndarray,
     scheme: SamplingScheme,
-    mode: str = "enumerate",
-    samples: int = 100_000,
+    samples: int | None = None,
     seed: int = 0,
 ) -> ExpectedInverse:
     """Expected lifted inverse E[(M_S)^{-1}] of one constituent set.
 
-    mode='enumerate' averages over the whole support: all C(n, tau)
-    subsets for nice-type schemes (refused above 10^6 subsets) or the n
-    windows for list-type schemes.  mode='monte-carlo' averages over
-    ``samples`` independent draws seeded by ``seed`` and reports the
-    Frobenius standard error of the mean.  Either way the tau x tau
-    blocks are inverted in batches and only their S x S entries are
-    accumulated.  A block that is singular or has condition number above
-    1e14 raises numpy.linalg.LinAlgError naming its index set.
+    Without ``samples`` it averages over the whole support: all
+    C(n, tau) subsets for nice-type schemes (refused above 10^6
+    subsets) or the n windows for list-type schemes.  Given ``samples``
+    (at least 2) it is a Monte Carlo mean over that many independent
+    draws seeded by ``seed``, with the Frobenius standard error of the
+    mean.  Either way the tau x tau blocks are inverted in batches and
+    only their S x S entries are accumulated.  A block that is singular
+    or has condition number above 1e14 raises numpy.linalg.LinAlgError
+    naming its index set.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
@@ -217,18 +217,19 @@ def expected_lifted_inverse(
         raise ValueError(f"matrix dimension {n} does not match scheme n={scheme.n}")
     serial = scheme.constituent()
     size = max(1, _CHUNK_ENTRIES // (scheme.tau * scheme.tau))
-    if mode == "enumerate":
+    if samples is None:
         if serial.kind == "nice":
             count = math.comb(n, scheme.tau)
             if count > ENUMERATION_LIMIT:
                 raise ValueError(
                     f"enumeration over C({n}, {scheme.tau}) = {count} subsets "
-                    f"exceeds the limit {ENUMERATION_LIMIT}; use mode='monte-carlo'"
+                    f"exceeds the limit {ENUMERATION_LIMIT}; give a sample count "
+                    "for a monte-carlo estimate"
                 )
         else:
             count = n
         chunks = _enumerated_chunks(serial, size)
-    elif mode == "monte-carlo":
+    else:
         if samples < 2:
             raise ValueError(f"need at least 2 samples, got {samples}")
         count = samples
@@ -237,17 +238,15 @@ def expected_lifted_inverse(
             draw(serial.with_workers(min(size, samples - start)), rng)
             for start in range(0, samples, size)
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'enumerate' or 'monte-carlo'")
 
     acc = np.zeros_like(M)
-    acc_sq = np.zeros_like(M) if mode == "monte-carlo" else None
+    acc_sq = None if samples is None else np.zeros_like(M)
     for sets in chunks:
         _add_block_inverses(M, sets, acc, acc_sq)
     mean = acc / count
     mean.setflags(write=False)
-    if acc_sq is None:
-        return ExpectedInverse(mean, "enumerate")
+    if samples is None:
+        return ExpectedInverse(mean)
     var = (acc_sq - count * mean * mean) / (count - 1)
     se = math.sqrt(float(np.clip(var, 0.0, None).sum()) / count)
-    return ExpectedInverse(mean, "monte-carlo", count, se)
+    return ExpectedInverse(mean, count, se)

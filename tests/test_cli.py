@@ -4,6 +4,7 @@ Every test drives main(argv) in-process and checks exit codes, CSV
 structure, and determinism of the emitted tables.
 """
 
+import argparse
 import csv
 import threading
 import warnings
@@ -11,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from psn.cli import main
+import psn.solver
+from psn.cli import _build_parser, main
 from psn.linalg import make_rho_matrix
 from psn.matrixio import write_matrix, write_vector
 from psn.rates import rho_closed_forms
@@ -200,6 +202,11 @@ class TestSolve:
             (["tridiag", "--alpha-grid", "q"], "--alpha-grid expects a comma-separated list of numbers"),
             (["solve", "--gen", "rho:8,0.3", "--scheme", "nice:tau=2,tau=5"],
              "scheme 'nice:tau=2,tau=5' repeats parameter 'tau'"),
+            (["solve", "--gen", "rho:6,0.3", "--b", "1", "--c", "1,1"], "--c repeats the value 1"),
+            (["rates", "--gen", "rho:6,0.3", "--c", "2,1,2"], "--c repeats the value 2"),
+            (["rho", "--rho-grid", "0.3,0.5,0.30"], "--rho-grid repeats the value 0.3"),
+            (["tridiag", "--n-grid", "5,8,5"], "--n-grid repeats the value 5"),
+            (["tridiag", "--alpha-grid", "0,0.1,0"], "--alpha-grid repeats the value 0.0"),
         ],
     )
     def test_list_flags_name_their_errors(self, argv, line, capsys):
@@ -233,6 +240,26 @@ class TestSolve:
         )
         assert code == 1
         assert "does not match" in capsys.readouterr().err
+
+    def test_rhs_needs_matrix(self, tmp_path, capsys):
+        # A generated problem draws its own right-hand side, so an --rhs
+        # beside --gen (here of the wrong length) would be ignored.
+        write_vector(tmp_path / "q3.txt", np.ones(3))
+        argv = ["solve", "--gen", "rho:6,0.3", "--b", "1", "--rhs", str(tmp_path / "q3.txt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --rhs needs --matrix\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_minimiser_fails_early(self, tmp_path, capsys):
+        write_matrix(tmp_path / "m.mtx", np.array([[1e-300]]))
+        write_vector(tmp_path / "q.txt", np.array([1e300]))
+        argv = ["solve", "--matrix", str(tmp_path / "m.mtx"), "--rhs", str(tmp_path / "q.txt"),
+                "--scheme", "nice:tau=1", "--b", "1", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestRates:
@@ -268,12 +295,39 @@ class TestRates:
         assert column(header, rows, "sigma3")[-1] == ""
         assert column(header, rows, "sigma3")[0] != ""
 
-    def test_alias_matches_rates(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["--gen", "rho:6,0.3", "--scheme", "nice:tau=2", "--c", "1,2"]
-        assert main(["rates"] + argv + ["--out", str(a)]) == 0
-        assert main(["compare-pcdm"] + argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_scheme_column_is_the_kind(self, tmp_path):
+        # tau and c have their own columns, so two spellings of one
+        # scheme write the same table, and a row never shows another c.
+        blobs = []
+        for scheme in ("nice:tau=2", "parallel-nice:tau=2,c=4"):
+            out = tmp_path / f"{scheme.partition(':')[0]}.csv"
+            argv = ["rates", "--gen", "rho:8,0.3", "--scheme", scheme, "--c", "1,2"]
+            assert main(argv + ["--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        header, rows = read_csv(tmp_path / "nice.csv")
+        assert column(header, rows, "scheme") == ["nice", "nice"]
+        assert column(header, rows, "c") == ["1", "2"]
+
+    def test_rates_solves_no_system(self, tmp_path, monkeypatch):
+        # A rate table reads only the curvature pair: no minimiser is
+        # solved for, so a failing solve cannot stop it.
+        def refuse(M, q):
+            raise np.linalg.LinAlgError("solve_pd was called")
+
+        monkeypatch.setattr(psn.solver, "solve_pd", refuse)
+        for source in (["--gen", "rho:6,0.3"], ["--gen", "dense:8,12"]):
+            argv = ["rates", *source, "--c", "1,2", "--out", str(tmp_path / "r.csv")]
+            assert main(argv) == 0
+        assert main(["solve", "--gen", "rho:6,0.3", "--b", "1",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("samples", ["-5", "0", "1"])
+    def test_monte_carlo_needs_two_samples(self, tmp_path, samples, capsys):
+        argv = ["rates", "--gen", "rho:6,0.3", "--mc-samples", samples,
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: need at least 2 samples, got {samples}\n"
 
     def test_non_overlapping_not_guaranteed(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -563,6 +617,44 @@ class TestErm:
 
 
 class TestTopLevel:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        (subs,) = [
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            name: sorted(
+                option for action in sub._actions for option in action.option_strings
+                if option not in ("-h", "--help")
+            )
+            for name, sub in subs.choices.items()
+        }
+        solver = ["--scheme", "--c", "--b", "--theta", "--tol", "--max-iter", "--threads"]
+        assert flags == {
+            "solve": sorted(["--matrix", "--gen", "--rhs", *solver, "--seed", "--out"]),
+            "rates": sorted(["--matrix", "--gen", "--scheme", "--c", "--mc-samples",
+                             "--seed", "--out"]),
+            "rho": sorted(["--n", "--tau", "--rho-grid", "--c", "--out"]),
+            "tridiag": sorted(["--n-grid", "--alpha-grid", "--out"]),
+            "heat": sorted(["--n", "--r", *solver, "--seed", "--out"]),
+            "erm": sorted(["--data", "--loss", "--reg", "--epsilon", *solver, "--seed", "--out"]),
+        }
+        assert sum(map(len, flags.values())) == 51
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare-pcdm", "--gen", "rho:6,0.3"],
+            ["rates", "--gen", "rho:6,0.3", "--rhs", "q.txt"],
+            ["rho", "--seed", "9"],
+            ["tridiag", "--seed", "9"],
+        ],
+        ids=["compare-pcdm", "rates-rhs", "rho-seed", "tridiag-seed"],
+    )
+    def test_unread_inputs_are_refused(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out

@@ -360,6 +360,27 @@ class TestSolvePd:
         with pytest.raises(np.linalg.LinAlgError):
             solve_pd(np.diag([1.0, -1.0]), np.ones(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "diagonal, q",
+        [([1e-300], [1e300]), ([1.0, 1e-300], [1.0, 1e300])],
+        ids=["1x1", "2x2"],
+    )
+    def test_rejects_overflowing_solution(self, diagonal, q):
+        # x = q / 1e-300 overflows to inf and the refined residual is
+        # NaN or inf, which no "norm > target" test catches; the
+        # overflow raises one error and warns nothing.
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            solve_pd(np.diag(diagonal), np.array(q))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_right_hand_side_still_solves(self):
+        # ||q|| overflows to inf, but x and its residual are finite.
+        M = np.array([[2.0, 1.0], [1.0, 2.0]])
+        q = np.array([1e200, -3e200])
+        x = solve_pd(M, q)
+        assert np.allclose(M @ x, q, rtol=1e-12, atol=0.0)
+
 
 class TestMatrixRoots:
     def test_sqrt_squares_back(self):

@@ -269,7 +269,7 @@ class TestExpectedInverse:
     def test_identity_nice(self):
         for n, tau in [(5, 2), (6, 4)]:
             E = expected_lifted_inverse(np.eye(n), SamplingScheme("nice", n, tau))
-            assert E.mode == "enumerate"
+            assert E.samples is None and E.standard_error is None
             assert np.abs(E.matrix - (tau / n) * np.eye(n)).max() < 1e-15
 
     def test_identity_list(self):
@@ -327,9 +327,7 @@ class TestExpectedInverse:
         M = make_rho_matrix(5, 0.5)
         scheme = SamplingScheme("nice", 5, 2)
         exact = expected_lifted_inverse(M, scheme).matrix
-        mc = expected_lifted_inverse(
-            M, scheme, mode="monte-carlo", samples=100_000, seed=11
-        )
+        mc = expected_lifted_inverse(M, scheme, samples=100_000, seed=11)
         assert mc.samples == 100_000
         assert mc.standard_error is not None and mc.standard_error > 0
         err = np.linalg.norm(mc.matrix - exact)
@@ -344,13 +342,20 @@ class TestExpectedInverse:
         with pytest.raises(ValueError):
             expected_lifted_inverse(np.eye(4), SamplingScheme("nice", 5, 2))
 
+    @pytest.mark.parametrize("samples", [-5, 0, 1])
+    def test_sample_count_below_two_rejected(self, samples):
+        # A count never falls back to enumeration: Monte Carlo runs
+        # exactly when one is given.
+        with pytest.raises(ValueError, match=f"need at least 2 samples, got {samples}"):
+            expected_lifted_inverse(np.eye(4), SamplingScheme("nice", 4, 2), samples)
 
-def loop_expected_inverse(M, scheme, mode="enumerate", samples=0, seed=0):
+
+def loop_expected_inverse(M, scheme, samples=None, seed=0):
     """E[(M_S)^{-1}] (and the Monte Carlo standard error) summed one
     n x n lifted inverse at a time over the same sets, in the same
     order, as expected_lifted_inverse."""
     n, tau = scheme.n, scheme.tau
-    if mode == "monte-carlo":
+    if samples is not None:
         rng = np.random.default_rng(seed)
         sets = [draw(scheme, rng)[0] for _ in range(samples)]
     elif scheme.kind == "list":
@@ -364,7 +369,7 @@ def loop_expected_inverse(M, scheme, mode="enumerate", samples=0, seed=0):
         acc += Z
         acc_sq += Z * Z
     mean = acc / len(sets)
-    if mode != "monte-carlo":
+    if samples is None:
         return mean, None
     var = (acc_sq - samples * mean * mean) / (samples - 1)
     return mean, math.sqrt(float(np.clip(var, 0.0, None).sum()) / samples)
@@ -383,45 +388,43 @@ class TestBatchedAssembly:
         n = data.draw(st.integers(2, 8), label="n")
         tau = data.draw(st.integers(1, n), label="tau")
         kind = data.draw(st.sampled_from(["nice", "list"]), label="kind")
-        mode = data.draw(st.sampled_from(["enumerate", "monte-carlo"]), label="mode")
+        samples = data.draw(st.sampled_from([None, 60]), label="samples")
         seed = data.draw(st.integers(0, 2**31), label="seed")
         M = random_pd_matrix(n, seed)
         scheme = SamplingScheme(kind, n, tau)
-        got = expected_lifted_inverse(M, scheme, mode=mode, samples=60, seed=seed)
-        want, se = loop_expected_inverse(M, scheme, mode, samples=60, seed=seed)
+        got = expected_lifted_inverse(M, scheme, samples, seed)
+        want, se = loop_expected_inverse(M, scheme, samples, seed)
         assert got.matrix.tobytes() == want.tobytes()
         assert got.standard_error == se
 
-    @pytest.mark.parametrize("mode", ["enumerate", "monte-carlo"])
-    def test_bitwise_across_chunks(self, mode):
+    @pytest.mark.parametrize("samples", [None, 4845], ids=["enumerate", "monte-carlo"])
+    def test_bitwise_across_chunks(self, samples):
         # C(20, 4) = 4845 subsets, and as many draws, span two batches
         # of 4096 sets at tau = 4.
         M = random_pd_matrix(20, 3)
         scheme = SamplingScheme("nice", 20, 4)
-        got = expected_lifted_inverse(M, scheme, mode=mode, samples=4845, seed=5)
-        want, se = loop_expected_inverse(M, scheme, mode, samples=4845, seed=5)
+        got = expected_lifted_inverse(M, scheme, samples, seed=5)
+        want, se = loop_expected_inverse(M, scheme, samples, seed=5)
         assert got.matrix.tobytes() == want.tobytes()
         assert got.standard_error == se
 
-    @pytest.mark.parametrize("mode", ["enumerate", "monte-carlo"])
-    def test_matrix_is_read_only(self, mode):
-        E = expected_lifted_inverse(
-            np.eye(4), SamplingScheme("nice", 4, 2), mode=mode, samples=10
-        )
+    @pytest.mark.parametrize("samples", [None, 10], ids=["enumerate", "monte-carlo"])
+    def test_matrix_is_read_only(self, samples):
+        E = expected_lifted_inverse(np.eye(4), SamplingScheme("nice", 4, 2), samples)
         assert not E.matrix.flags.writeable
         with pytest.raises(ValueError):
             E.matrix[0, 0] = 1.0
 
     @pytest.mark.parametrize("corner", [1.0, 1.0 + 1e-15], ids=["singular", "ill-conditioned"])
-    @pytest.mark.parametrize("mode", ["enumerate", "monte-carlo"])
-    def test_bad_block_names_its_set(self, corner, mode):
+    @pytest.mark.parametrize("samples", [None, 50], ids=["enumerate", "monte-carlo"])
+    def test_bad_block_names_its_set(self, corner, samples):
         # Only the window {1, 2} has a bad block: [[1, 1], [1, corner]].
         M = np.eye(4)
         M[1, 2] = M[2, 1] = 1.0
         M[2, 2] = corner
         scheme = SamplingScheme("list", 4, 2)
         with pytest.raises(np.linalg.LinAlgError, match=r"\[1, 2\]"):
-            expected_lifted_inverse(M, scheme, mode=mode, samples=50)
+            expected_lifted_inverse(M, scheme, samples)
 
 
 class TestTowerProperty:
