@@ -9,10 +9,13 @@ dictionary keys (via tuple()) and slicing arguments.
 eigen_extremes is the package's one route to the extreme eigenvalues
 of a symmetric matrix.  It reads the bandwidth of its input from the
 exact zeros and solves a narrow band (the heat and tridiagonal
-matrices) in banded storage, any other matrix densely.
+matrices) in banded storage, any other matrix densely.  The rate
+module hands its banded L^T E L straight to the band solver.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -192,24 +195,23 @@ def _band_is_cheaper(b: int, n: int) -> bool:
     return 20 * b < n
 
 
-def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix.
-
-    A matrix whose lower bandwidth b (_lower_bandwidth) makes banded
-    storage cheaper (_band_is_cheaper) is packed into its (b+1) x n
-    lower band, and
-    LAPACK's dsbevx finds the eigenvalues of index 0 and n-1; any other
-    matrix takes the dense eigvalsh.  The heat and tridiagonal matrices
-    (b <= 2) thus cost O(n^2) instead of O(n^3)."""
-    M = check_symmetric(M)
+def _lower_band(M, b: int) -> np.ndarray:
+    """(b+1) x n lower band storage of M, a numpy or scipy.sparse
+    array: row k holds the k-th subdiagonal, zero-padded at its end."""
     n = M.shape[0]
-    b = _lower_bandwidth(M)
-    if not _band_is_cheaper(b, n):
-        w = np.linalg.eigvalsh(M)
-        return float(w[0]), float(w[-1])
     band = np.zeros((b + 1, n))
     for k in range(b + 1):
-        band[k, : n - k] = np.diagonal(M, -k)
+        band[k, : n - k] = M.diagonal(-k)
+    return band
+
+
+def _band_extremes(band: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the symmetric matrix whose lower band
+    storage is band, from LAPACK's dsbevx for the eigenvalues of index 0
+    and n-1.  A non-finite entry raises ValueError."""
+    if not np.isfinite(band).all():
+        raise ValueError("matrix has non-finite entries")
+    n = band.shape[1]
     lo, hi = (
         scipy.linalg.eigvals_banded(
             band, lower=True, select="i", select_range=(i, i), check_finite=False
@@ -217,6 +219,23 @@ def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
         for i in (0, n - 1)
     )
     return float(lo), float(hi)
+
+
+def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric matrix.
+
+    A matrix whose lower bandwidth b (_lower_bandwidth) makes banded
+    storage cheaper (_band_is_cheaper) is packed into its (b+1) x n
+    lower band and solved by _band_extremes; any other matrix takes the
+    dense eigvalsh.  The heat and tridiagonal matrices (b <= 2) thus
+    cost O(n^2) instead of O(n^3)."""
+    M = check_symmetric(M)
+    n = M.shape[0]
+    b = _lower_bandwidth(M)
+    if not _band_is_cheaper(b, n):
+        w = np.linalg.eigvalsh(M)
+        return float(w[0]), float(w[-1])
+    return _band_extremes(_lower_band(M, b))
 
 
 def psd_order_holds(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
@@ -235,7 +254,8 @@ def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
     One step of iterative refinement is applied if the raw solve misses
     the residual target ||M x - q|| <= 1e-10 ||q||.  Failure to reach
     it, or a non-finite x or residual (an overflowing solve), raises
-    numpy.linalg.LinAlgError.
+    numpy.linalg.LinAlgError.  The norms are BLAS dnrm2, which scales
+    and so stays finite for every finite vector.
     """
     M = np.asarray(M, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -244,22 +264,22 @@ def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
     except scipy.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"matrix is not positive definite: {err}") from err
     # An overflowing solve is reported below as one error, not warned
-    # about.  The norms overflow already for |q| above about 1e154, so
-    # finiteness is checked entry by entry.
+    # about; a NaN residual fails no "norm > target" test, so finiteness
+    # is checked entry by entry.
+    norm = functools.partial(scipy.linalg.norm, check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
         x = scipy.linalg.cho_solve(factor, q, check_finite=False)
-        target = 1e-10 * np.linalg.norm(q)
+        target = 1e-10 * norm(q)
         resid = q - M @ x
-        if np.linalg.norm(resid) > target:
+        if norm(resid) > target:
             x = x + scipy.linalg.cho_solve(factor, resid, check_finite=False)
             resid = q - M @ x
-        norm = np.linalg.norm(resid)
     if not (np.isfinite(x).all() and np.isfinite(resid).all()):
         raise np.linalg.LinAlgError("solve_pd produced a non-finite solution or residual")
-    if norm > target:
+    if norm(resid) > target:
         raise np.linalg.LinAlgError(
             "solve_pd failed to reach relative residual 1e-10 "
-            f"(got {norm:.3e} vs target {target:.3e})"
+            f"(got {norm(resid):.3e} vs target {target:.3e})"
         )
     return x
 

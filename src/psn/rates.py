@@ -23,8 +23,11 @@ dense sigma_3, and sigma_1 and theta per enumerated sampling and for
 the last read-only E seen.  Objectives keep one pair for life.  A pair
 whose structure gives the extremes of G and M and lambda in closed form is
 built by CurvaturePair.from_spectrum, which makes no eigenvalue solve;
-the ERM dual does so from a d x d Gram matrix (erm.ErmProblem).  Only
-theta and sigma_1 of an enumerated E still work at order n.
+the ERM dual does so from a d x d Gram matrix (erm.ErmProblem).
+
+L^T E L has bandwidth b = b_G + b_E; where eigen_extremes would solve
+that band, it is formed as one from G's banded factor: O(n b) memory
+and O(n^2 b) work, against O(n^2) and O(n^3) through a dense factor.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
+from .linalg import _band_extremes, _band_is_cheaper, _lower_band, _lower_bandwidth
 from .linalg import check_symmetric, eigen_extremes, psd_order_holds
 from .sampling import SamplingScheme, expected_lifted_inverse
 
@@ -67,7 +72,8 @@ class CurvaturePair:
     they are known without a further solve: equal to ``g_extremes`` for
     a quadratic pair, as given to from_spectrum, and None otherwise.
     Derived spectral constants are cached on the pair as scalars, never
-    as n x n arrays; the one cached vector is the diagonal of M.
+    as n x n arrays; the cached arrays are diag(M) and, for a banded G,
+    the band of its Cholesky factor.
     """
 
     M: np.ndarray = field(repr=False)
@@ -189,25 +195,52 @@ class CurvaturePair:
         return memo[key]
 
     def _weighted_extremes(self, expected_inverse: np.ndarray) -> tuple[float, float]:
-        """(lambda_min, lambda_max) of L^T E L for G = L L^T, the
-        spectrum of G^{1/2} E G^{1/2}.  The result for a read-only E is
-        kept until another E is passed (matched by identity); a writeable
-        E may change in place, so it is never memoized."""
+        """(lambda_min, lambda_max) of the symmetric part of L^T E L for
+        G = L L^T, the spectrum of G^{1/2} E G^{1/2}.  E's bandwidth b_E
+        is read from both its triangles.  When _band_is_cheaper(b_G +
+        b_E, n), L^T E L is a sparse product of bands, packed and solved
+        as a band; otherwise it takes a dense factor and two n x n
+        products.  The result for a read-only E is kept until another E
+        is passed (matched by identity); a writeable E may change in
+        place, so it is never memoized."""
         E = np.asarray(expected_inverse, dtype=np.float64)
         memo = self.__dict__.get("_weighted_memo")
         if memo is not None and memo[0]() is E:
             return memo[1]
-        L = self._cholesky()
-        S = L.T @ E @ L
-        del L  # one n x n array fewer at the eigenvalue peak
-        result = _symmetric_extremes(S)
+        if E.shape != self.G.shape:
+            raise ValueError(f"expected inverse must have shape {self.G.shape}, got {E.shape}")
+        b_G, b_E = self._g_bandwidth, max(_lower_bandwidth(E), _lower_bandwidth(E.T))
+        if _band_is_cheaper(b_G + b_E, self.n):
+            offsets = np.arange(-b_E, b_E + 1)
+            E_band = scipy.sparse.diags_array([E.diagonal(k) for k in offsets], offsets=offsets)
+            S = self._band_factor.T @ E_band @ self._band_factor
+            result = _band_extremes(_lower_band(0.5 * (S + S.T), b_G + b_E))
+        else:
+            L = self._cholesky()
+            S = L.T @ E @ L
+            del L  # one n x n array fewer at the eigenvalue peak
+            result = _symmetric_extremes(S)
         if not E.flags.writeable:
             self.__dict__["_weighted_memo"] = (weakref.ref(E), result)
         return result
 
-    def _cholesky(self) -> np.ndarray:
-        # Not cached: at n = 1500 the factor alone is 18 MB.
-        return scipy.linalg.cholesky(self.G, lower=True, check_finite=False)
+    @cached_property
+    def _g_bandwidth(self) -> int:
+        return _lower_bandwidth(self.G)
+
+    @cached_property
+    def _band_factor(self) -> scipy.sparse.dia_array:
+        """G's Cholesky factor as a sparse band: (b_G + 1) x n floats."""
+        band = self._cholesky(self._g_bandwidth)
+        return scipy.sparse.dia_array((band, -np.arange(len(band))), shape=self.G.shape)
+
+    def _cholesky(self, band: int | None = None) -> np.ndarray:
+        """Lower Cholesky factor of G: n x n, not cached (18 MB at
+        n = 1500), or in lower band storage given G's lower bandwidth."""
+        if band is None:
+            return scipy.linalg.cholesky(self.G, lower=True, check_finite=False)
+        packed = _lower_band(self.G, band)
+        return scipy.linalg.cholesky_banded(packed, lower=True, check_finite=False)
 
 
 def _symmetric_extremes(S: np.ndarray) -> tuple[float, float]:

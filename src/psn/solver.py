@@ -105,9 +105,9 @@ def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
 
     The minimiser M^{-1} q and optimal value are computed on
     construction by solve_pd, whose residual bound puts the gradient at
-    x_star below 1e-10 ||q||.  Non-finite entries in M or q raise
-    ValueError, and a minimiser solve_pd cannot resolve raises
-    numpy.linalg.LinAlgError.
+    x_star below 1e-10 ||q||.  Non-finite entries in M or q, or an
+    optimal value that overflows, raise ValueError, and a minimiser
+    solve_pd cannot resolve raises numpy.linalg.LinAlgError.
     """
     M = check_symmetric(M)
     q = np.asarray(q, dtype=np.float64)
@@ -124,6 +124,10 @@ def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
     def gradient(x: np.ndarray) -> np.ndarray:
         return M @ x - q
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_star = value(x_star)
+    if not np.isfinite(f_star):
+        raise ValueError("the optimal value of x'Mx/2 - q'x overflows")
     return SmoothObjective(
         n=n,
         value=value,
@@ -131,7 +135,7 @@ def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
         M=M,
         G=M,
         x_star=x_star,
-        f_star=value(x_star),
+        f_star=f_star,
     )
 
 

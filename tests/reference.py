@@ -3,11 +3,11 @@
 They are written for clarity, not speed: one scipy Cholesky factor and
 solve per block, a serial loop that recomputes the objective and the
 full gradient at every iterate, the inclusion probabilities of a
-sampling written out from its definition, the extreme eigenvalues from
-a dense eigvalsh, the ERM curvature pair built and validated at
-order n, and the slopes phi' of the losses written out from their
-definitions.  count_spectral_work lets a test see which spectral work
-the curvature pairs do, and at which order.
+sampling written out from its definition, the extreme eigenvalues
+(of G^{1/2} E G^{1/2} too) from a dense eigvalsh, the ERM curvature
+pair built and validated at order n, and the slopes phi' of the losses
+written out from their definitions.  count_spectral_work lets a test
+see which spectral work the curvature pairs do, and at which order.
 """
 
 import numpy as np
@@ -65,6 +65,15 @@ def reference_eigen_extremes(M):
     eigvalsh, whatever its bandwidth."""
     w = np.linalg.eigvalsh(M)
     return float(w[0]), float(w[-1])
+
+
+def reference_weighted_extremes(G, E):
+    """(lambda_min, lambda_max) of G^{1/2} E G^{1/2} by the dense route,
+    whatever the bandwidths: the Cholesky factor G = L L^T, L^T E L
+    from two n x n products, its symmetric part and a dense eigvalsh."""
+    L = scipy.linalg.cholesky(G, lower=True)
+    S = L.T @ E @ L
+    return reference_eigen_extremes(0.5 * (S + S.T))
 
 
 def reference_bandwidth(M):
@@ -132,9 +141,10 @@ def reference_erm_pair(problem):
 
 def count_spectral_work(monkeypatch):
     """A list that records (name, order) for every enumeration of E,
-    eigenvalue solve and Cholesky factor of G that the rate module, the
-    ERM problems and the curvature pairs make while monkeypatch is
-    active; order is that of the matrix the call works on."""
+    eigenvalue solve (dense or of a packed band) and Cholesky factor of
+    G (dense or banded) that the rate module, the ERM problems and the
+    curvature pairs make while monkeypatch is active; order is that of
+    the matrix the call works on."""
     calls = []
 
     def counting(name, original, order):
@@ -144,18 +154,18 @@ def count_spectral_work(monkeypatch):
 
         return counted
 
-    def first_order(M, *rest):
-        return np.shape(M)[0]
-
+    orders = {
+        "expected_lifted_inverse": lambda M, *rest: np.shape(M)[0],
+        "eigen_extremes": lambda M, *rest: np.shape(M)[0],
+        "_band_extremes": lambda band: np.shape(band)[1],
+    }
     for module in (psn.rates, psn.erm):
-        for name in ("expected_lifted_inverse", "eigen_extremes"):
+        for name, order in orders.items():
             if hasattr(module, name):
-                monkeypatch.setattr(
-                    module, name, counting(name, getattr(module, name), first_order)
-                )
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name), order))
     monkeypatch.setattr(
         CurvaturePair,
         "_cholesky",
-        counting("_cholesky", CurvaturePair._cholesky, lambda pair: pair.n),
+        counting("_cholesky", CurvaturePair._cholesky, lambda pair, *band: pair.n),
     )
     return calls

@@ -261,6 +261,17 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_optimal_value_fails_early(self, tmp_path, capsys):
+        # x_star = M^-1 q is finite, but x'Mx overflows in f_star.
+        write_matrix(tmp_path / "m.mtx", np.array([[2.0, 1.0], [1.0, 2.0]]))
+        write_vector(tmp_path / "q.txt", np.array([1e200, -3e200]))
+        argv = ["solve", "--matrix", str(tmp_path / "m.mtx"), "--rhs", str(tmp_path / "q.txt"),
+                "--scheme", "nice:tau=1", "--b", "1", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: the optimal value of x'Mx/2 - q'x overflows\n"
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestRates:
     def test_non_finite_matrix_entry(self, tmp_path, capsys):

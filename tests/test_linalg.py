@@ -381,6 +381,19 @@ class TestSolvePd:
         x = solve_pd(M, q)
         assert np.allclose(M @ x, q, rtol=1e-12, atol=0.0)
 
+    def test_huge_right_hand_side_still_checks_the_residual(self, monkeypatch):
+        # The residual target 1e-10 ||q|| stays finite for ||q|| above
+        # 1e154, so a solve that is off by 1e-3 (1e-6 after refinement)
+        # is caught.
+        M = np.array([[2.0, 1.0], [1.0, 2.0]])
+        q = np.array([1e200, -3e200])
+        cho_solve = scipy.linalg.cho_solve
+        monkeypatch.setattr(
+            scipy.linalg, "cho_solve", lambda *args, **kw: cho_solve(*args, **kw) * (1 + 1e-3)
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="relative residual"):
+            solve_pd(M, q)
+
 
 class TestMatrixRoots:
     def test_sqrt_squares_back(self):

@@ -30,7 +30,8 @@ from psn.rates import (
 )
 from psn.sampling import SamplingScheme, expected_lifted_inverse
 
-from reference import count_spectral_work
+from reference import count_spectral_work, reference_weighted_extremes
+from test_linalg import counting_banded_solves
 
 
 def random_pd(n, seed, spread=1.0):
@@ -534,3 +535,101 @@ class TestMemo:
         assert a != b
         assert (sigma1(pair, nice), theta(pair, nice)) == a
         assert similar_extremes(M, window) == pytest.approx(b, rel=1e-10)
+
+
+def random_band(n, b, rng):
+    """Symmetric n x n matrix with random entries on offsets -b..b,
+    strictly diagonally dominant and so positive definite."""
+    A = np.zeros((n, n))
+    for k in range(1, b + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        A += np.diag(off, -k) + np.diag(off, k)
+    return A + np.diag(2.0 * b + 1.0 + rng.uniform(0.0, 1.0, n))
+
+
+def weighted_with_work(G, E):
+    """The extremes of L^T E L for a fresh pair of G (the one call
+    behind sigma1 and theta), the names of the spectral work it did and
+    its number of eigvals_banded calls."""
+    pair = CurvaturePair.from_hessian(G)
+    with counting_banded_solves() as banded_solves, pytest.MonkeyPatch.context() as mp:
+        calls = count_spectral_work(mp)
+        result = pair._weighted_extremes(E)
+    return result, [name for name, _ in calls], len(banded_solves)
+
+
+class TestBandedWeightedRoute:
+    """L^T E L in band storage against the dense reference route."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        b_G=st.integers(0, 3),
+        b_E=st.integers(0, 3),
+        extra=st.integers(1, 40),
+        seed=st.integers(0, 2**31),
+    )
+    def test_band_route_matches_dense_reference(self, b_G, b_E, extra, seed):
+        n = 20 * (b_G + b_E) + extra
+        rng = np.random.default_rng(seed)
+        G, E = random_band(n, b_G, rng), random_band(n, b_E, rng)
+        got, work, banded_solves = weighted_with_work(G, E)
+        # The banded factor (one _cholesky call) and one band solve of
+        # two eigvals_banded calls; no dense factor, no eigen_extremes.
+        assert work == ["_cholesky", "_band_extremes"] and banded_solves == 2
+        assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
+
+    def test_dense_g_or_dense_e_takes_the_dense_route(self):
+        rng = np.random.default_rng(5)
+        heat = psn.linalg.make_heat_matrix(60)
+        nice = expected_lifted_inverse(heat, SamplingScheme("nice", 60, 2)).matrix
+        for G, E in ((random_pd(60, 6), random_band(60, 1, rng)), (heat, nice)):
+            got, work, banded_solves = weighted_with_work(G, E)
+            assert work == ["_cholesky", "eigen_extremes"] and banded_solves == 0
+            assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
+
+    def test_upper_band_wider_than_lower(self):
+        rng = np.random.default_rng(7)
+        G = random_band(100, 1, rng)
+        E = random_band(100, 1, rng)
+        E += np.diag(rng.uniform(0.1, 0.5, 97), 3)
+        got, work, banded_solves = weighted_with_work(G, E)
+        assert "_band_extremes" in work and banded_solves == 2
+        assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
+
+    def test_memo_on_the_band_route(self):
+        rng = np.random.default_rng(8)
+        G, E = random_band(90, 2, rng), random_band(90, 2, rng)
+        pair = CurvaturePair.from_hessian(G)
+        first = (sigma1(pair, E), theta(pair, E))
+        E *= 0.5
+        assert (sigma1(pair, E), theta(pair, E)) == pytest.approx(
+            (0.5 * first[0], 0.5 * first[1]), rel=1e-12
+        )
+        E.flags.writeable = False
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_spectral_work(mp)
+            again = sigma1(pair, E), theta(pair, E)
+            assert [name for name, _ in calls] == ["_band_extremes"]
+            calls.clear()
+            assert (sigma1(pair, E), theta(pair, E)) == again and calls == []
+            copy = E.copy()
+            copy.flags.writeable = False
+            theta(pair, copy)
+            assert [name for name, _ in calls] == ["_band_extremes"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("route", ["band", "dense"])
+    def test_non_finite_inside_the_band(self, bad, route):
+        rng = np.random.default_rng(9)
+        G = random_band(80, 1, rng) if route == "band" else random_pd(80, 10)
+        E = random_band(80, 1, rng)
+        E[5, 4] = bad
+        pair = CurvaturePair.from_hessian(G)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                theta(pair, E)
+
+    def test_shape_mismatch(self):
+        pair = CurvaturePair.from_hessian(np.eye(4))
+        with pytest.raises(ValueError, match="shape"):
+            theta(pair, np.eye(3))

@@ -352,7 +352,9 @@ class TestDampingMemo:
             )
 
         run(obj, config(1))
-        assert calls
+        # G = I and a diagonal E put the non-quadratic theta on the band
+        # route (banded factor and band solve); the others are dense.
+        assert calls and (("_band_extremes", 9) in calls) == (not obj.quadratic)
         for c in (2, 4):
             calls.clear()
             trace = run(obj, config(c))
