@@ -29,6 +29,7 @@ exhausted, or diverged in solve, heat or erm).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -420,6 +421,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.out != "-":  # fail before any work, keeping an existing file
+            existed = os.path.exists(args.out)
+            open(args.out, "a").close()
+            if not existed:
+                os.remove(args.out)
         return args.func(args)
     except (ValueError, OSError, np.linalg.LinAlgError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,9 +8,9 @@ dictionary keys (via tuple()) and slicing arguments.
 
 eigen_extremes is the package's one route to the extreme eigenvalues
 of a symmetric matrix.  It reads the bandwidth of its input from the
-exact zeros and solves a narrow band (the heat and tridiagonal
-matrices) in banded storage, any other matrix densely.  The rate
-module hands its banded L^T E L straight to the band solver.
+exact zeros and bisects a narrow band (the heat and tridiagonal
+matrices) on its inertia in banded storage, any other matrix densely.
+The rate module hands its banded L^T E L straight to the band solver.
 """
 
 from __future__ import annotations
@@ -54,12 +54,14 @@ def check_index_set(S, n: int) -> np.ndarray:
 
 def check_symmetric(M) -> np.ndarray:
     """Return M as a symmetric float64 array, raising ValueError if it
-    is not square, has a non-finite entry, or is not symmetric within
-    1e-10 relative to its largest entry.
+    is complex, is not square, has a non-finite entry, or is not
+    symmetric within 1e-10 relative to its largest entry.
 
     An M that is only nearly symmetric is replaced by (M + M')/2,
     since block solves read one triangle and gradient updates read rows
     for columns; an exactly symmetric M is returned as it is."""
+    if np.iscomplexobj(M):
+        raise ValueError("matrix has complex entries")
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -182,17 +184,18 @@ def _lower_bandwidth(M: np.ndarray) -> int:
 
 
 def _band_is_cheaper(b: int, n: int) -> bool:
-    """Whether two banded solves beat one dense solve for bandwidth b.
+    """Whether the band bisection (_band_extremes) beats one dense
+    eigvalsh, O(n^3), for bandwidth b.  The bisection makes about 90
+    O(n b^2) probes, whose call overhead sets its floor at small n; a
+    diagonal needs none.  The smallest n at which it won (one thread,
+    best of 5, diagonally dominant random bands):
 
-    eigvalsh reduces M to tridiagonal form with dsytrd, about 4n^3/3
-    flops.  Each eigvals_banded call reduces the band with dsbtrd, about
-    6n^2 b flops, and a call finds one eigenvalue, so two calls cost
-    12n^2 b: fewer flops when 9b < n.  dsbtrd applies plane rotations,
-    which ran at under half the flop rate of dsytrd's blocked updates
-    (one thread: the crossover fell at b = 8 for n = 100, b = 30 for
-    n = 600 and b = 68 for n = 1500), so the band is taken for 20b < n.
+        b  0   1    2    4    6    8    12   16   24   32   48   64
+        n  34  116  136  128  144  176  256  320  320  576  736  768
+
+    A least-squares line through b >= 1 gives n = 104 + 11.7 b.
     """
-    return 20 * b < n
+    return n > (33 if b == 0 else 104 + 12 * b)
 
 
 def _lower_band(M, b: int) -> np.ndarray:
@@ -207,18 +210,54 @@ def _lower_band(M, b: int) -> np.ndarray:
 
 def _band_extremes(band: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of the symmetric matrix whose lower band
-    storage is band, from LAPACK's dsbevx for the eigenvalues of index 0
-    and n-1.  A non-finite entry raises ValueError."""
+    storage is band, by bisection (_band_min) in O(n b) memory.  Dividing
+    by a power of two near the largest entry is exact and keeps the
+    Gershgorin bracket and stop width finite at every scale.  A
+    non-finite entry raises ValueError."""
     if not np.isfinite(band).all():
         raise ValueError("matrix has non-finite entries")
-    n = band.shape[1]
-    lo, hi = (
-        scipy.linalg.eigvals_banded(
-            band, lower=True, select="i", select_range=(i, i), check_finite=False
-        )[0]
-        for i in (0, n - 1)
-    )
-    return float(lo), float(hi)
+    scale = 2.0 ** (np.frexp(np.abs(band).max(initial=0.0))[1] - 1)
+    scaled = np.divide(band, scale, out=np.empty(band.shape, order="F"))
+    lo = _band_min(scaled)
+    hi = -_band_min(np.negative(scaled, out=scaled))
+    return float(lo * scale), float(hi * scale)
+
+
+def _band_min(band: np.ndarray) -> float:
+    """lambda_min of the symmetric matrix A whose lower band storage is
+    band, a Fortran-ordered (b+1) x n array.
+
+    By Sylvester's law of inertia A - sigma I is positive definite
+    exactly when sigma < lambda_min, and whether it is shows in whether
+    its banded Cholesky factorization (LAPACK dpbtrf, O(n b^2))
+    succeeds; LAPACK's dstebz bisects a tridiagonal matrix the same way
+    with Sturm counts.  Gershgorin's discs bracket lambda_min in
+    [min(a_ii - r_i), min(a_ii)], at most ||A||_inf wide.  A
+    factorization that succeeds is backward stable, so the bracket is
+    halved only down to a width of 2 (b+1) eps ||A||_inf, or until its
+    midpoint rounds to an end: at most 51 probes at any scale of A."""
+    b, n = band.shape[0] - 1, band.shape[1]
+    diagonal = band[0]
+    radius = np.zeros(n)
+    for k in range(1, min(b + 1, n)):
+        off = np.abs(band[k, : n - k])
+        radius[: n - k] += off
+        radius[k:] += off
+    lo, hi = float((diagonal - radius).min()), float(diagonal.min())
+    norm = float((np.abs(diagonal) + radius).max())
+    width = 2 * (b + 1) * np.finfo(float).eps * norm
+    shifted = np.empty_like(band, order="F")
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        shifted[...] = band
+        shifted[0] -= mid
+        if scipy.linalg.lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
@@ -228,7 +267,7 @@ def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
     storage cheaper (_band_is_cheaper) is packed into its (b+1) x n
     lower band and solved by _band_extremes; any other matrix takes the
     dense eigvalsh.  The heat and tridiagonal matrices (b <= 2) thus
-    cost O(n^2) instead of O(n^3)."""
+    cost O(n) per bisection probe instead of O(n^3)."""
     M = check_symmetric(M)
     n = M.shape[0]
     b = _lower_bandwidth(M)

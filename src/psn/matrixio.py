@@ -19,11 +19,18 @@ from .linalg import check_symmetric
 
 __all__ = ["read_matrix", "write_matrix", "read_vector", "write_vector", "write_csv"]
 
+MAX_ORDER = 10_000  # largest order read: 800 MB as a dense float64 array
+
 
 def read_matrix(path) -> np.ndarray:
     """Read a dense or coordinate Matrix Market file into a dense
-    symmetric array; an asymmetric matrix raises ValueError."""
+    symmetric array.  A header of order above MAX_ORDER is refused
+    before any entry is read; it and a complex, non-finite or
+    asymmetric matrix raise ValueError."""
     try:
+        rows, cols = scipy.io.mminfo(path)[:2]
+        if max(rows, cols) > MAX_ORDER:
+            raise ValueError(f"a {rows} x {cols} matrix exceeds the dense limit {MAX_ORDER}")
         M = scipy.io.mmread(path)
     except (ValueError, OSError) as err:
         raise ValueError(f"cannot read matrix from {path}: {err}") from err

@@ -25,9 +25,9 @@ whose structure gives the extremes of G and M and lambda in closed form is
 built by CurvaturePair.from_spectrum, which makes no eigenvalue solve;
 the ERM dual does so from a d x d Gram matrix (erm.ErmProblem).
 
-L^T E L has bandwidth b = b_G + b_E; where eigen_extremes would solve
-that band, it is formed as one from G's banded factor: O(n b) memory
-and O(n^2 b) work, against O(n^2) and O(n^3) through a dense factor.
+L^T E L has bandwidth b = b_G + b_E; where eigen_extremes would bisect
+that band, it is formed as one from G's banded factor: O(n b) memory and
+O(n b^2) work per probe, against O(n^2) and O(n^3) through a dense factor.
 """
 
 from __future__ import annotations

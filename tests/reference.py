@@ -4,7 +4,8 @@ They are written for clarity, not speed: one scipy Cholesky factor and
 solve per block, a serial loop that recomputes the objective and the
 full gradient at every iterate, the inclusion probabilities of a
 sampling written out from its definition, the extreme eigenvalues
-(of G^{1/2} E G^{1/2} too) from a dense eigvalsh, the ERM curvature
+(of G^{1/2} E G^{1/2} too) from a dense eigvalsh and those of a band
+from LAPACK's band reduction, the ERM curvature
 pair built and validated at order n, and the slopes phi' of the losses
 written out from their definitions.  count_spectral_work lets a test
 see which spectral work the curvature pairs do, and at which order.
@@ -65,6 +66,19 @@ def reference_eigen_extremes(M):
     eigvalsh, whatever its bandwidth."""
     w = np.linalg.eigvalsh(M)
     return float(w[0]), float(w[-1])
+
+
+def reference_band_extremes(band):
+    """(lambda_min, lambda_max) of the symmetric matrix whose lower band
+    storage is band, from LAPACK's dsbevx (scipy.linalg.eigvals_banded)
+    for the eigenvalues of index 0 and n-1: a band reduction to
+    tridiagonal form, O(n^2 b) per call."""
+    n = band.shape[1]
+    lo, hi = (
+        scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(i, i))[0]
+        for i in (0, n - 1)
+    )
+    return float(lo), float(hi)
 
 
 def reference_weighted_extremes(G, E):

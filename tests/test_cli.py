@@ -11,11 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.io
 
 import psn.solver
 from psn.cli import _build_parser, main
 from psn.linalg import make_rho_matrix
-from psn.matrixio import write_matrix, write_vector
+from psn.matrixio import MAX_ORDER, write_matrix, write_vector
 from psn.rates import rho_closed_forms
 
 
@@ -271,6 +272,53 @@ class TestSolve:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: the optimal value of x'Mx/2 - q'x overflows\n"
         assert not (tmp_path / "t.csv").exists()
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "header,body",
+        [
+            ("array complex hermitian", "2 2\n2 0\n1 1\n3 0\n"),
+            ("coordinate complex symmetric", "2 2 2\n1 1 2 1\n2 2 3 0\n"),
+        ],
+        ids=["hermitian", "complex"],
+    )
+    def test_complex_matrix_refused(self, tmp_path, capsys, header, body):
+        # Casting would drop the imaginary part with only a ComplexWarning.
+        path = tmp_path / "c.mtx"
+        path.write_text(f"%%MatrixMarket matrix {header}\n{body}")
+        assert main(["solve", "--matrix", str(path), "--b", "1"]) == 1
+        assert capsys.readouterr().err == "error: matrix has complex entries\n"
+
+    def test_matrix_order_capped_before_reading(self, tmp_path, capsys, monkeypatch):
+        # A dense 100000 x 100000 array would take 80 GB: the header alone
+        # must refuse it, so any mmread call fails this test.
+        def no_read(*args, **kwargs):
+            raise AssertionError("mmread called")
+
+        monkeypatch.setattr(scipy.io, "mmread", no_read)
+        path = tmp_path / "big.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n100000 100000 1\n1 1 1.0\n")
+        assert MAX_ORDER < 100_000
+        assert main(["solve", "--matrix", str(path), "--b", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read matrix from {path}: a 100000 x 100000 matrix "
+            f"exceeds the dense limit {MAX_ORDER}\n"
+        )
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_output_fails_before_solving(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        argv = ["heat", "--n", "1500", "--theta", "bound", "--c", "1,4", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and len(err.splitlines()) == 1
+
+    def test_existing_output_kept_until_written(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        out.write_text("previous\n")
+        assert main(["solve", "--gen", "rho:6,0.3", "--b", "-1", "--out", str(out)]) == 1
+        assert out.read_text() == "previous\n"
 
 
 class TestRates:

@@ -30,7 +30,7 @@ def write_libsvm(path, d=6, n=40, seed=0):
 CASES = {
     "heat": (
         ["heat", "--n", "60", "--scheme", "list:tau=5", "--c", "1,4", "--theta", "bound"],
-        "f42b6ab616fdeaf40ae68797ae4c89ba7f471d69a6e8e5f818755a8dfc835665",
+        "17441bce51aa5ab1dd8c847ea28d98d546b5e46cd6daaa5d29f507c2cdae58df",
     ),
     "solve-dense-threads": (
         [

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psn.linalg import (
+    _band_extremes,
     _band_is_cheaper,
     _lower_bandwidth,
     check_index_set,
@@ -31,7 +32,9 @@ from psn.linalg import (
 )
 from psn.rates import theta_cond_bound
 
-from reference import reference_bandwidth, reference_eigen_extremes
+from reference import reference_band_extremes, reference_bandwidth, reference_eigen_extremes
+
+EPS = np.finfo(float).eps
 
 
 def random_symmetric(n, rng):
@@ -45,19 +48,47 @@ def random_pd(n, rng, shift=0.5):
 
 
 @contextlib.contextmanager
-def counting_banded_solves():
-    """A list that gets one entry per scipy.linalg.eigvals_banded call
-    made inside the block."""
+def counting_band_probes():
+    """A list that gets one entry per banded Cholesky probe of the band
+    bisection (scipy.linalg.lapack.dpbtrf) made inside the block."""
     calls = []
-    original = scipy.linalg.eigvals_banded
+    original = scipy.linalg.lapack.dpbtrf
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "eigvals_banded", counted)
+        mp.setattr(scipy.linalg.lapack, "dpbtrf", counted)
         yield calls
+
+
+def random_lower_band(b, n, rng):
+    """(b+1) x n lower band storage of a random symmetric matrix,
+    indefinite or (with a shifted diagonal) definite, zero-padded."""
+    band = rng.standard_normal((b + 1, n))
+    band[0] += rng.uniform(-3.0, 3.0) * b
+    for k in range(1, b + 1):
+        band[k, max(n - k, 0) :] = 0.0
+    return band
+
+
+def band_tolerance(band):
+    """8 (b+1) eps ||A||_inf for the matrix stored in band: a few times
+    the backward error of a banded Cholesky factorization, which both
+    the bisection and the band reduction reach."""
+    b, n = band.shape[0] - 1, band.shape[1]
+    rows = np.abs(band[0])
+    for k in range(1, min(b + 1, n)):
+        off = np.abs(band[k, : n - k])
+        rows[: n - k] += off
+        rows[k:] += off
+    return 8 * (b + 1) * EPS * rows.max()
+
+
+def widest_band(n):
+    """The widest bandwidth the band route takes at order n, or -1."""
+    return max((b for b in range(n) if _band_is_cheaper(b, n)), default=-1)
 
 
 def charpoly_roots(M):
@@ -223,8 +254,8 @@ class TestSpectra:
         # bandwidths just either side of the switch, a zero corner over a
         # full interior, and an all-zero row.  Both routes are backward
         # stable, so the extremes agree within a few n eps ||M||.
-        n = data.draw(st.integers(1, 60), label="n")
-        switch = (n - 1) // 20  # the widest band the banded route takes
+        n = data.draw(st.integers(1, 240), label="n")
+        switch = widest_band(n)
         shape = data.draw(st.sampled_from(["band", "switch", "zero-corner"]), label="shape")
         if shape == "switch":
             b = min(n - 1, max(0, switch + data.draw(st.integers(-1, 2), label="offset")))
@@ -243,26 +274,33 @@ class TestSpectra:
             M[k, :] = M[:, k] = 0.0
         width = reference_bandwidth(M)
         assert _lower_bandwidth(M) == width
-        with counting_banded_solves() as calls:
+        with counting_band_probes() as probes:
             lo, hi = eigen_extremes(M)
-        assert len(calls) == (2 if _band_is_cheaper(width, n) else 0)
+        # A diagonal band needs no probe; any other band with its
+        # Gershgorin bracket open at an extreme needs some, and at most
+        # one row (the zero row) can close the bracket at one extreme.
+        if width:
+            assert bool(probes) == _band_is_cheaper(width, n)
         ref_lo, ref_hi = reference_eigen_extremes(M)
         tol = 8 * n * np.finfo(float).eps * max(abs(ref_lo), abs(ref_hi))
         assert abs(lo - ref_lo) <= tol
         assert abs(hi - ref_hi) <= tol
 
     def test_switch_follows_the_bandwidth(self):
-        assert _band_is_cheaper(0, 1)
-        assert _band_is_cheaper(2, 41) and not _band_is_cheaper(2, 40)
-        assert not _band_is_cheaper(59, 60)
+        # The measured crossover table of _band_is_cheaper's docstring.
+        assert _band_is_cheaper(0, 34) and not _band_is_cheaper(0, 33)
+        assert _band_is_cheaper(2, 129) and not _band_is_cheaper(2, 128)
+        assert _band_is_cheaper(6, 1500) and _band_is_cheaper(64, 873)
+        assert not _band_is_cheaper(64, 872)
+        assert widest_band(60) == 0 and widest_band(1500) == 116
 
     @pytest.mark.parametrize("n", [25, 100, 400])
     @pytest.mark.parametrize("alpha", [0.1, 0.5])
     def test_banded_tridiagonal_closed_form(self, n, alpha):
         # Eigenvalues 1 + 2 alpha cos(k pi/(n+1)), k = 1..n.
-        with counting_banded_solves() as calls:
+        with counting_band_probes() as probes:
             lo, hi = eigen_extremes(make_tridiagonal(n, alpha))
-        assert len(calls) == 2
+        assert bool(probes) == _band_is_cheaper(1, n) == (n == 400)
         tol = 8 * n * np.finfo(float).eps * (1.0 + 2.0 * alpha)
         assert abs(lo - (1.0 + 2.0 * alpha * np.cos(n * np.pi / (n + 1)))) <= tol
         assert abs(hi - (1.0 + 2.0 * alpha * np.cos(np.pi / (n + 1)))) <= tol
@@ -271,9 +309,9 @@ class TestSpectra:
         M = np.zeros((50, 50))
         M[49, 0] = M[0, 49] = 1.0
         assert _lower_bandwidth(M) == 49
-        with counting_banded_solves() as calls:
+        with counting_band_probes() as probes:
             assert eigen_extremes(M) == reference_eigen_extremes(M)
-        assert calls == []
+        assert probes == []
 
     def test_condition_number_diagonal(self):
         # With tau = n the theta bound (tau/n) cond(M) is cond(M).
@@ -326,6 +364,59 @@ class TestSpectra:
             check_symmetric(np.full((3, 3), -np.inf))
 
 
+class TestBandBisection:
+    """_band_extremes against LAPACK's band reduction and closed forms."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.integers(0, 8),
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_band_reduction(self, b, n, seed):
+        band = random_lower_band(b, n, np.random.default_rng(seed))
+        got, ref = _band_extremes(band), reference_band_extremes(band)
+        tol = band_tolerance(band)
+        assert abs(got[0] - ref[0]) <= tol and abs(got[1] - ref[1]) <= tol
+
+    def test_zero_band(self):
+        with counting_band_probes() as probes:
+            assert _band_extremes(np.zeros((3, 10))) == (0.0, 0.0)
+        assert probes == []
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_every_scale_ends(self, scale):
+        # Each extreme halves a bracket of at most ||A||_inf down to
+        # 2 (b+1) eps ||A||_inf: at most 51 probes, whatever the scale.
+        band = random_lower_band(3, 50, np.random.default_rng(71))
+        with counting_band_probes() as probes:
+            lo, hi = _band_extremes(scale * band)
+        assert len(probes) <= 2 * 51
+        ref_lo, ref_hi = reference_band_extremes(band)
+        tol = band_tolerance(band) * scale
+        assert abs(lo - scale * ref_lo) <= tol and abs(hi - scale * ref_hi) <= tol
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        band = random_lower_band(2, 20, np.random.default_rng(72))
+        band[1, 7] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            _band_extremes(band)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_tridiagonal_order_1e5(self, alpha):
+        # Eigenvalues 1 + 2 alpha cos(k pi/(n+1)), k = 1..n, of a band
+        # built as 2 x n storage, never as an n x n array.
+        n = 100_000
+        band = np.zeros((2, n))
+        band[0] = 1.0
+        band[1, :-1] = alpha
+        lo, hi = _band_extremes(band)
+        tol = band_tolerance(band)
+        assert abs(lo - (1.0 + 2.0 * alpha * np.cos(n * np.pi / (n + 1)))) <= tol
+        assert abs(hi - (1.0 + 2.0 * alpha * np.cos(np.pi / (n + 1)))) <= tol
+
+
 class TestPsdOrder:
     def test_rank_one_bump(self):
         rng = np.random.default_rng(41)
@@ -335,11 +426,15 @@ class TestPsdOrder:
         assert not psd_order_holds(A + np.outer(v, v), A)
 
     def test_banded_difference_takes_banded_route(self):
-        M = make_heat_matrix(60)
-        with counting_banded_solves() as calls:
-            assert psd_order_holds(M, M + 1e-3 * np.eye(60))
-            assert not psd_order_holds(M + 1e-3 * np.eye(60), M)
-        assert len(calls) == 4
+        # B - A is +-1e-3 times a tridiagonal matrix with spectrum in
+        # (0.5, 1.5), up to round-off, so its lambda_min has either sign.
+        M = make_heat_matrix(200)
+        bump = 1e-3 * make_tridiagonal(200, 0.25)
+        with counting_band_probes() as probes:
+            assert psd_order_holds(M, M + bump)
+            first = len(probes)
+            assert not psd_order_holds(M + bump, M)
+        assert first and len(probes) > first
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

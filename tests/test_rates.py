@@ -7,6 +7,8 @@ and against structural guarantees such as the 0 < sigma1 <= theta <= 1
 sandwich.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from psn.rates import (
 from psn.sampling import SamplingScheme, expected_lifted_inverse
 
 from reference import count_spectral_work, reference_weighted_extremes
-from test_linalg import counting_banded_solves
+from test_linalg import counting_band_probes
 
 
 def random_pd(n, seed, spread=1.0):
@@ -550,12 +552,12 @@ def random_band(n, b, rng):
 def weighted_with_work(G, E):
     """The extremes of L^T E L for a fresh pair of G (the one call
     behind sigma1 and theta), the names of the spectral work it did and
-    its number of eigvals_banded calls."""
+    its number of band bisection probes."""
     pair = CurvaturePair.from_hessian(G)
-    with counting_banded_solves() as banded_solves, pytest.MonkeyPatch.context() as mp:
+    with counting_band_probes() as probes, pytest.MonkeyPatch.context() as mp:
         calls = count_spectral_work(mp)
         result = pair._weighted_extremes(E)
-    return result, [name for name, _ in calls], len(banded_solves)
+    return result, [name for name, _ in calls], len(probes)
 
 
 class TestBandedWeightedRoute:
@@ -569,13 +571,16 @@ class TestBandedWeightedRoute:
         seed=st.integers(0, 2**31),
     )
     def test_band_route_matches_dense_reference(self, b_G, b_E, extra, seed):
-        n = 20 * (b_G + b_E) + extra
+        # From the first order at which the band route is taken.
+        b = b_G + b_E
+        n = next(m for m in itertools.count(1) if psn.linalg._band_is_cheaper(b, m)) + extra - 1
         rng = np.random.default_rng(seed)
         G, E = random_band(n, b_G, rng), random_band(n, b_E, rng)
-        got, work, banded_solves = weighted_with_work(G, E)
-        # The banded factor (one _cholesky call) and one band solve of
-        # two eigvals_banded calls; no dense factor, no eigen_extremes.
-        assert work == ["_cholesky", "_band_extremes"] and banded_solves == 2
+        got, work, probes = weighted_with_work(G, E)
+        # The banded factor (one _cholesky call) and one band solve,
+        # which probes unless L^T E L is diagonal; no dense factor, no
+        # eigen_extremes.
+        assert work == ["_cholesky", "_band_extremes"] and bool(probes) == (b > 0)
         assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
 
     def test_dense_g_or_dense_e_takes_the_dense_route(self):
@@ -583,22 +588,22 @@ class TestBandedWeightedRoute:
         heat = psn.linalg.make_heat_matrix(60)
         nice = expected_lifted_inverse(heat, SamplingScheme("nice", 60, 2)).matrix
         for G, E in ((random_pd(60, 6), random_band(60, 1, rng)), (heat, nice)):
-            got, work, banded_solves = weighted_with_work(G, E)
-            assert work == ["_cholesky", "eigen_extremes"] and banded_solves == 0
+            got, work, probes = weighted_with_work(G, E)
+            assert work == ["_cholesky", "eigen_extremes"] and probes == 0
             assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
 
     def test_upper_band_wider_than_lower(self):
         rng = np.random.default_rng(7)
-        G = random_band(100, 1, rng)
-        E = random_band(100, 1, rng)
-        E += np.diag(rng.uniform(0.1, 0.5, 97), 3)
-        got, work, banded_solves = weighted_with_work(G, E)
-        assert "_band_extremes" in work and banded_solves == 2
+        G = random_band(200, 1, rng)
+        E = random_band(200, 1, rng)
+        E += np.diag(rng.uniform(0.1, 0.5, 197), 3)
+        got, work, probes = weighted_with_work(G, E)
+        assert "_band_extremes" in work and probes > 0
         assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
 
     def test_memo_on_the_band_route(self):
         rng = np.random.default_rng(8)
-        G, E = random_band(90, 2, rng), random_band(90, 2, rng)
+        G, E = random_band(200, 2, rng), random_band(200, 2, rng)
         pair = CurvaturePair.from_hessian(G)
         first = (sigma1(pair, E), theta(pair, E))
         E *= 0.5
@@ -621,8 +626,8 @@ class TestBandedWeightedRoute:
     @pytest.mark.parametrize("route", ["band", "dense"])
     def test_non_finite_inside_the_band(self, bad, route):
         rng = np.random.default_rng(9)
-        G = random_band(80, 1, rng) if route == "band" else random_pd(80, 10)
-        E = random_band(80, 1, rng)
+        G = random_band(200, 1, rng) if route == "band" else random_pd(200, 10)
+        E = random_band(200, 1, rng)
         E[5, 4] = bad
         pair = CurvaturePair.from_hessian(G)
         with np.errstate(invalid="ignore", over="ignore"):

@@ -352,9 +352,9 @@ class TestDampingMemo:
             )
 
         run(obj, config(1))
-        # G = I and a diagonal E put the non-quadratic theta on the band
-        # route (banded factor and band solve); the others are dense.
-        assert calls and (("_band_extremes", 9) in calls) == (not obj.quadratic)
+        # At n = 9 the band route is not cheaper even for the
+        # non-quadratic theta's diagonal L^T E L (G = I, E diagonal).
+        assert calls and all(name != "_band_extremes" for name, _ in calls)
         for c in (2, 4):
             calls.clear()
             trace = run(obj, config(c))
