@@ -424,8 +424,8 @@ def main(argv=None) -> int:
         if args.out != "-":  # fail before any work, keeping an existing file
             existed = os.path.exists(args.out)
             open(args.out, "a").close()
-            if not existed:
-                os.remove(args.out)
+            if not existed:  # remove what open created, not a dangling link
+                os.remove(os.path.realpath(args.out))
         return args.func(args)
     except (ValueError, OSError, np.linalg.LinAlgError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -186,16 +186,17 @@ def _lower_bandwidth(M: np.ndarray) -> int:
 def _band_is_cheaper(b: int, n: int) -> bool:
     """Whether the band bisection (_band_extremes) beats one dense
     eigvalsh, O(n^3), for bandwidth b.  The bisection makes about 90
-    O(n b^2) probes, whose call overhead sets its floor at small n; a
-    diagonal needs none.  The smallest n at which it won (one thread,
-    best of 5, diagonally dominant random bands):
+    O(n b^2) probes, whose call overhead sets its floor at small n.  The
+    smallest n at which it won (one thread, best of 5, diagonally
+    dominant random bands):
 
-        b  0   1    2    4    6    8    12   16   24   32   48   64
-        n  34  116  136  128  144  176  256  320  320  576  736  768
+        b  1    2    4    6    8    12   16   24   32   48   64
+        n  116  136  128  144  176  256  320  320  576  736  768
 
-    A least-squares line through b >= 1 gives n = 104 + 11.7 b.
+    A least-squares line through the table gives n = 104 + 11.7 b, used
+    for a diagonal (b = 0) too.
     """
-    return n > (33 if b == 0 else 104 + 12 * b)
+    return n > 104 + 12 * b
 
 
 def _lower_band(M, b: int) -> np.ndarray:

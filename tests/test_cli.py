@@ -320,6 +320,14 @@ class TestSolve:
         assert main(["solve", "--gen", "rho:6,0.3", "--b", "-1", "--out", str(out)]) == 1
         assert out.read_text() == "previous\n"
 
+    def test_dangling_link_output_kept(self, tmp_path, capsys):
+        out, target = tmp_path / "t.csv", tmp_path / "target.csv"
+        out.symlink_to(target)
+        assert main(["solve", "--gen", "rho:6,0.3", "--b", "-1", "--out", str(out)]) == 1
+        assert out.is_symlink() and not target.exists()
+        assert main(["solve", "--gen", "rho:6,0.3", "--b", "1", "--out", str(out)]) == 0
+        assert out.is_symlink() and target.read_text().startswith("c,")
+
 
 class TestRates:
     def test_non_finite_matrix_entry(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psn.linalg
 from psn.linalg import (
     _band_extremes,
     _band_is_cheaper,
@@ -60,6 +61,22 @@ def counting_band_probes():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.linalg.lapack, "dpbtrf", counted)
+        yield calls
+
+
+@contextlib.contextmanager
+def counting_band_solves():
+    """A list that gets one entry per call of the band route
+    (psn.linalg._band_extremes) made inside the block."""
+    calls = []
+    original = psn.linalg._band_extremes
+
+    def counted(band):
+        calls.append(band.shape)
+        return original(band)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(psn.linalg, "_band_extremes", counted)
         yield calls
 
 
@@ -274,13 +291,9 @@ class TestSpectra:
             M[k, :] = M[:, k] = 0.0
         width = reference_bandwidth(M)
         assert _lower_bandwidth(M) == width
-        with counting_band_probes() as probes:
+        with counting_band_solves() as solves:
             lo, hi = eigen_extremes(M)
-        # A diagonal band needs no probe; any other band with its
-        # Gershgorin bracket open at an extreme needs some, and at most
-        # one row (the zero row) can close the bracket at one extreme.
-        if width:
-            assert bool(probes) == _band_is_cheaper(width, n)
+        assert bool(solves) == _band_is_cheaper(width, n)
         ref_lo, ref_hi = reference_eigen_extremes(M)
         tol = 8 * n * np.finfo(float).eps * max(abs(ref_lo), abs(ref_hi))
         assert abs(lo - ref_lo) <= tol
@@ -288,19 +301,19 @@ class TestSpectra:
 
     def test_switch_follows_the_bandwidth(self):
         # The measured crossover table of _band_is_cheaper's docstring.
-        assert _band_is_cheaper(0, 34) and not _band_is_cheaper(0, 33)
+        assert _band_is_cheaper(0, 105) and not _band_is_cheaper(0, 104)
         assert _band_is_cheaper(2, 129) and not _band_is_cheaper(2, 128)
         assert _band_is_cheaper(6, 1500) and _band_is_cheaper(64, 873)
         assert not _band_is_cheaper(64, 872)
-        assert widest_band(60) == 0 and widest_band(1500) == 116
+        assert widest_band(60) == -1 and widest_band(1500) == 116
 
     @pytest.mark.parametrize("n", [25, 100, 400])
     @pytest.mark.parametrize("alpha", [0.1, 0.5])
     def test_banded_tridiagonal_closed_form(self, n, alpha):
         # Eigenvalues 1 + 2 alpha cos(k pi/(n+1)), k = 1..n.
-        with counting_band_probes() as probes:
+        with counting_band_solves() as solves:
             lo, hi = eigen_extremes(make_tridiagonal(n, alpha))
-        assert bool(probes) == _band_is_cheaper(1, n) == (n == 400)
+        assert bool(solves) == _band_is_cheaper(1, n) == (n == 400)
         tol = 8 * n * np.finfo(float).eps * (1.0 + 2.0 * alpha)
         assert abs(lo - (1.0 + 2.0 * alpha * np.cos(n * np.pi / (n + 1)))) <= tol
         assert abs(hi - (1.0 + 2.0 * alpha * np.cos(np.pi / (n + 1)))) <= tol
@@ -309,9 +322,9 @@ class TestSpectra:
         M = np.zeros((50, 50))
         M[49, 0] = M[0, 49] = 1.0
         assert _lower_bandwidth(M) == 49
-        with counting_band_probes() as probes:
+        with counting_band_solves() as solves:
             assert eigen_extremes(M) == reference_eigen_extremes(M)
-        assert probes == []
+        assert solves == []
 
     def test_condition_number_diagonal(self):
         # With tau = n the theta bound (tau/n) cond(M) is cond(M).
@@ -430,11 +443,10 @@ class TestPsdOrder:
         # (0.5, 1.5), up to round-off, so its lambda_min has either sign.
         M = make_heat_matrix(200)
         bump = 1e-3 * make_tridiagonal(200, 0.25)
-        with counting_band_probes() as probes:
+        with counting_band_solves() as solves:
             assert psd_order_holds(M, M + bump)
-            first = len(probes)
             assert not psd_order_holds(M + bump, M)
-        assert first and len(probes) > first
+        assert solves == [(2, 200), (2, 200)]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

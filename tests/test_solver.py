@@ -338,13 +338,13 @@ class TestDampingMemo:
         [
             (lambda: random_quadratic(9, 48), "bound"),
             (lambda: random_quadratic(9, 48), "exact"),
-            (lambda: nonquadratic_objective(9), "exact"),
+            (lambda: nonquadratic_objective(120), "exact"),
         ],
     )
     def test_second_run_reuses_damping(self, build, theta_source, monkeypatch):
         calls = count_spectral_work(monkeypatch)
         obj = build()
-        scheme = SamplingScheme("list", 9, 3)
+        scheme = SamplingScheme("list", obj.n, 3)
 
         def config(c):
             return SolverConfig(
@@ -352,9 +352,10 @@ class TestDampingMemo:
             )
 
         run(obj, config(1))
-        # At n = 9 the band route is not cheaper even for the
-        # non-quadratic theta's diagonal L^T E L (G = I, E diagonal).
-        assert calls and all(name != "_band_extremes" for name, _ in calls)
+        # G = I and a diagonal E put the non-quadratic theta on the band
+        # route (banded factor and band solve) at n = 120; the others are
+        # dense.
+        assert calls and (("_band_extremes", obj.n) in calls) == (not obj.quadratic)
         for c in (2, 4):
             calls.clear()
             trace = run(obj, config(c))
