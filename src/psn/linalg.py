@@ -6,11 +6,15 @@ matrix" is an (n, n) array equal to its transpose up to round-off; an
 Index sets are normalised to sorted int64 arrays so they can double as
 dictionary keys (via tuple()) and slicing arguments.
 
-eigen_extremes is the package's one route to the extreme eigenvalues
-of a symmetric matrix.  It reads the bandwidth of its input from the
-exact zeros and bisects a narrow band (the heat and tridiagonal
-matrices) on its inertia in banded storage, any other matrix densely.
-The rate module hands its banded L^T E L straight to the band solver.
+check_symmetric reads a matrix's bandwidth from the exact zeros in one
+pass and checks a narrow band on its diagonals alone; a dense matrix
+(nonzero corner) takes full passes.  eigen_extremes is the package's
+one route to the extreme eigenvalues of a symmetric matrix.  It keeps
+the bandwidth that check read and bisects a narrow band (the heat and
+tridiagonal matrices) on its inertia in banded storage, any other
+matrix densely.  The rate module hands its banded L^T E L straight to
+the band solver, and the curvature pairs keep the bandwidth of the
+matrix they checked.
 """
 
 from __future__ import annotations
@@ -59,24 +63,51 @@ def check_symmetric(M) -> np.ndarray:
 
     An M that is only nearly symmetric is replaced by (M + M')/2,
     since block solves read one triangle and gradient updates read rows
-    for columns; an exactly symmetric M is returned as it is."""
+    for columns; an exactly symmetric M is returned as it is.  A
+    narrow band is checked on its diagonals alone (_checked_band)."""
+    return _checked_band(M)[0]
+
+
+def _checked_band(M) -> tuple[np.ndarray, int]:
+    """M checked and returned as check_symmetric says, with the
+    bandwidth of the returned matrix.
+
+    The bandwidth b is read first (_bandwidth).  When banded storage is
+    cheaper (_band_is_cheaper) only the 2b+1 diagonals are checked: every
+    entry outside them is an exact zero, and a NaN or inf is nonzero,
+    so it lies inside.  Any other matrix takes the full passes.  Either
+    way the errors, the tolerance and the returned values are those of
+    the full check."""
     if np.iscomplexobj(M):
         raise ValueError("matrix has complex entries")
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    # The maximum and minimum propagate NaN and inf, so these two passes
-    # also catch the entries every comparison below would let through;
-    # a NaN makes both NaN, and max() keeps its first argument then.
-    largest = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
+    b = _bandwidth(A)
+    band = _band_is_cheaper(b, A.shape[0])
+    if band:
+        lower = [A.diagonal(-k) for k in range(b + 1)]
+        upper = [A.diagonal(k) for k in range(b + 1)]
+        largest = float(np.abs(np.concatenate(lower + upper)).max())
+    else:
+        # The maximum and minimum propagate NaN and inf, so these two
+        # passes also catch the entries every comparison below would let
+        # through; a NaN makes both NaN, and max() keeps its first
+        # argument then.
+        largest = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
     if not np.isfinite(largest):
         raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, largest)
-    difference = A - A.T
-    asymmetry = np.abs(difference, out=difference).max(initial=0.0)
-    if asymmetry > 1e-10 * scale:
+    if band:
+        asymmetry = max(float(np.abs(lo - up).max()) for lo, up in zip(lower, upper))
+    else:
+        difference = A - A.T
+        asymmetry = np.abs(difference, out=difference).max(initial=0.0)
+    if asymmetry > 1e-10 * max(1.0, largest):
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (A + A.T) if asymmetry else A
+    if not asymmetry:
+        return A, b
+    A = 0.5 * (A + A.T)
+    return A, _bandwidth(A)
 
 
 def lifted_inverse(M: np.ndarray, S) -> np.ndarray:
@@ -167,20 +198,30 @@ def make_heat_matrix(n: int, r: float = 0.1) -> np.ndarray:
     return M
 
 
-def _lower_bandwidth(M: np.ndarray) -> int:
-    """Largest i - j over the nonzero entries M[i, j], read from exact
-    zeros; 0 for a diagonal or all-zero M.
+def _bandwidth(A: np.ndarray) -> int:
+    """Largest |i - j| over the nonzero entries A[i, j], read from exact
+    zeros (a NaN counts as nonzero); 0 for a diagonal or all-zero A.
 
-    A nonzero corner M[n-1, 0] gives n - 1 at once (the dense case).
-    Otherwise one pass finds each row's first nonzero column; all-zero
-    rows are ignored."""
-    n = M.shape[0]
-    if n > 1 and M[n - 1, 0] != 0.0:
+    A nonzero corner A[n-1, 0] or A[0, n-1] gives n - 1 at once (the
+    dense case).  Otherwise one pass marks the nonzeros, and each row's
+    first one gives the lower bandwidth b.  For a narrow b, counting the
+    nonzeros on the 2b+1 diagonals shows whether all lie there; if not
+    (or for a wide b) each row's last nonzero gives the upper one."""
+    n = A.shape[0]
+    if n < 2:
+        return 0
+    if A[n - 1, 0] != 0.0 or A[0, n - 1] != 0.0:
         return n - 1
-    nonzero = M != 0.0
-    first = nonzero.argmax(axis=1)
+    nonzero = A != 0.0
     rows = np.arange(n)
-    return int((rows - first)[nonzero[rows, first]].max(initial=0))
+    first = nonzero.argmax(axis=1)
+    b = int((rows - first)[nonzero[rows, first]].max(initial=0))
+    if _band_is_cheaper(b, n) and np.count_nonzero(nonzero) == sum(
+        np.count_nonzero(nonzero.diagonal(k)) for k in range(-b, b + 1)
+    ):
+        return b
+    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    return max(b, int((last - rows)[nonzero[rows, last]].max(initial=0)))
 
 
 def _band_is_cheaper(b: int, n: int) -> bool:
@@ -211,17 +252,20 @@ def _lower_band(M, b: int) -> np.ndarray:
 
 def _band_extremes(band: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of the symmetric matrix whose lower band
-    storage is band, by bisection (_band_min) in O(n b) memory.  Dividing
-    by a power of two near the largest entry is exact and keeps the
-    Gershgorin bracket and stop width finite at every scale.  A
-    non-finite entry raises ValueError."""
+    storage is band, by bisection (_band_lowest) in O(n b) memory."""
+    return _band_lowest(band), -_band_lowest(np.negative(band))
+
+
+def _band_lowest(band: np.ndarray) -> float:
+    """lambda_min of the symmetric matrix whose lower band storage is
+    band, by bisection (_band_min).  Dividing by a power of two near the
+    largest entry is exact and keeps the Gershgorin bracket and stop
+    width finite at every scale.  A non-finite entry raises ValueError."""
     if not np.isfinite(band).all():
         raise ValueError("matrix has non-finite entries")
     scale = 2.0 ** (np.frexp(np.abs(band).max(initial=0.0))[1] - 1)
     scaled = np.divide(band, scale, out=np.empty(band.shape, order="F"))
-    lo = _band_min(scaled)
-    hi = -_band_min(np.negative(scaled, out=scaled))
-    return float(lo * scale), float(hi * scale)
+    return float(_band_min(scaled) * scale)
 
 
 def _band_min(band: np.ndarray) -> float:
@@ -264,18 +308,22 @@ def _band_min(band: np.ndarray) -> float:
 def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix.
 
-    A matrix whose lower bandwidth b (_lower_bandwidth) makes banded
-    storage cheaper (_band_is_cheaper) is packed into its (b+1) x n
-    lower band and solved by _band_extremes; any other matrix takes the
-    dense eigvalsh.  The heat and tridiagonal matrices (b <= 2) thus
-    cost O(n) per bisection probe instead of O(n^3)."""
-    M = check_symmetric(M)
-    n = M.shape[0]
-    b = _lower_bandwidth(M)
-    if not _band_is_cheaper(b, n):
-        w = np.linalg.eigvalsh(M)
-        return float(w[0]), float(w[-1])
-    return _band_extremes(_lower_band(M, b))
+    M is checked and its bandwidth b read in one pass (_checked_band).
+    A matrix for which banded storage is cheaper (_band_is_cheaper) is
+    packed into its (b+1) x n lower band and solved by _band_extremes;
+    any other matrix takes the dense eigvalsh.  The heat and tridiagonal
+    matrices (b <= 2) thus cost O(n) per bisection probe instead of
+    O(n^3)."""
+    return _checked_extremes(*_checked_band(M))
+
+
+def _checked_extremes(A: np.ndarray, b: int) -> tuple[float, float]:
+    """eigen_extremes of a matrix that _checked_band returned, with the
+    bandwidth b it read."""
+    if _band_is_cheaper(b, A.shape[0]):
+        return _band_extremes(_lower_band(A, b))
+    w = np.linalg.eigvalsh(A)
+    return float(w[0]), float(w[-1])
 
 
 def psd_order_holds(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:

@@ -28,6 +28,10 @@ the ERM dual does so from a d x d Gram matrix (erm.ErmProblem).
 L^T E L has bandwidth b = b_G + b_E; where eigen_extremes would bisect
 that band, it is formed as one from G's banded factor: O(n b) memory and
 O(n b^2) work per probe, against O(n^2) and O(n^3) through a dense factor.
+b_G is read once, when the pair checks G.  A band E, as the enumerated
+list sampling of a banded M comes, is read in its diagonal storage
+(b_E from its offsets); it is made dense only where the product takes
+the dense route.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import _band_extremes, _band_is_cheaper, _lower_band, _lower_bandwidth
-from .linalg import check_symmetric, eigen_extremes, psd_order_holds
+from .linalg import _band_extremes, _band_is_cheaper, _band_lowest, _bandwidth, _checked_band
+from .linalg import _checked_extremes, _lower_band, eigen_extremes, psd_order_holds
 from .sampling import SamplingScheme, expected_lifted_inverse
 
 __all__ = [
@@ -83,19 +87,21 @@ class CurvaturePair:
     m_extremes: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, spectrum):
-        M = check_symmetric(self.M)
+        M, b_M = _checked_band(self.M)
         if self.G is self.M:
-            G = M
+            G, b_G = M, b_M
         elif spectrum is None:
-            G = check_symmetric(self.G)
+            G, b_G = _checked_band(self.G)
         else:
-            G = np.asarray(self.G, dtype=np.float64)
+            G, b_G = np.asarray(self.G, dtype=np.float64), None
         if M.shape != G.shape:
             raise ValueError(f"shape mismatch: M {M.shape} vs G {G.shape}")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "G", G)
+        if b_G is not None:
+            self.__dict__["_g_bandwidth"] = b_G
         if spectrum is None:
-            g_extremes = eigen_extremes(G)
+            g_extremes = _checked_extremes(G, b_G)
             m_extremes = g_extremes if self.quadratic else None
         else:
             g_extremes, m_extremes, lam = spectrum
@@ -194,39 +200,49 @@ class CurvaturePair:
             memo[key] = self._weighted_extremes(expected_lifted_inverse(self.M, key).matrix)
         return memo[key]
 
-    def _weighted_extremes(self, expected_inverse: np.ndarray) -> tuple[float, float]:
+    def _weighted_extremes(self, expected_inverse) -> tuple[float, float]:
         """(lambda_min, lambda_max) of the symmetric part of L^T E L for
-        G = L L^T, the spectrum of G^{1/2} E G^{1/2}.  E's bandwidth b_E
-        is read from both its triangles.  When _band_is_cheaper(b_G +
-        b_E, n), L^T E L is a sparse product of bands, packed and solved
-        as a band; otherwise it takes a dense factor and two n x n
-        products.  The result for a read-only E is kept until another E
-        is passed (matched by identity); a writeable E may change in
-        place, so it is never memoized."""
-        E = np.asarray(expected_inverse, dtype=np.float64)
+        G = L L^T, the spectrum of G^{1/2} E G^{1/2}.  E is an array or a
+        scipy.sparse matrix; a band E (dia) gives its bandwidth b_E by its
+        offsets, an array E by its exact zeros.  When _band_is_cheaper(b_G
+        + b_E, n), L^T E L is a sparse product of bands, packed and solved
+        as a band; otherwise E is made dense and the product takes a dense
+        factor and two n x n products.  The result for a read-only E (a
+        band E with read-only data) is kept until another E is passed
+        (matched by identity); a writeable E may change in place, so it is
+        never memoized."""
         memo = self.__dict__.get("_weighted_memo")
-        if memo is not None and memo[0]() is E:
+        if memo is not None and memo[0]() is expected_inverse:
             return memo[1]
+        sparse = scipy.sparse.issparse(expected_inverse)
+        if sparse:
+            E = expected_inverse.todia()
+            read_only = not E.data.flags.writeable
+        else:
+            E = np.asarray(expected_inverse, dtype=np.float64)
+            read_only = not E.flags.writeable
         if E.shape != self.G.shape:
             raise ValueError(f"expected inverse must have shape {self.G.shape}, got {E.shape}")
-        b_G, b_E = self._g_bandwidth, max(_lower_bandwidth(E), _lower_bandwidth(E.T))
-        if _band_is_cheaper(b_G + b_E, self.n):
-            offsets = np.arange(-b_E, b_E + 1)
-            E_band = scipy.sparse.diags_array([E.diagonal(k) for k in offsets], offsets=offsets)
-            S = self._band_factor.T @ E_band @ self._band_factor
-            result = _band_extremes(_lower_band(0.5 * (S + S.T), b_G + b_E))
+        b_E = int(np.abs(E.offsets).max(initial=0)) if sparse else _bandwidth(E)
+        b = self._g_bandwidth + b_E
+        if _band_is_cheaper(b, self.n):
+            if not sparse:
+                offsets = np.arange(-b_E, b_E + 1)
+                E = scipy.sparse.diags_array([E.diagonal(k) for k in offsets], offsets=offsets)
+            S = self._band_factor.T @ E @ self._band_factor
+            result = _band_extremes(_lower_band(0.5 * (S + S.T), b))
         else:
             L = self._cholesky()
-            S = L.T @ E @ L
+            S = L.T @ (E.toarray() if sparse else E) @ L
             del L  # one n x n array fewer at the eigenvalue peak
             result = _symmetric_extremes(S)
-        if not E.flags.writeable:
-            self.__dict__["_weighted_memo"] = (weakref.ref(E), result)
+        if read_only:
+            self.__dict__["_weighted_memo"] = (weakref.ref(expected_inverse), result)
         return result
 
     @cached_property
     def _g_bandwidth(self) -> int:
-        return _lower_bandwidth(self.G)
+        return _bandwidth(self.G)
 
     @cached_property
     def _band_factor(self) -> scipy.sparse.dia_array:
@@ -252,10 +268,14 @@ def _symmetric_extremes(S: np.ndarray) -> tuple[float, float]:
 
 
 def _scaled_min(G: np.ndarray, d: np.ndarray) -> float:
-    """lambda_min(D G D) with D = diag(d)."""
+    """lambda_min(D G D) with D = diag(d), checked and routed as by
+    eigen_extremes; the band route bisects lambda_min alone."""
     S = d[:, None] * G
     S *= d
-    return eigen_extremes(S)[0]
+    S, b = _checked_band(S)
+    if _band_is_cheaper(b, len(d)):
+        return _band_lowest(_lower_band(S, b))
+    return _checked_extremes(S, b)[0]
 
 
 def sigma1(pair: CurvaturePair, expected_inverse: np.ndarray) -> float:

@@ -19,7 +19,9 @@ one-worker draws, so c=1 is the serial scheme.
 Expected lifted inverses refer to one constituent set: for nice and
 list each worker's set has the one-worker distribution, and for
 ``non-overlapping`` each chunk of a uniform (c*tau)-subset is itself a
-uniform tau-subset.
+uniform tau-subset.  The enumerated list E of a banded M is banded too;
+where that band is cheaper it is assembled in diagonal storage and
+returned as a read-only scipy.sparse.dia_array, never as n x n.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse
+
+from .linalg import _band_is_cheaper
 
 __all__ = [
     "KINDS",
@@ -144,15 +149,32 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
 class ExpectedInverse:
     """E[(M_S)^{-1}] over one constituent set, with provenance.
 
-    ``matrix`` is read-only, so rate functions may memoize values
-    derived from it.  ``samples`` is the Monte Carlo sample count and
-    ``standard_error`` the Frobenius-norm standard error of the mean;
-    both are None when the whole support was enumerated.
+    ``matrix`` is an n x n ndarray, or for an enumerated list sampling
+    of a narrow band M a scipy.sparse.dia_array holding E's 2b+1
+    diagonals (_BandInverse); either way its values are read-only, so
+    rate functions may memoize values derived from it.  ``samples`` is
+    the Monte Carlo sample count and ``standard_error`` the
+    Frobenius-norm standard error of the mean; both are None when the
+    whole support was enumerated.
     """
 
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray | scipy.sparse.dia_array = field(repr=False)
     samples: int | None = None
     standard_error: float | None = None
+
+
+class _BandInverse(scipy.sparse.dia_array):
+    """An expected lifted inverse in diagonal storage, data read-only.
+
+    Compared with == to another sparse matrix of its shape it gives one
+    bool, whether the two are equal entry for entry, so that results
+    holding E compare as values; scipy's elementwise == of two sparse
+    matrices would build an n x n boolean array."""
+
+    def __eq__(self, other):
+        if scipy.sparse.issparse(other) and other.shape == self.shape:
+            return (self != other).nnz == 0
+        return super().__eq__(other)
 
 
 def _enumerated_chunks(scheme: SamplingScheme, size: int):
@@ -169,16 +191,13 @@ def _enumerated_chunks(scheme: SamplingScheme, size: int):
             yield np.array(chunk, dtype=np.int64)
 
 
-def _add_block_inverses(M, sets, acc, acc_sq=None) -> None:
-    """Add inv(M[S, S]) into acc[S, S] (and its entrywise square into
-    acc_sq[S, S]) for every row S of the (k, tau) stack sets, in row
-    order, so each entry sums its terms in the order of a per-set loop.
+def _block_inverses(M, sets) -> np.ndarray:
+    """inv(M[S, S]) for every row S of the (k, tau) stack sets.
 
     Raises numpy.linalg.LinAlgError naming the first set whose block is
     singular or has condition number above 1e14.
     """
-    rows, cols = sets[:, :, None], sets[:, None, :]
-    blocks = M[rows, cols]
+    blocks = M[sets[:, :, None], sets[:, None, :]]
     cond = np.linalg.cond(blocks)
     bad = np.flatnonzero(~(cond <= 1e14))  # also catches inf and NaN
     if bad.size:
@@ -187,10 +206,36 @@ def _add_block_inverses(M, sets, acc, acc_sq=None) -> None:
             f"submatrix on {sets[k].tolist()} is numerically singular "
             f"(condition estimate {cond[k]:.3e})"
         )
-    inv = np.linalg.inv(blocks)
-    np.add.at(acc, (rows, cols), inv)
-    if acc_sq is not None:
-        np.add.at(acc_sq, (rows, cols), inv * inv)
+    return np.linalg.inv(blocks)
+
+
+def _banded_list(M, scheme: SamplingScheme) -> bool:
+    """Whether the list-sampling E of M is banded and is cheaper to keep
+    as a band: _band_is_cheaper(tau - 1, n), and the tau - 1 windows that
+    wrap around have exactly zero cross blocks, M[i, j] = M[j, i] = 0 for
+    i - j >= n - tau + 1 (read in O(tau^2)).  Then each window's inverse
+    is zero outside offsets -(tau-1)..tau-1, and so is E."""
+    n, w = scheme.n, scheme.tau - 1
+    return (
+        scheme.kind == "list"
+        and _band_is_cheaper(w, n)
+        and not np.tril(M[n - w :, :w]).any()
+        and not np.triu(M[:w, n - w :]).any()
+    )
+
+
+def _band_matrix(diagonals: np.ndarray) -> _BandInverse:
+    """The n x n matrix with the 2w+1 diagonals (offsets -w..w, column
+    aligned as in scipy's dia format), its outer all-zero diagonals
+    dropped so that its offsets give its bandwidth from the exact
+    zeros."""
+    w = len(diagonals) // 2
+    used = np.flatnonzero(diagonals.any(axis=1))
+    b = int(np.abs(used - w).max(initial=0))
+    n = diagonals.shape[1]
+    E = _BandInverse((diagonals[w - b : w + b + 1], np.arange(-b, b + 1)), shape=(n, n))
+    E.data.setflags(write=False)
+    return E
 
 
 def expected_lifted_inverse(
@@ -210,6 +255,12 @@ def expected_lifted_inverse(
     only their S x S entries are accumulated.  A block that is singular
     or has condition number above 1e14 raises numpy.linalg.LinAlgError
     naming its index set.
+
+    An enumerated list sampling of a banded M (_banded_list, decided
+    before any block is inverted) accumulates into the 2 tau - 1
+    diagonals of E instead of an n x n array, adding the same terms in
+    the same order, and returns E as a read-only dia_array (_band_matrix)
+    equal to the n x n result bit for bit.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
@@ -239,12 +290,28 @@ def expected_lifted_inverse(
             for start in range(0, samples, size)
         )
 
-    acc = np.zeros_like(M)
+    band = samples is None and _banded_list(M, serial)
+    acc = np.zeros((2 * scheme.tau - 1, n)) if band else np.zeros_like(M)
     acc_sq = None if samples is None else np.zeros_like(M)
+    # Each entry sums its terms in the order of a per-set loop.
     for sets in chunks:
-        _add_block_inverses(M, sets, acc, acc_sq)
+        inv = _block_inverses(M, sets)
+        rows, cols = sets[:, :, None], sets[:, None, :]
+        if band:
+            # Diagonal storage: M[i, j] at [j - i + tau - 1, j].  The
+            # zero cross blocks of wrapped windows lie outside the band.
+            offsets = cols - rows
+            kept = np.abs(offsets) < scheme.tau
+            columns = np.broadcast_to(cols, inv.shape)
+            np.add.at(acc, ((offsets + scheme.tau - 1)[kept], columns[kept]), inv[kept])
+        else:
+            np.add.at(acc, (rows, cols), inv)
+        if acc_sq is not None:
+            np.add.at(acc_sq, (rows, cols), inv * inv)
     mean = acc / count
     mean.setflags(write=False)
+    if band:
+        return ExpectedInverse(_band_matrix(mean))
     if samples is None:
         return ExpectedInverse(mean)
     var = (acc_sq - count * mean * mean) / (count - 1)

@@ -5,10 +5,11 @@ solve per block, a serial loop that recomputes the objective and the
 full gradient at every iterate, the inclusion probabilities of a
 sampling written out from its definition, the extreme eigenvalues
 (of G^{1/2} E G^{1/2} too) from a dense eigvalsh and those of a band
-from LAPACK's band reduction, the ERM curvature
-pair built and validated at order n, and the slopes phi' of the losses
-written out from their definitions.  count_spectral_work lets a test
-see which spectral work the curvature pairs do, and at which order.
+from LAPACK's band reduction, the symmetry check by full passes over
+the matrix, the ERM curvature pair built and validated at order n,
+and the slopes phi' of the losses written out from their definitions.
+count_spectral_work lets a test see which spectral work the curvature
+pairs do, and at which order.
 """
 
 import numpy as np
@@ -59,6 +60,27 @@ def reference_run(objective, config, b):
         if k < config.max_iter:
             x = reference_step(x, objective, draw(config.scheme, rng), b)
     return IterationTrace(records, status, b, None, x)
+
+
+def reference_check_symmetric(M):
+    """linalg.check_symmetric by full passes over M whatever its
+    bandwidth: the largest magnitude from the maximum and minimum (which
+    propagate NaN and inf), then the asymmetry from M - M', and (M + M')/2
+    for an M that is only nearly symmetric."""
+    if np.iscomplexobj(M):
+        raise ValueError("matrix has complex entries")
+    A = np.asarray(M, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    largest = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
+    if not np.isfinite(largest):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, largest)
+    difference = A - A.T
+    asymmetry = np.abs(difference, out=difference).max(initial=0.0)
+    if asymmetry > 1e-10 * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    return 0.5 * (A + A.T) if asymmetry else A
 
 
 def reference_eigen_extremes(M):
@@ -171,7 +193,9 @@ def count_spectral_work(monkeypatch):
     orders = {
         "expected_lifted_inverse": lambda M, *rest: np.shape(M)[0],
         "eigen_extremes": lambda M, *rest: np.shape(M)[0],
+        "_checked_extremes": lambda A, b: np.shape(A)[0],
         "_band_extremes": lambda band: np.shape(band)[1],
+        "_band_lowest": lambda band: np.shape(band)[1],
     }
     for module in (psn.rates, psn.erm):
         for name, order in orders.items():

@@ -18,7 +18,10 @@ import psn.linalg
 from psn.linalg import (
     _band_extremes,
     _band_is_cheaper,
-    _lower_bandwidth,
+    _band_lowest,
+    _bandwidth,
+    _checked_band,
+    _lower_band,
     check_index_set,
     check_symmetric,
     eigen_extremes,
@@ -33,7 +36,12 @@ from psn.linalg import (
 )
 from psn.rates import theta_cond_bound
 
-from reference import reference_band_extremes, reference_bandwidth, reference_eigen_extremes
+from reference import (
+    reference_band_extremes,
+    reference_bandwidth,
+    reference_check_symmetric,
+    reference_eigen_extremes,
+)
 
 EPS = np.finfo(float).eps
 
@@ -290,7 +298,7 @@ class TestSpectra:
             k = data.draw(st.integers(0, n - 1), label="row")
             M[k, :] = M[:, k] = 0.0
         width = reference_bandwidth(M)
-        assert _lower_bandwidth(M) == width
+        assert _bandwidth(M) == width
         with counting_band_solves() as solves:
             lo, hi = eigen_extremes(M)
         assert bool(solves) == _band_is_cheaper(width, n)
@@ -321,7 +329,7 @@ class TestSpectra:
     def test_dense_corner_reads_no_further(self):
         M = np.zeros((50, 50))
         M[49, 0] = M[0, 49] = 1.0
-        assert _lower_bandwidth(M) == 49
+        assert _bandwidth(M) == 49
         with counting_band_solves() as solves:
             assert eigen_extremes(M) == reference_eigen_extremes(M)
         assert solves == []
@@ -375,6 +383,93 @@ class TestSpectra:
     def test_check_symmetric_rejects_only_negative_infinity(self):
         with pytest.raises(ValueError, match="non-finite"):
             check_symmetric(np.full((3, 3), -np.inf))
+
+
+def check_outcome(check, M):
+    """What check(M) gives: the returned array or the error text."""
+    try:
+        return check(M)
+    except ValueError as err:
+        return str(err)
+
+
+class TestOnePassCheck:
+    """check_symmetric and _checked_band against the full passes of
+    reference_check_symmetric: the same error text or the same bits."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_full_passes(self, data):
+        # Bandwidths up to the widest the band route takes at n and
+        # beyond; a flaw inside the band or outside it (which widens it).
+        n = data.draw(st.integers(1, 300), label="n")
+        b = data.draw(
+            st.integers(0, max(0, widest_band(n))) | st.integers(0, n - 1), label="b"
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e6]), label="scale")
+        M = scale * rng.standard_normal((n, n))
+        M = np.triu(np.tril(M + M.T, b), -b)
+        if n > 1 and data.draw(st.sampled_from([False, False, True]), label="corner"):
+            M[n - 1, 0] = M[0, n - 1] = scale
+        flaw = data.draw(
+            st.sampled_from(["none", "nan", "inf", "-inf", "near", "far"]), label="flaw"
+        )
+        if flaw != "none":
+            inside = b == n - 1 or data.draw(st.booleans(), label="inside")
+            offset = data.draw(
+                st.integers(0, b) if inside else st.integers(b + 1, n - 1), label="offset"
+            )
+            i = data.draw(st.integers(offset, n - 1), label="row")
+            j = i - offset
+            if data.draw(st.booleans(), label="upper"):
+                i, j = j, i
+            if flaw in ("near", "far"):
+                # Relative asymmetry 1e-12 passes, 1e-8 fails.
+                bump = (1e-12 if flaw == "near" else 1e-8) * max(1.0, np.abs(M).max())
+                M[i, j] += bump if i != j else 0.0
+            else:
+                M[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[flaw]
+        want = check_outcome(reference_check_symmetric, M)
+        got = check_outcome(_checked_band, M)
+        if isinstance(want, str):
+            assert got == want
+            assert check_outcome(check_symmetric, M) == want
+            return
+        A, width = got
+        assert A.tobytes() == want.tobytes() and (A is M) == (want is M)
+        assert width == reference_bandwidth(A)
+        assert check_symmetric(M).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3)])
+    def test_shapes(self, shape):
+        M = np.zeros(shape)
+        want = check_outcome(reference_check_symmetric, M)
+        got = check_outcome(check_symmetric, M)
+        assert got is M if want is M else got == want
+
+    def test_complex(self):
+        M = np.eye(3, dtype=complex)
+        assert check_outcome(check_symmetric, M) == "matrix has complex entries"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(5, 3), (3, 5), (7, 7), (399, 0), (0, 399)])
+    def test_non_finite_entry(self, bad, where):
+        # On the diagonals of the band route, in the corners of the dense one.
+        M = make_heat_matrix(400)
+        M[where] = bad
+        assert _band_is_cheaper(_bandwidth(M), 400) == (max(where) < 10)
+        want = check_outcome(reference_check_symmetric, M)
+        assert want == "matrix has non-finite entries"
+        assert check_outcome(check_symmetric, M) == want
+
+    def test_band_reads_two_sides(self):
+        # A pattern wider above the diagonal than below it: the band
+        # covers the upper triangle's nonzero too.
+        M = make_heat_matrix(400)
+        M[10, 20] = 1e-12
+        assert _bandwidth(M) == 10
+        assert check_symmetric(M).tobytes() == reference_check_symmetric(M).tobytes()
 
 
 class TestBandBisection:

@@ -8,8 +8,10 @@ sandwich.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
+import scipy.sparse
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,20 +60,22 @@ class TestCurvaturePair:
     def test_shared_matrix_is_checked_once(self, monkeypatch):
         M = random_pd(5, 2)
         M[0, 1] += 1e-12 * np.abs(M).max()  # symmetric only within tolerance
-        checks, check = [], psn.linalg.check_symmetric
+        checks, check = [], psn.linalg._checked_band
 
         def counting(A, *args, **kwargs):
             checks.append(A)
             return check(A, *args, **kwargs)
 
-        monkeypatch.setattr(psn.linalg, "check_symmetric", counting)
-        monkeypatch.setattr(psn.rates, "check_symmetric", counting)
+        monkeypatch.setattr(psn.linalg, "_checked_band", counting)
+        monkeypatch.setattr(psn.rates, "_checked_band", counting)
         for pair in (CurvaturePair(M, M), CurvaturePair.from_hessian(M)):
             assert pair.M is pair.G
             assert pair.quadratic
             assert np.array_equal(pair.M, pair.M.T)
-        # One pass in the pair and one in eigen_extremes, for each pair.
-        assert len(checks) == 4
+            # The bandwidth read by that one check is kept for G.
+            assert pair.__dict__["_g_bandwidth"] == 4
+        # One check per pair: the extremes of G and its bandwidth reuse it.
+        assert len(checks) == 2
 
     def test_rejects_indefinite(self):
         M = np.diag([1.0, -1.0])
@@ -277,14 +281,14 @@ class TestThetaBounds:
     def test_cond_bound_checks_matrix_once(self, monkeypatch):
         M = random_pd(7, 47)
         calls = []
-        check = psn.linalg.check_symmetric
+        check = psn.linalg._checked_band
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(psn.linalg, "check_symmetric", counted)
-        monkeypatch.setattr(psn.rates, "check_symmetric", counted)
+        monkeypatch.setattr(psn.linalg, "_checked_band", counted)
+        monkeypatch.setattr(psn.rates, "_checked_band", counted)
         bound = theta_cond_bound(3, M)
         assert len(calls) == 1
         w = np.linalg.eigvalsh(M)
@@ -342,6 +346,23 @@ class TestPcdm:
             assert v.flags.writeable
         assert not pair._m_diagonal.flags.writeable
         assert pair.__dict__["_m_diagonal"] is pair._m_diagonal
+
+    def test_banded_sigma3_bisects_lambda_min_alone(self):
+        # sigma_3 reads lambda_min of D M D alone, D = diag(M)^{-1/2}, so
+        # on the band route it makes the probes of one bisection, not two.
+        M = random_band(300, 2, np.random.default_rng(27))
+        d = 1.0 / np.sqrt(np.diag(M))
+        band = psn.linalg._lower_band(psn.linalg.check_symmetric(d[:, None] * M * d), 2)
+        with counting_band_probes() as both:
+            lo, _ = psn.linalg._band_extremes(band)
+        with counting_band_probes() as lowest:
+            psn.linalg._band_lowest(band)
+        pair = CurvaturePair.from_hessian(M)
+        with counting_band_probes() as probes:
+            sigma3 = pcdm_constants(pair, 5, assume_dense=True).sigma3
+        assert sigma3 == lo / 300
+        assert len(probes) == len(lowest) > 0
+        assert abs(2 * len(probes) - len(both)) <= 2
 
     def test_sparse_sigma3_increases_with_tau_c(self):
         A, M = random_sparse_decomposition(90, 40, 1 / 3, 22)
@@ -600,6 +621,41 @@ class TestBandedWeightedRoute:
         got, work, probes = weighted_with_work(G, E)
         assert "_band_extremes" in work and probes > 0
         assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
+
+    def test_heat_rates_in_band_memory(self):
+        # With M and its pair built first, E and a rate report at
+        # n = 3000 peak below an eighth of one n x n array (72 MB): E
+        # stays a band from its assembly to sigma_1 and theta.
+        n = 3000
+        M = psn.linalg.make_heat_matrix(n)
+        pair = CurvaturePair.from_hessian(M)
+        scheme = SamplingScheme("list", n, 5)
+        tracemalloc.start()
+        try:
+            E = expected_lifted_inverse(M, scheme).matrix
+            report = rate_report(pair, scheme.with_workers(4), expected_inverse=E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scipy.sparse.issparse(E)
+        assert peak < M.nbytes / 8
+        assert 0.0 < report.sigma1 <= report.theta <= pair.cond_bound(5)
+
+    def test_band_expectation_memo(self):
+        # A band E with read-only data is matched by identity; one with
+        # writeable data (here a copy) is never memoized.
+        M = psn.linalg.make_heat_matrix(300)
+        E = expected_lifted_inverse(M, SamplingScheme("list", 300, 4)).matrix
+        pair = CurvaturePair.from_hessian(M)
+        first = theta(pair, E)
+        copy = scipy.sparse.dia_array(E, copy=True)
+        assert copy.data.flags.writeable
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_spectral_work(mp)
+            assert (theta(pair, E), sigma1(pair, E)) == (first, sigma1(pair, E)) and calls == []
+            assert theta(pair, copy) == first and calls == [("_band_extremes", 300)]
+            copy.data *= 0.5
+            assert theta(pair, copy) == pytest.approx(0.5 * first, rel=1e-12)
 
     def test_memo_on_the_band_route(self):
         rng = np.random.default_rng(8)

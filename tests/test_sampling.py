@@ -12,11 +12,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psn.linalg import lifted_inverse, make_rho_matrix, make_tridiagonal
-from psn.rates import rho_closed_forms
+from psn.erm import ErmProblem, SquaredLoss
+from psn.linalg import (
+    _band_is_cheaper,
+    lifted_inverse,
+    make_heat_matrix,
+    make_rho_matrix,
+    make_tridiagonal,
+)
+from psn.rates import CurvaturePair, rho_closed_forms, sigma1, theta
 from psn.sampling import (
     KINDS,
     SamplingScheme,
@@ -425,6 +433,108 @@ class TestBatchedAssembly:
         scheme = SamplingScheme("list", 4, 2)
         with pytest.raises(np.linalg.LinAlgError, match=r"\[1, 2\]"):
             expected_lifted_inverse(M, scheme, samples)
+
+
+def random_band_matrix(n, b, rng):
+    """Symmetric n x n matrix with random entries on offsets -b..b,
+    strictly diagonally dominant and so positive definite."""
+    A = np.zeros((n, n))
+    for k in range(1, b + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        A += np.diag(off, -k) + np.diag(off, k)
+    return A + np.diag(2.0 * b + 1.0 + rng.uniform(0.0, 1.0, n))
+
+
+class TestBandStorage:
+    """List-sampling E of a narrow band M, kept as its diagonals."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_band_equals_loop_bit_for_bit(self, data):
+        # n from just below the switch at tau - 1 to past it.
+        tau = data.draw(st.integers(1, 8), label="tau")
+        switch = next(m for m in itertools.count(1) if _band_is_cheaper(tau - 1, m))
+        n = data.draw(st.integers(max(tau, switch - 8), switch + 40), label="n")
+        kind = data.draw(st.sampled_from(["heat", "tridiagonal", "band"]), label="matrix")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
+        if kind == "heat":
+            M = make_heat_matrix(n, data.draw(st.sampled_from([0.1, 1.0]), label="r"))
+        elif kind == "tridiagonal":
+            M = make_tridiagonal(n, data.draw(st.sampled_from([0.0, 0.3, 0.5]), label="alpha"))
+        else:
+            M = random_band_matrix(n, data.draw(st.integers(0, 4), label="b"), rng)
+        scheme = SamplingScheme("list", n, tau)
+        E = expected_lifted_inverse(M, scheme).matrix
+        want, _ = loop_expected_inverse(M, scheme)
+        assert scipy.sparse.issparse(E) == _band_is_cheaper(tau - 1, n)
+        dense = E.toarray() if scipy.sparse.issparse(E) else E
+        assert dense.tobytes() == want.tobytes()
+        if scipy.sparse.issparse(E):
+            # Offsets -b..b with b read from the exact zeros of E.
+            b = int(np.abs(np.subtract.outer(np.arange(n), np.arange(n))[want != 0]).max())
+            assert E.offsets.tolist() == list(range(-b, b + 1))
+            assert not E.data.flags.writeable
+            # The rate constants read the band as they read the array.
+            pair = CurvaturePair.from_hessian(M)
+            assert (sigma1(pair, E), theta(pair, E)) == (sigma1(pair, dense), theta(pair, dense))
+
+    def test_diagonal_matrix_keeps_one_diagonal(self):
+        M = np.diag(np.arange(1.0, 201.0))
+        E = expected_lifted_inverse(M, SamplingScheme("list", 200, 5)).matrix
+        assert E.offsets.tolist() == [0]
+        assert E.toarray().tobytes() == loop_expected_inverse(M, SamplingScheme("list", 200, 5))[0].tobytes()
+
+    @pytest.mark.parametrize("entry", ["periodic", "lower corner", "upper corner"])
+    def test_wrapped_entry_keeps_the_dense_route(self, entry):
+        # A nonzero entry that a wrapped window reads makes E dense; the
+        # corners are the outermost such entries, i - j = n - tau + 1.
+        n, tau = 200, 5
+        M = make_heat_matrix(n)
+        i, j = {"periodic": (0, n - 1), "lower corner": (n - 1, 3), "upper corner": (1, n - 3)}[entry]
+        M[i, j] = 1e-3
+        if entry == "periodic":
+            M[j, i] = 1e-3
+        scheme = SamplingScheme("list", n, tau)
+        E = expected_lifted_inverse(M, scheme).matrix
+        assert isinstance(E, np.ndarray) and not E.flags.writeable
+        assert E.tobytes() == loop_expected_inverse(M, scheme)[0].tobytes()
+
+    def test_entry_no_window_reads_keeps_the_band(self):
+        # M[n - tau, 0] lies in no window, so E stays banded.
+        n, tau = 200, 5
+        M = make_heat_matrix(n)
+        M[n - tau, 0] = M[0, n - tau] = 1e-3
+        scheme = SamplingScheme("list", n, tau)
+        E = expected_lifted_inverse(M, scheme).matrix
+        assert scipy.sparse.issparse(E)
+        assert E.toarray().tobytes() == loop_expected_inverse(M, scheme)[0].tobytes()
+
+    def test_dense_matrix_and_other_samplings_stay_dense(self):
+        # The ERM smoothness matrix X of a dense data matrix, and heat
+        # under a nice sampling and under Monte Carlo.
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((10, 150))
+        X = ErmProblem(A, np.sign(A[0]) + (A[0] == 0), SquaredLoss(), 0.1).smoothness_matrix()
+        heat = make_heat_matrix(150)
+        for M, scheme, samples in (
+            (X, SamplingScheme("list", 150, 3), None),
+            (heat, SamplingScheme("nice", 150, 1), None),
+            (heat, SamplingScheme("list", 150, 3), 20),
+        ):
+            assert isinstance(expected_lifted_inverse(M, scheme, samples).matrix, np.ndarray)
+
+    def test_band_compares_as_a_value(self):
+        M = make_heat_matrix(300)
+        scheme = SamplingScheme("list", 300, 4)
+        a = expected_lifted_inverse(M, scheme).matrix
+        b = expected_lifted_inverse(M.copy(), scheme).matrix
+        assert a is not b and (a == b) is True and (a == a.tocsr()) is True
+        c = expected_lifted_inverse(make_heat_matrix(300, 0.2), scheme).matrix
+        assert (a == c) is False
+        top = a.data.max()
+        assert np.array_equal((a == top).toarray(), a.toarray() == top)  # elementwise
+        with pytest.raises(ValueError):
+            a.data[0, 0] = 1.0
 
 
 class TestTowerProperty:

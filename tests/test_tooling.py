@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from psn.sampling import SamplingScheme
 from psn.solver import SolverConfig
@@ -55,7 +56,9 @@ def test_full_rate_table_matches_reference(perfbench, tmp_path):
     assert workload.reference is not None
     result = workload.run_round(workload.setup(workload.inputs(1, tmp_path)), 0)
     assert not result.errors, result.errors
-    _, bound = result.outputs["expected-inverse"]
+    E, bound = result.outputs["expected-inverse"]
+    # E stays in band storage from its assembly to the rate table.
+    assert scipy.sparse.issparse(E)
     for c in workload.c_grid:
         assert workload.check_row(result.outputs[f"c{c}"], bound) == [], c
 
