@@ -298,7 +298,7 @@ def expected_lifted_inverse(
         inv = _block_inverses(M, sets)
         rows, cols = sets[:, :, None], sets[:, None, :]
         if band:
-            # Diagonal storage: M[i, j] at [j - i + tau - 1, j].  The
+            # Diagonal storage: E[i, j] at [j - i + tau - 1, j].  The
             # zero cross blocks of wrapped windows lie outside the band.
             offsets = cols - rows
             kept = np.abs(offsets) < scheme.tau

@@ -34,6 +34,7 @@ from psn.sampling import (
 )
 
 from reference import lifted_submatrix, probability_matrix
+from test_rates import random_band
 
 
 class TestSchemeValidation:
@@ -435,16 +436,6 @@ class TestBatchedAssembly:
             expected_lifted_inverse(M, scheme, samples)
 
 
-def random_band_matrix(n, b, rng):
-    """Symmetric n x n matrix with random entries on offsets -b..b,
-    strictly diagonally dominant and so positive definite."""
-    A = np.zeros((n, n))
-    for k in range(1, b + 1):
-        off = rng.uniform(-1.0, 1.0, n - k)
-        A += np.diag(off, -k) + np.diag(off, k)
-    return A + np.diag(2.0 * b + 1.0 + rng.uniform(0.0, 1.0, n))
-
-
 class TestBandStorage:
     """List-sampling E of a narrow band M, kept as its diagonals."""
 
@@ -462,7 +453,7 @@ class TestBandStorage:
         elif kind == "tridiagonal":
             M = make_tridiagonal(n, data.draw(st.sampled_from([0.0, 0.3, 0.5]), label="alpha"))
         else:
-            M = random_band_matrix(n, data.draw(st.integers(0, 4), label="b"), rng)
+            M = random_band(n, data.draw(st.integers(0, 4), label="b"), rng)
         scheme = SamplingScheme("list", n, tau)
         E = expected_lifted_inverse(M, scheme).matrix
         want, _ = loop_expected_inverse(M, scheme)
