@@ -11,8 +11,8 @@ import itertools
 import tracemalloc
 
 import numpy as np
-import scipy.sparse
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
