@@ -23,7 +23,9 @@ All CSV output is deterministic for a fixed seed and flag set: rows
 carry no timing, and every run takes its draws from one seeded stream
 in the calling thread (--threads is accepted but selects nothing).
 Exit codes: 0 success, 1 bad input, 2 did not converge (budget
-exhausted, or diverged in solve, heat or erm).
+exhausted, or diverged in solve, heat or erm).  A matrix of order above
+matrixio.MAX_ORDER (10,000), read or generated (heat --n, tridiag
+--n-grid, every --gen order), is bad input, refused before it is built.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .erm import ErmProblem, LogisticLoss, SquaredLoss, load_libsvm, run_erm
 from .linalg import make_heat_matrix, make_rho_matrix, make_tridiagonal
-from .matrixio import read_matrix, read_vector, write_csv
+from .matrixio import check_order, read_matrix, read_vector, write_csv
 from .rates import (
     CurvaturePair,
     b_threshold,
@@ -146,6 +148,7 @@ def _problem(args) -> tuple:
         raise ValueError("need a problem source: --matrix FILE or --gen SPEC")
     gen = _parse_gen(args.gen)
     n = gen["n"]
+    check_order(gen.get("m", n), n)
     if gen["kind"] == "dense":
         A = rng.standard_normal((gen["m"], n))
         return A.T @ A, A, lambda: A.T @ rng.standard_normal(gen["m"])
@@ -216,6 +219,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_heat(args) -> int:
+    check_order(args.n, args.n)
     M = make_heat_matrix(args.n, args.r)
     return _solve_grid(args, quadratic_objective(M, _heat_rhs(args.n)), run)
 
@@ -299,7 +303,10 @@ def cmd_rho(args) -> int:
 
 def cmd_tridiag(args) -> int:
     rows = []
-    for n in _parse_list(args.n_grid, "--n-grid"):
+    n_grid = _parse_list(args.n_grid, "--n-grid")
+    for n in n_grid:
+        check_order(n, n)
+    for n in n_grid:
         for alpha in _parse_list(args.alpha_grid, "--alpha-grid", float):
             pair = CurvaturePair.from_hessian(make_tridiagonal(n, alpha))
             report = rate_report(pair, SamplingScheme("list", n, 2))

@@ -14,7 +14,10 @@ the bandwidth that check read and bisects a narrow band (the heat and
 tridiagonal matrices) on its inertia in banded storage, any other
 matrix densely.  The rate module hands its banded L^T E L straight to
 the band solver, and the curvature pairs keep the bandwidth of the
-matrix they checked.
+matrix they checked.  solve_pd takes the same switch: a narrow band is
+factored by a banded Cholesky (O(n b^2)), any other matrix densely.
+The heat and tridiagonal generators write their diagonals into one
+n x n array, with no n x n temporaries.
 """
 
 from __future__ import annotations
@@ -161,16 +164,14 @@ def make_tridiagonal(n: int, alpha: float) -> np.ndarray:
     matrix is positive definite for every finite n when alpha <= 0.5
     (the smallest eigenvalue 1 + 2*alpha*cos(n*pi/(n+1)) stays positive,
     though it approaches 0 as n grows at alpha = 0.5).  Values above 0.5
-    are rejected because definiteness can fail.
+    are rejected because definiteness can fail.  The diagonals are
+    written into one n x n array (_symmetric_toeplitz_band).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= alpha <= 0.5:
         raise ValueError(f"alpha must lie in [0, 0.5], got {alpha}")
-    M = np.eye(n)
-    off = np.full(n - 1, float(alpha))
-    M += np.diag(off, k=1) + np.diag(off, k=-1)
-    return M
+    return _symmetric_toeplitz_band(n, (1.0, float(alpha)))
 
 
 def make_heat_matrix(n: int, r: float = 0.1) -> np.ndarray:
@@ -182,19 +183,31 @@ def make_heat_matrix(n: int, r: float = 0.1) -> np.ndarray:
     penta-diagonal matrix with diagonal 1 + (5/2) r, first off-diagonals
     -(4/3) r and second off-diagonals (1/12) r.  r = dt/dx^2 must be
     positive and finite; the default 0.1 keeps the Gershgorin condition
-    estimate below 1.68.
+    estimate below 1.68.  The diagonals are written into one n x n
+    array (_symmetric_toeplitz_band).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 < r < np.inf:
         raise ValueError(f"r must be positive and finite, got {r}")
-    M = np.eye(n) * (1.0 + 2.5 * r)
-    if n >= 2:
-        first = np.full(n - 1, -(4.0 / 3.0) * r)
-        M += np.diag(first, k=1) + np.diag(first, k=-1)
-    if n >= 3:
-        second = np.full(n - 2, (1.0 / 12.0) * r)
-        M += np.diag(second, k=2) + np.diag(second, k=-2)
+    return _symmetric_toeplitz_band(n, (1.0 + 2.5 * r, -(4.0 / 3.0) * r, (1.0 / 12.0) * r))
+
+
+def _symmetric_toeplitz_band(n: int, values) -> np.ndarray:
+    """n x n symmetric matrix with values[k] on its k-th sub- and
+    superdiagonals and zeros elsewhere.  The zeros fill the one n x n
+    array first; np.full writes them, where np.zeros would leave the
+    pages to fault in during the first passes over M.  Each diagonal is
+    then set through a strided view of the flat buffer: the k-th
+    subdiagonal starts at flat index k n, the k-th superdiagonal at k,
+    both with step n + 1.  Adding 0.0 turns a -0.0 into the +0.0 of the
+    entries off the band."""
+    M = np.full((n, n), 0.0)
+    flat = M.reshape(-1)
+    for k, value in enumerate(values):
+        flat[k * n :: n + 1] = value + 0.0
+        if k:
+            flat[k : n * (n - k) : n + 1] = value + 0.0
     return M
 
 
@@ -326,6 +339,15 @@ def _checked_extremes(A: np.ndarray, b: int) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+def _checked_lowest(A: np.ndarray, b: int) -> float:
+    """lambda_min of a matrix that _checked_band returned, with the
+    bandwidth b it read: _checked_extremes(A, b)[0], but the band route
+    bisects lambda_min alone."""
+    if _band_is_cheaper(b, A.shape[0]):
+        return _band_lowest(_lower_band(A, b))
+    return float(np.linalg.eigvalsh(A)[0])
+
+
 def psd_order_holds(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
     """Whether A <= B in the positive semidefinite order, i.e. whether
     lambda_min(B - A) >= -tol."""
@@ -333,22 +355,46 @@ def psd_order_holds(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
     B = check_symmetric(B)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return eigen_extremes(B - A)[0] >= -tol
+    return _order_holds(A, B, tol)
+
+
+def _order_holds(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
+    """psd_order_holds of A and B that check_symmetric returned, of one
+    shape: B - A is checked (it may overflow) and only its lambda_min
+    is found."""
+    return _checked_lowest(*_checked_band(B - A)) >= -tol
 
 
 def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve M x = q for positive definite M via Cholesky.
 
-    One step of iterative refinement is applied if the raw solve misses
-    the residual target ||M x - q|| <= 1e-10 ||q||.  Failure to reach
-    it, or a non-finite x or residual (an overflowing solve), raises
-    numpy.linalg.LinAlgError.  The norms are BLAS dnrm2, which scales
-    and so stays finite for every finite vector.
+    M's bandwidth b is read from its exact zeros (_bandwidth; a dense M
+    shows a nonzero corner at once).  When banded storage is cheaper
+    (_band_is_cheaper) M is factored in its (b+1) x n lower band
+    (LAPACK dpbtrf through scipy.linalg.cholesky_banded, O(n b^2) work
+    and O(n b) memory, the heat and tridiagonal matrices); any other M
+    by a dense Cholesky factor (O(n^3)).  One step of iterative
+    refinement is applied if the raw solve misses the residual target
+    ||M x - q|| <= 1e-10 ||q||.  A factorization that fails, failure to
+    reach the target, or a non-finite x or residual (an overflowing
+    solve) raises numpy.linalg.LinAlgError.  The norms are BLAS dnrm2,
+    which scales and so stays finite for every finite vector.
     """
     M = np.asarray(M, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
+    square = M.ndim == 2 and M.shape[0] == M.shape[1]
+    b = _bandwidth(M) if square else None
     try:
-        factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+        if square and _band_is_cheaper(b, M.shape[0]):
+            factor = scipy.linalg.cholesky_banded(
+                _lower_band(M, b), lower=True, check_finite=False
+            )
+            solve = functools.partial(
+                scipy.linalg.cho_solve_banded, (factor, True), check_finite=False
+            )
+        else:
+            factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+            solve = functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
     except scipy.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"matrix is not positive definite: {err}") from err
     # An overflowing solve is reported below as one error, not warned
@@ -356,11 +402,11 @@ def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
     # is checked entry by entry.
     norm = functools.partial(scipy.linalg.norm, check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = scipy.linalg.cho_solve(factor, q, check_finite=False)
+        x = solve(q)
         target = 1e-10 * norm(q)
         resid = q - M @ x
         if norm(resid) > target:
-            x = x + scipy.linalg.cho_solve(factor, resid, check_finite=False)
+            x = x + solve(resid)
             resid = q - M @ x
     if not (np.isfinite(x).all() and np.isfinite(resid).all()):
         raise np.linalg.LinAlgError("solve_pd produced a non-finite solution or residual")

@@ -17,9 +17,23 @@ import scipy.sparse
 
 from .linalg import check_symmetric
 
-__all__ = ["read_matrix", "write_matrix", "read_vector", "write_vector", "write_csv"]
+__all__ = [
+    "check_order",
+    "read_matrix",
+    "write_matrix",
+    "read_vector",
+    "write_vector",
+    "write_csv",
+]
 
-MAX_ORDER = 10_000  # largest order read: 800 MB as a dense float64 array
+MAX_ORDER = 10_000  # largest order read or generated: 800 MB as a dense float64 array
+
+
+def check_order(rows: int, cols: int) -> None:
+    """Raise ValueError for a rows x cols matrix of order above
+    MAX_ORDER, so that it is refused before it is allocated."""
+    if max(rows, cols) > MAX_ORDER:
+        raise ValueError(f"a {rows} x {cols} matrix exceeds the dense limit {MAX_ORDER}")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -28,9 +42,7 @@ def read_matrix(path) -> np.ndarray:
     before any entry is read; it and a complex, non-finite or
     asymmetric matrix raise ValueError."""
     try:
-        rows, cols = scipy.io.mminfo(path)[:2]
-        if max(rows, cols) > MAX_ORDER:
-            raise ValueError(f"a {rows} x {cols} matrix exceeds the dense limit {MAX_ORDER}")
+        check_order(*scipy.io.mminfo(path)[:2])
         M = scipy.io.mmread(path)
     except (ValueError, OSError) as err:
         raise ValueError(f"cannot read matrix from {path}: {err}") from err

@@ -44,8 +44,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import _band_extremes, _band_is_cheaper, _band_lowest, _bandwidth, _checked_band
-from .linalg import _checked_extremes, _lower_band, eigen_extremes, psd_order_holds
+from .linalg import _band_extremes, _band_is_cheaper, _bandwidth, _checked_band, _checked_extremes
+from .linalg import _checked_lowest, _lower_band, _order_holds, eigen_extremes
 from .sampling import SamplingScheme, expected_lifted_inverse
 
 __all__ = [
@@ -113,7 +113,7 @@ class CurvaturePair:
         if spectrum is not None or self.quadratic:
             return
         scale = float(np.abs(M).max(initial=1.0))
-        if not psd_order_holds(G, M, tol=1e-9 * max(1.0, scale)):
+        if not _order_holds(G, M, tol=1e-9 * max(1.0, scale)):
             raise ValueError("G <= M fails in the semidefinite order")
 
     @classmethod
@@ -272,10 +272,7 @@ def _scaled_min(G: np.ndarray, d: np.ndarray) -> float:
     eigen_extremes; the band route bisects lambda_min alone."""
     S = d[:, None] * G
     S *= d
-    S, b = _checked_band(S)
-    if _band_is_cheaper(b, len(d)):
-        return _band_lowest(_lower_band(S, b))
-    return _checked_extremes(S, b)[0]
+    return _checked_lowest(*_checked_band(S))
 
 
 def sigma1(pair: CurvaturePair, expected_inverse: np.ndarray) -> float:

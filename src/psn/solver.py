@@ -105,7 +105,9 @@ def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
 
     The minimiser M^{-1} q and optimal value are computed on
     construction by solve_pd, whose residual bound puts the gradient at
-    x_star below 1e-10 ||q||.  Non-finite entries in M or q, or an
+    x_star below 1e-10 ||q||; a narrow band (the heat and tridiagonal
+    matrices past _band_is_cheaper) is factored in band storage, so the
+    set-up makes no n x n float temporary.  Non-finite entries in M or q, or an
     optimal value that overflows, raise ValueError, and a minimiser
     solve_pd cannot resolve raises numpy.linalg.LinAlgError.
     """

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+import psn.cli
 import psn.solver
 from psn.cli import _build_parser, main
 from psn.linalg import make_rho_matrix
@@ -305,6 +306,32 @@ class TestSolve:
             f"error: cannot read matrix from {path}: a 100000 x 100000 matrix "
             f"exceeds the dense limit {MAX_ORDER}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, shape",
+        [
+            (["heat", "--n", "200000", "--c", "1", "--theta", "bound"], "200000 x 200000"),
+            (["solve", "--gen", "heat:200000,0.1", "--b", "1"], "200000 x 200000"),
+            (["rates", "--gen", "tridiag:200000,0.3"], "200000 x 200000"),
+            (["rates", "--gen", "rho:10001,0.3"], "10001 x 10001"),
+            (["solve", "--gen", "dense:8,200000", "--b", "1"], "200000 x 8"),
+            (["rates", "--gen", "dense:200000,8"], "8 x 200000"),
+            (["tridiag", "--n-grid", "5,200000"], "200000 x 200000"),
+        ],
+    )
+    def test_generated_order_capped_before_building(self, capsys, monkeypatch, argv, shape):
+        # A dense order above MAX_ORDER is refused from the flags alone:
+        # any generator or draw that would allocate fails this test.
+        def no_build(*args, **kwargs):
+            raise AssertionError("generator called")
+
+        for name in ("make_heat_matrix", "make_rho_matrix", "make_tridiagonal"):
+            monkeypatch.setattr(psn.cli, name, no_build)
+        no_draws = type("NoDraws", (), {"standard_normal": no_build})()
+        monkeypatch.setattr(psn.cli, "_data_rng", lambda seed: no_draws)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: a {shape} matrix exceeds the dense limit {MAX_ORDER}\n"
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
     def test_unwritable_output_fails_before_solving(self, tmp_path, capsys, target):

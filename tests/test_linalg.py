@@ -7,6 +7,9 @@ closed-form spectra.
 """
 
 import contextlib
+import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,12 +38,16 @@ from psn.linalg import (
     sqrt_pd,
 )
 from psn.rates import theta_cond_bound
+from psn.solver import quadratic_objective
 
 from reference import (
     reference_band_extremes,
     reference_bandwidth,
     reference_check_symmetric,
     reference_eigen_extremes,
+    reference_make_heat_matrix,
+    reference_make_tridiagonal,
+    reference_solve_pd,
 )
 
 EPS = np.finfo(float).eps
@@ -57,35 +64,47 @@ def random_pd(n, rng, shift=0.5):
 
 
 @contextlib.contextmanager
-def counting_band_probes():
-    """A list that gets one entry per banded Cholesky probe of the band
-    bisection (scipy.linalg.lapack.dpbtrf) made inside the block."""
+def counting(module, name, record=lambda *args, **kwargs: 1):
+    """A list that gets record(*args) for every call of module.name
+    made inside the block."""
     calls = []
-    original = scipy.linalg.lapack.dpbtrf
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(record(*args, **kwargs))
         return original(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg.lapack, "dpbtrf", counted)
+        mp.setattr(module, name, counted)
         yield calls
 
 
-@contextlib.contextmanager
+def counting_band_probes():
+    """A list that gets one entry per banded Cholesky probe of the band
+    bisection (scipy.linalg.lapack.dpbtrf) made inside the block."""
+    return counting(scipy.linalg.lapack, "dpbtrf")
+
+
 def counting_band_solves():
-    """A list that gets one entry per call of the band route
-    (psn.linalg._band_extremes) made inside the block."""
-    calls = []
-    original = psn.linalg._band_extremes
+    """A list that gets the band's shape for every call of the band
+    route (psn.linalg._band_extremes) made inside the block."""
+    return counting(psn.linalg, "_band_extremes", lambda band: band.shape)
 
-    def counted(band):
-        calls.append(band.shape)
-        return original(band)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(psn.linalg, "_band_extremes", counted)
-        yield calls
+def counting_band_factors():
+    """A list that gets one entry per banded Cholesky factorization
+    (scipy.linalg.cholesky_banded) made inside the block."""
+    return counting(scipy.linalg, "cholesky_banded")
+
+
+def random_band(n, b, rng):
+    """Symmetric n x n matrix with random entries on offsets -b..b,
+    strictly diagonally dominant and so positive definite."""
+    A = np.zeros((n, n))
+    for k in range(1, b + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        A += np.diag(off, -k) + np.diag(off, k)
+    return A + np.diag(2.0 * b + 1.0 + rng.uniform(0.0, 1.0, n))
 
 
 def random_lower_band(b, n, rng):
@@ -255,6 +274,63 @@ class TestGenerators:
                 make_heat_matrix(5, r)
         with pytest.raises(ValueError):
             make_heat_matrix(0, 0.1)
+
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 1500])
+    def test_banded_generators_match_sums_of_diagonals(self, n):
+        # Bit for bit, signed zeros included: the sums of diagonal
+        # matrices only add exact zeros.
+        def same_bits(A, B):
+            return A.shape == B.shape and A.dtype == B.dtype and A.tobytes() == B.tobytes()
+
+        for r in (1e-300, 0.1, 1.0, 7.5e3):
+            assert same_bits(make_heat_matrix(n, r), reference_make_heat_matrix(n, r))
+        for alpha in (0.0, -0.0, 0.3, 0.5):
+            assert same_bits(make_tridiagonal(n, alpha), reference_make_tridiagonal(n, alpha))
+
+    @pytest.mark.parametrize(
+        "make, reference, args",
+        [
+            *[(make_heat_matrix, reference_make_heat_matrix, (5, r))
+              for r in (0.0, -0.1, np.nan, np.inf, -np.inf)],
+            (make_heat_matrix, reference_make_heat_matrix, (0, 0.1)),
+            *[(make_tridiagonal, reference_make_tridiagonal, (5, alpha))
+              for alpha in (0.50001, -0.1, np.nan)],
+            (make_tridiagonal, reference_make_tridiagonal, (0, 0.3)),
+        ],
+    )
+    def test_banded_generators_refuse_as_sums_of_diagonals(self, make, reference, args):
+        with pytest.raises(ValueError) as expected:
+            reference(*args)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            make(*args)
+
+
+def traced_peak(build, n):
+    """Peak memory traced while build() runs, in n x n float64 arrays."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / (8 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestSetUpMemory:
+    """The set-up of a banded quadratic holds one n x n array, M."""
+
+    N = 3000
+
+    @pytest.mark.parametrize("make, arg", [(make_heat_matrix, 0.1), (make_tridiagonal, 0.3)])
+    def test_generator_writes_one_array(self, make, arg):
+        assert traced_peak(lambda: make(self.N, arg), self.N) <= 1.05
+
+    def test_banded_objective_forms_no_dense_factor(self):
+        # The bandwidth read marks the nonzeros in an n x n bool array
+        # (1/8 of M); the band factor and solve take O(n b).
+        M = make_heat_matrix(self.N)
+        q = np.ones(self.N)
+        assert traced_peak(lambda: quadratic_objective(M, q), self.N) < 0.25
 
 
 class TestSpectra:
@@ -536,12 +612,21 @@ class TestPsdOrder:
     def test_banded_difference_takes_banded_route(self):
         # B - A is +-1e-3 times a tridiagonal matrix with spectrum in
         # (0.5, 1.5), up to round-off, so its lambda_min has either sign.
+        # Only lambda_min is read, so each call makes the probes of one
+        # bisection of the tridiagonal band, half those of both extremes.
         M = make_heat_matrix(200)
         bump = 1e-3 * make_tridiagonal(200, 0.25)
-        with counting_band_solves() as solves:
-            assert psd_order_holds(M, M + bump)
-            assert not psd_order_holds(M + bump, M)
-        assert solves == [(2, 200), (2, 200)]
+        for A, B, holds in [(M, M + bump, True), (M + bump, M, False)]:
+            band = _lower_band(*_checked_band(B - A))
+            with counting_band_probes() as both:
+                _band_extremes(band)
+            with counting_band_probes() as lowest:
+                _band_lowest(band)
+            with counting_band_solves() as solves, counting_band_probes() as probes:
+                assert psd_order_holds(A, B) == holds
+            assert band.shape == (2, 200) and solves == []
+            assert len(probes) == len(lowest) > 0
+            assert abs(2 * len(probes) - len(both)) <= 2
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -595,6 +680,68 @@ class TestSolvePd:
         )
         with pytest.raises(np.linalg.LinAlgError, match="relative residual"):
             solve_pd(M, q)
+
+
+def band_route_order(b):
+    """The smallest order at which solve_pd factors a band of width b."""
+    return next(m for m in itertools.count(1) if _band_is_cheaper(b, m))
+
+
+class TestSolvePdBandRoute:
+    """solve_pd on a band past _band_is_cheaper: a banded Cholesky
+    factor, checked as the dense route is."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.integers(0, 8),
+        offset=st.integers(-30, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, b, offset, seed):
+        # Orders on both sides of the switch; a diagonally dominant band
+        # has condition number at most 4b + 2.
+        n = band_route_order(b) + offset
+        rng = np.random.default_rng(seed)
+        M, q = random_band(n, b, rng), rng.standard_normal(n)
+        with counting_band_factors() as factors:
+            x = solve_pd(M, q)
+        assert len(factors) == (offset >= 0)
+        assert np.linalg.norm(M @ x - q) <= 1e-10 * np.linalg.norm(q)
+        ref = reference_solve_pd(M, q)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_rejects_indefinite(self):
+        n = band_route_order(1)
+        M = make_tridiagonal(n, 0.5) - 0.5 * np.eye(n)
+        with counting_band_factors() as factors:
+            with pytest.raises(np.linalg.LinAlgError, match="^matrix is not positive definite: "):
+                solve_pd(M, np.ones(n))
+        assert len(factors) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_overflowing_solution(self):
+        n = band_route_order(0)
+        diagonal, q = np.ones(n), np.ones(n)
+        diagonal[7], q[7] = 1e-300, 1e300
+        with counting_band_factors() as factors:
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                solve_pd(np.diag(diagonal), q)
+        assert len(factors) == 1
+
+    def test_checks_the_residual(self, monkeypatch):
+        # A band solve that is off by 1e-3 (1e-6 after refinement) is
+        # caught, here with ||q|| above 1e154 as well.
+        n = band_route_order(2)
+        M = make_heat_matrix(n)
+        cho_solve_banded = scipy.linalg.cho_solve_banded
+        monkeypatch.setattr(
+            scipy.linalg,
+            "cho_solve_banded",
+            lambda *args, **kw: cho_solve_banded(*args, **kw) * (1 + 1e-3),
+        )
+        for scale in (1.0, 1e200):
+            with pytest.raises(np.linalg.LinAlgError, match="relative residual"):
+                solve_pd(M, scale * np.ones(n))
 
 
 class TestMatrixRoots:

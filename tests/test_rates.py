@@ -35,7 +35,7 @@ from psn.rates import (
 from psn.sampling import SamplingScheme, expected_lifted_inverse
 
 from reference import count_spectral_work, reference_weighted_extremes
-from test_linalg import counting_band_probes
+from test_linalg import counting_band_probes, random_band
 
 
 def random_pd(n, seed, spread=1.0):
@@ -558,16 +558,6 @@ class TestMemo:
         assert a != b
         assert (sigma1(pair, nice), theta(pair, nice)) == a
         assert similar_extremes(M, window) == pytest.approx(b, rel=1e-10)
-
-
-def random_band(n, b, rng):
-    """Symmetric n x n matrix with random entries on offsets -b..b,
-    strictly diagonally dominant and so positive definite."""
-    A = np.zeros((n, n))
-    for k in range(1, b + 1):
-        off = rng.uniform(-1.0, 1.0, n - k)
-        A += np.diag(off, -k) + np.diag(off, k)
-    return A + np.diag(2.0 * b + 1.0 + rng.uniform(0.0, 1.0, n))
 
 
 def weighted_with_work(G, E):

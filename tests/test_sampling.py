@@ -34,7 +34,7 @@ from psn.sampling import (
 )
 
 from reference import lifted_submatrix, probability_matrix
-from test_rates import random_band
+from test_linalg import random_band
 
 
 class TestSchemeValidation:
