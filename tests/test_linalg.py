@@ -3,7 +3,9 @@
 Slicing operations are checked entry by entry with explicit loops,
 small inverses against the 2x2 adjugate formula, eigen extremes against
 characteristic-polynomial roots, and the generators against their
-closed-form spectra.
+closed-form spectra and, bit for bit, against sums of diagonal
+matrices.  The band route of solve_pd is checked against the dense
+factor of tests/reference.py.
 """
 
 import contextlib
@@ -274,7 +276,6 @@ class TestGenerators:
                 make_heat_matrix(5, r)
         with pytest.raises(ValueError):
             make_heat_matrix(0, 0.1)
-
 
     @pytest.mark.parametrize("n", [*range(1, 13), 1500])
     def test_banded_generators_match_sums_of_diagonals(self, n):
