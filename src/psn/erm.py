@@ -421,7 +421,7 @@ def run_erm(problem: ErmProblem, config: SolverConfig) -> ErmTrace:
 
     records, status = _iterate(
         config, X, monitor, _dual_gradient(problem, state),
-        lambda k, sets, total: state.step(problem, total, b, np.unique(sets)), ErmRecord,
+        lambda k, changed, total: state.step(problem, total, b, changed), ErmRecord,
     )
     return ErmTrace(records, status, b, theta_used, state.alpha, state.alpha_bar)
 

@@ -1,31 +1,36 @@
-"""Dense symmetric-matrix primitives used throughout the package.
+"""Symmetric-matrix primitives used throughout the package.
 
-Everything here operates on plain float64 numpy arrays.  A "symmetric
-matrix" is an (n, n) array equal to its transpose up to round-off; an
-"index set" is a non-empty collection of distinct integers in [0, n).
-Index sets are normalised to sorted int64 arrays so they can double as
+A matrix is a float64 numpy array or, for a narrow band, a
+scipy.sparse matrix kept in diagonal storage.  A "symmetric matrix"
+is (n, n) and equal to its transpose up to round-off; an "index set"
+is a non-empty collection of distinct integers in [0, n).  Index sets
+are normalised to sorted int64 arrays so they can double as
 dictionary keys (via tuple()) and slicing arguments.
 
-check_symmetric reads a matrix's bandwidth from the exact zeros in one
-pass and checks a narrow band on its diagonals alone; a dense matrix
-(nonzero corner) takes full passes.  eigen_extremes is the package's
-one route to the extreme eigenvalues of a symmetric matrix.  It keeps
-the bandwidth that check read and bisects a narrow band (the heat and
-tridiagonal matrices) on its inertia in banded storage, any other
-matrix densely.  The rate module hands its banded L^T E L straight to
-the band solver, and the curvature pairs keep the bandwidth of the
-matrix they checked.  solve_pd takes the same switch: a narrow band is
-factored by a banded Cholesky (O(n b^2)), any other matrix densely.
-The heat and tridiagonal generators write their diagonals into one
-n x n array, with no n x n temporaries.
+The heat and tridiagonal generators return their diagonals as a
+read-only scipy.sparse.dia_array (a _Band), O(n b) memory for
+bandwidth b.  Every function here takes either storage and reads a
+band's bandwidth from its stored offsets, an array's from its exact
+zeros.  Where banded storage is cheaper (_band_is_cheaper) a band
+stays a band; below that switch it is made dense (.toarray()).
+check_symmetric checks a narrow band on its diagonals alone; a dense
+matrix (nonzero corner) takes full passes.  eigen_extremes is the
+package's one route to the extreme eigenvalues of a symmetric matrix:
+it bisects a narrow band on its inertia in banded storage and solves
+any other matrix densely.  solve_pd takes the same switch: a narrow
+band is factored by a banded Cholesky (O(n b^2)), any other matrix
+densely.  _gather_blocks gathers the tau x tau blocks of a draw from
+either storage, bit for bit the same entries.
 """
 
 from __future__ import annotations
 
 import functools
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 __all__ = [
     "check_index_set",
@@ -59,8 +64,8 @@ def check_index_set(S, n: int) -> np.ndarray:
     return idx
 
 
-def check_symmetric(M) -> np.ndarray:
-    """Return M as a symmetric float64 array, raising ValueError if it
+def check_symmetric(M):
+    """Return M as a symmetric float64 matrix, raising ValueError if it
     is complex, is not square, has a non-finite entry, or is not
     symmetric within 1e-10 relative to its largest entry.
 
@@ -71,22 +76,20 @@ def check_symmetric(M) -> np.ndarray:
     return _checked_band(M)[0]
 
 
-def _checked_band(M) -> tuple[np.ndarray, int]:
+def _checked_band(M) -> tuple[np.ndarray | scipy.sparse.dia_array, int]:
     """M checked and returned as check_symmetric says, with the
     bandwidth of the returned matrix.
 
-    The bandwidth b is read first (_bandwidth).  When banded storage is
+    The bandwidth b is read first (_stored).  When banded storage is
     cheaper (_band_is_cheaper) only the 2b+1 diagonals are checked: every
     entry outside them is an exact zero, and a NaN or inf is nonzero,
     so it lies inside.  Any other matrix takes the full passes.  Either
     way the errors, the tolerance and the returned values are those of
-    the full check."""
+    the full check.  A scipy.sparse M is returned as a _Band past the
+    switch (the same object for a symmetric _Band) and dense below it."""
     if np.iscomplexobj(M):
         raise ValueError("matrix has complex entries")
-    A = np.asarray(M, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    b = _bandwidth(A)
+    A, b = _stored(M)
     band = _band_is_cheaper(b, A.shape[0])
     if band:
         lower = [A.diagonal(-k) for k in range(b + 1)]
@@ -107,10 +110,114 @@ def _checked_band(M) -> tuple[np.ndarray, int]:
         asymmetry = np.abs(difference, out=difference).max(initial=0.0)
     if asymmetry > 1e-10 * max(1.0, largest):
         raise ValueError("matrix is not symmetric within tolerance")
-    if not asymmetry:
+    sparse = scipy.sparse.issparse(A)
+    if asymmetry:
+        A = 0.5 * (A + A.T)
+    elif not sparse or isinstance(A, _Band):
         return A, b
-    A = 0.5 * (A + A.T)
+    if sparse:
+        A = _band_of(A, b)
     return A, _bandwidth(A)
+
+
+def _stored(M) -> tuple[np.ndarray | scipy.sparse.dia_array, int]:
+    """M as a square float64 matrix and its bandwidth.  A scipy.sparse
+    M stays sparse, its bandwidth read from the entries it stores, when
+    banded storage is cheaper (_band_is_cheaper), and is made dense
+    below that switch.  Any other M becomes an array.  A matrix that is
+    not square raises ValueError."""
+    if scipy.sparse.issparse(M):
+        if M.shape[0] != M.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        b = _bandwidth(M)
+        if _band_is_cheaper(b, M.shape[0]):
+            return M.astype(np.float64, copy=False), b
+        M = M.toarray()
+    A = np.asarray(M, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return A, _bandwidth(A)
+
+
+class _Band(scipy.sparse.dia_array):
+    """A matrix in diagonal storage whose data is read-only (made by
+    _band_array), such as the heat and tridiagonal matrices and the
+    enumerated list-sampling E of a band.
+
+    Compared with == to another sparse matrix of its shape it gives one
+    bool, whether the two are equal entry for entry, so that results
+    holding it compare as values; scipy's elementwise == of two sparse
+    matrices would build an n x n boolean array."""
+
+    def __eq__(self, other):
+        if scipy.sparse.issparse(other) and other.shape == self.shape:
+            return (self != other).nnz == 0
+        return super().__eq__(other)
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The band row-aligned for block gathers, built on first use:
+        rows[i, b + j - i] = A[i, j] for |j - i| <= b, in an n x (2b+2)
+        array whose last column is zero; and column[j - i], indexed with
+        numpy's wrap-around for negative offsets (length 2n - 1), is
+        b + j - i inside the band and that zero column 2b + 1 outside."""
+        n = self.shape[0]
+        b = _bandwidth(self)
+        rows = np.zeros((n, 2 * b + 2))
+        for k in range(-b, b + 1):
+            d = self.diagonal(k)
+            rows[max(-k, 0) : max(-k, 0) + len(d), b + k] = d
+        column = np.full(2 * n - 1, 2 * b + 1)
+        column[: b + 1] = np.arange(b, 2 * b + 1)
+        column[len(column) - b :] = np.arange(b)
+        return rows, column
+
+
+def _band_array(data: np.ndarray) -> _Band:
+    """The n x n matrix whose diagonals of offsets -w..w are the 2w+1
+    rows of data (column aligned as in scipy's dia format: A[j - k, j]
+    at [w + k, j]; zero where a diagonal has no entry), its outer
+    all-zero diagonals dropped so that its offsets give its bandwidth
+    from the exact zeros, with read-only data."""
+    w = len(data) // 2
+    used = np.flatnonzero(data.any(axis=1))
+    b = int(np.abs(used - w).max(initial=0))
+    n = data.shape[1]
+    A = _Band((data[w - b : w + b + 1], np.arange(-b, b + 1)), shape=(n, n))
+    A.data.setflags(write=False)
+    return A
+
+
+def _band_of(A, b: int) -> _Band:
+    """The diagonals -b..b of A, an array or scipy.sparse matrix, as a
+    _Band (_band_array)."""
+    n = A.shape[0]
+    data = np.zeros((2 * b + 1, n))
+    for k in range(-b, b + 1):
+        d = A.diagonal(k)
+        data[b + k, max(k, 0) : max(k, 0) + len(d)] = d
+    return _band_array(data)
+
+
+def _dense(A) -> np.ndarray:
+    """A as an array: a scipy.sparse A is made dense (.toarray())."""
+    return A.toarray() if scipy.sparse.issparse(A) else A
+
+
+def _gather_blocks(M, sets: np.ndarray) -> np.ndarray:
+    """The blocks M[S, S] of the rows S of sets, a (k, tau) integer
+    array such as a draw returns, as one (k, tau, tau) array.  An array
+    M is read with one fancy index; a band from its row-aligned layout
+    (_Band._layout), built once per _Band (any other scipy.sparse M is
+    made a _Band first).  Either way the blocks hold M's entries bit for
+    bit."""
+    rows, cols = sets[:, :, None], sets[:, None, :]
+    if isinstance(M, np.ndarray):
+        return M[rows, cols]
+    if not isinstance(M, _Band):
+        M = _band_of(M, _bandwidth(M))
+    layout, column = M._layout
+    return layout[rows, column[cols - rows]]
 
 
 def lifted_inverse(M: np.ndarray, S) -> np.ndarray:
@@ -157,24 +264,24 @@ def make_rho_matrix(n: int, rho: float) -> np.ndarray:
     return M
 
 
-def make_tridiagonal(n: int, alpha: float) -> np.ndarray:
+def make_tridiagonal(n: int, alpha: float) -> scipy.sparse.dia_array:
     """Unit-diagonal tridiagonal matrix with off-diagonal entries alpha.
 
     The eigenvalues are 1 + 2*alpha*cos(k*pi/(n+1)), k = 1..n, so the
     matrix is positive definite for every finite n when alpha <= 0.5
     (the smallest eigenvalue 1 + 2*alpha*cos(n*pi/(n+1)) stays positive,
     though it approaches 0 as n grows at alpha = 0.5).  Values above 0.5
-    are rejected because definiteness can fail.  The diagonals are
-    written into one n x n array (_symmetric_toeplitz_band).
+    are rejected because definiteness can fail.  Returned in diagonal
+    storage (_toeplitz_band).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= alpha <= 0.5:
         raise ValueError(f"alpha must lie in [0, 0.5], got {alpha}")
-    return _symmetric_toeplitz_band(n, (1.0, float(alpha)))
+    return _toeplitz_band(n, (1.0, float(alpha)))
 
 
-def make_heat_matrix(n: int, r: float = 0.1) -> np.ndarray:
+def make_heat_matrix(n: int, r: float = 0.1) -> scipy.sparse.dia_array:
     """System matrix of the implicit fourth-order heat-equation step.
 
     One time step solves (I - r*D) u_next = u, where D is the
@@ -183,37 +290,33 @@ def make_heat_matrix(n: int, r: float = 0.1) -> np.ndarray:
     penta-diagonal matrix with diagonal 1 + (5/2) r, first off-diagonals
     -(4/3) r and second off-diagonals (1/12) r.  r = dt/dx^2 must be
     positive and finite; the default 0.1 keeps the Gershgorin condition
-    estimate below 1.68.  The diagonals are written into one n x n
-    array (_symmetric_toeplitz_band).
+    estimate below 1.68.  Returned in diagonal storage
+    (_toeplitz_band).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 < r < np.inf:
         raise ValueError(f"r must be positive and finite, got {r}")
-    return _symmetric_toeplitz_band(n, (1.0 + 2.5 * r, -(4.0 / 3.0) * r, (1.0 / 12.0) * r))
+    return _toeplitz_band(n, (1.0 + 2.5 * r, -(4.0 / 3.0) * r, (1.0 / 12.0) * r))
 
 
-def _symmetric_toeplitz_band(n: int, values) -> np.ndarray:
+def _toeplitz_band(n: int, values) -> _Band:
     """n x n symmetric matrix with values[k] on its k-th sub- and
-    superdiagonals and zeros elsewhere.  The zeros fill the one n x n
-    array first; np.full writes them, where np.zeros would leave the
-    pages to fault in during the first passes over M.  Each diagonal is
-    then set through a strided view of the flat buffer: the k-th
-    subdiagonal starts at flat index k n, the k-th superdiagonal at k,
-    both with step n + 1.  Adding 0.0 turns a -0.0 into the +0.0 of the
-    entries off the band."""
-    M = np.full((n, n), 0.0)
-    flat = M.reshape(-1)
+    superdiagonals and zeros elsewhere, as a read-only _Band of O(n b)
+    floats; a zero diagonal at the edge of the band is not stored."""
+    w = len(values) - 1
+    data = np.zeros((2 * w + 1, n))
     for k, value in enumerate(values):
-        flat[k * n :: n + 1] = value + 0.0
-        if k:
-            flat[k : n * (n - k) : n + 1] = value + 0.0
-    return M
+        data[w + k, k:] = value
+        data[w - k, : n - k] = value
+    return _band_array(data)
 
 
-def _bandwidth(A: np.ndarray) -> int:
+def _bandwidth(A) -> int:
     """Largest |i - j| over the nonzero entries A[i, j], read from exact
-    zeros (a NaN counts as nonzero); 0 for a diagonal or all-zero A.
+    zeros (a NaN counts as nonzero); 0 for a diagonal or all-zero A.  A
+    scipy.sparse A gives the largest |j - i| it stores, read in O(1)
+    from the offsets of diagonal storage.
 
     A nonzero corner A[n-1, 0] or A[0, n-1] gives n - 1 at once (the
     dense case).  Otherwise one pass marks the nonzeros, and each row's
@@ -223,6 +326,13 @@ def _bandwidth(A: np.ndarray) -> int:
     n = A.shape[0]
     if n < 2:
         return 0
+    if scipy.sparse.issparse(A):
+        if A.format == "dia":
+            offsets = A.offsets
+        else:
+            coo = A.tocoo()
+            offsets = coo.col - coo.row
+        return min(n - 1, int(np.abs(offsets).max(initial=0)))
     if A[n - 1, 0] != 0.0 or A[0, n - 1] != 0.0:
         return n - 1
     nonzero = A != 0.0
@@ -318,8 +428,9 @@ def _band_min(band: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
-def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix.
+def eigen_extremes(M) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric matrix, an array or a
+    scipy.sparse band.
 
     M is checked and its bandwidth b read in one pass (_checked_band).
     A matrix for which banded storage is cheaper (_band_is_cheaper) is
@@ -330,7 +441,7 @@ def eigen_extremes(M: np.ndarray) -> tuple[float, float]:
     return _checked_extremes(*_checked_band(M))
 
 
-def _checked_extremes(A: np.ndarray, b: int) -> tuple[float, float]:
+def _checked_extremes(A, b: int) -> tuple[float, float]:
     """eigen_extremes of a matrix that _checked_band returned, with the
     bandwidth b it read."""
     if _band_is_cheaper(b, A.shape[0]):
@@ -339,7 +450,7 @@ def _checked_extremes(A: np.ndarray, b: int) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def _checked_lowest(A: np.ndarray, b: int) -> float:
+def _checked_lowest(A, b: int) -> float:
     """lambda_min of a matrix that _checked_band returned, with the
     bandwidth b it read: _checked_extremes(A, b)[0], but the band route
     bisects lambda_min alone."""
@@ -348,7 +459,7 @@ def _checked_lowest(A: np.ndarray, b: int) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def psd_order_holds(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
+def psd_order_holds(A, B, tol: float = 1e-9) -> bool:
     """Whether A <= B in the positive semidefinite order, i.e. whether
     lambda_min(B - A) >= -tol."""
     A = check_symmetric(A)
@@ -358,19 +469,20 @@ def psd_order_holds(A: np.ndarray, B: np.ndarray, tol: float = 1e-9) -> bool:
     return _order_holds(A, B, tol)
 
 
-def _order_holds(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
+def _order_holds(A, B, tol: float) -> bool:
     """psd_order_holds of A and B that check_symmetric returned, of one
     shape: B - A is checked (it may overflow) and only its lambda_min
     is found."""
     return _checked_lowest(*_checked_band(B - A)) >= -tol
 
 
-def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
+def solve_pd(M, q: np.ndarray) -> np.ndarray:
     """Solve M x = q for positive definite M via Cholesky.
 
-    M's bandwidth b is read from its exact zeros (_bandwidth; a dense M
-    shows a nonzero corner at once).  When banded storage is cheaper
-    (_band_is_cheaper) M is factored in its (b+1) x n lower band
+    M is an array or a scipy.sparse band, and its bandwidth b is read
+    as _stored reads it (a dense M shows a nonzero corner at once).
+    When banded storage is cheaper (_band_is_cheaper) M is factored in
+    its (b+1) x n lower band
     (LAPACK dpbtrf through scipy.linalg.cholesky_banded, O(n b^2) work
     and O(n b) memory, the heat and tridiagonal matrices); any other M
     by a dense Cholesky factor (O(n^3)).  One step of iterative
@@ -380,12 +492,10 @@ def solve_pd(M: np.ndarray, q: np.ndarray) -> np.ndarray:
     solve) raises numpy.linalg.LinAlgError.  The norms are BLAS dnrm2,
     which scales and so stays finite for every finite vector.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M, b = _stored(M)
     q = np.asarray(q, dtype=np.float64)
-    square = M.ndim == 2 and M.shape[0] == M.shape[1]
-    b = _bandwidth(M) if square else None
     try:
-        if square and _band_is_cheaper(b, M.shape[0]):
+        if _band_is_cheaper(b, M.shape[0]):
             factor = scipy.linalg.cholesky_banded(
                 _lower_band(M, b), lower=True, check_finite=False
             )

@@ -26,7 +26,7 @@ __all__ = [
     "write_csv",
 ]
 
-MAX_ORDER = 10_000  # largest order read or generated: 800 MB as a dense float64 array
+MAX_ORDER = 10_000  # largest order read or held densely: 800 MB as a float64 array
 
 
 def check_order(rows: int, cols: int) -> None:

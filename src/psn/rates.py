@@ -45,7 +45,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .linalg import _band_extremes, _band_is_cheaper, _bandwidth, _checked_band, _checked_extremes
-from .linalg import _checked_lowest, _lower_band, _order_holds, eigen_extremes
+from .linalg import _checked_lowest, _dense, _lower_band, _order_holds, eigen_extremes
 from .sampling import SamplingScheme, expected_lifted_inverse
 
 __all__ = [
@@ -112,7 +112,7 @@ class CurvaturePair:
             raise ValueError(f"{'M' if self.quadratic else 'G'} must be positive definite")
         if spectrum is not None or self.quadratic:
             return
-        scale = float(np.abs(M).max(initial=1.0))
+        scale = float(np.abs(M.data if scipy.sparse.issparse(M) else M).max(initial=1.0))
         if not _order_holds(G, M, tol=1e-9 * max(1.0, scale)):
             raise ValueError("G <= M fails in the semidefinite order")
 
@@ -155,17 +155,17 @@ class CurvaturePair:
         if self.quadratic:
             return 1.0
         L = self._cholesky()
-        S = scipy.linalg.solve_triangular(L, self.M, lower=True, check_finite=False)
+        S = scipy.linalg.solve_triangular(L, _dense(self.M), lower=True, check_finite=False)
         S = scipy.linalg.solve_triangular(L, S.T, lower=True, check_finite=False)
         del L  # one n x n array fewer at the eigenvalue peak
         return _symmetric_extremes(S)[1]
 
     @cached_property
     def _m_diagonal(self) -> np.ndarray:
-        """Read-only copy of diag(M).  Reading the diagonal of M strides
-        across all of M, one page per entry at n = 1500, so the dense
-        PCDM weights read this length-n copy instead."""
-        d = np.diag(self.M).copy()
+        """Read-only copy of diag(M).  Reading the diagonal of a dense M
+        strides across all of M, one page per entry at n = 1500, so the
+        dense PCDM weights read this length-n copy instead."""
+        d = self.M.diagonal().copy()
         d.flags.writeable = False
         return d
 
@@ -230,7 +230,14 @@ class CurvaturePair:
                 offsets = np.arange(-b_E, b_E + 1)
                 E = scipy.sparse.diags_array([E.diagonal(k) for k in offsets], offsets=offsets)
             S = self._band_factor.T @ E @ self._band_factor
-            result = _band_extremes(_lower_band(0.5 * (S + S.T), b))
+            # The lower band of (S + S')/2, read off S's diagonals with
+            # no sparse sum.
+            band = _lower_band(S, b)
+            for k in range(b + 1):
+                band[k, : self.n - k] += S.diagonal(k)
+            band *= 0.5
+            del S  # n (2b + 1) floats fewer during the bisection
+            result = _band_extremes(band)
         else:
             L = self._cholesky()
             S = L.T @ (E.toarray() if sparse else E) @ L
@@ -254,7 +261,7 @@ class CurvaturePair:
         """Lower Cholesky factor of G: n x n, not cached (18 MB at
         n = 1500), or in lower band storage given G's lower bandwidth."""
         if band is None:
-            return scipy.linalg.cholesky(self.G, lower=True, check_finite=False)
+            return scipy.linalg.cholesky(_dense(self.G), lower=True, check_finite=False)
         packed = _lower_band(self.G, band)
         return scipy.linalg.cholesky_banded(packed, lower=True, check_finite=False)
 
@@ -267,11 +274,22 @@ def _symmetric_extremes(S: np.ndarray) -> tuple[float, float]:
     return eigen_extremes(S)
 
 
-def _scaled_min(G: np.ndarray, d: np.ndarray) -> float:
+def _scaled_min(G, d: np.ndarray) -> float:
     """lambda_min(D G D) with D = diag(d), checked and routed as by
-    eigen_extremes; the band route bisects lambda_min alone."""
-    S = d[:, None] * G
-    S *= d
+    eigen_extremes; the band route bisects lambda_min alone.  A band G
+    is scaled on its diagonals, (D G D)_ij = (d_i G_ij) d_j, in O(n b)
+    memory; an array G as an n x n array, with the same products."""
+    if not scipy.sparse.issparse(G):
+        S = d[:, None] * G
+        S *= d
+        return _checked_lowest(*_checked_band(S))
+    n, b = len(d), _bandwidth(G)
+    offsets = np.arange(-b, b + 1)
+    S = scipy.sparse.diags_array(
+        [d[max(-k, 0) : n - max(k, 0)] * G.diagonal(k) * d[max(k, 0) : n - max(-k, 0)]
+         for k in offsets],
+        offsets=offsets,
+    )
     return _checked_lowest(*_checked_band(S))
 
 
@@ -460,8 +478,9 @@ def pcdm_constants(
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError(f"decomposition must have {n} columns, got {A.shape}")
-        scale = max(1.0, float(np.abs(pair.M).max(initial=0.0)))
-        if np.abs(A.T @ A - pair.M).max(initial=0.0) > 1e-8 * scale:
+        M = _dense(pair.M)
+        scale = max(1.0, float(np.abs(M).max(initial=0.0)))
+        if np.abs(A.T @ A - M).max(initial=0.0) > 1e-8 * scale:
             raise ValueError("decomposition does not satisfy A^T A = M")
         omega = np.count_nonzero(A, axis=1)
         weights = 1.0 + (omega - 1.0) * (tau_c - 1) / max(n - 1, 1)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse
 
-from .linalg import _band_is_cheaper
+from .linalg import _band_array, _band_is_cheaper, _bandwidth, _gather_blocks
 
 __all__ = [
     "KINDS",
@@ -49,9 +49,10 @@ _ALIASES = {"parallel-nice": "nice", "parallel-list": "list"}
 
 # Refuse exact enumeration beyond this many subsets.
 ENUMERATION_LIMIT = 10**6
-# Block entries inverted per batch: 4,096 sets at tau=4 and fewer for
-# larger blocks, so that assembling E takes bounded memory at any count.
-_CHUNK_ENTRIES = 4096 * 16
+# Block entries inverted per batch: 1,024 sets at tau=4 and fewer for
+# larger blocks, so that assembling E takes bounded memory at any count
+# (about 1 MB of temporaries); the batch size changes no bit of E.
+_CHUNK_ENTRIES = 4096 * 4
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class ExpectedInverse:
 
     ``matrix`` is an n x n ndarray, or for an enumerated list sampling
     of a narrow band M a scipy.sparse.dia_array holding E's 2b+1
-    diagonals (_BandInverse); either way its values are read-only, so
+    diagonals (linalg._Band); either way its values are read-only, so
     rate functions may memoize values derived from it.  ``samples`` is
     the Monte Carlo sample count and ``standard_error`` the
     Frobenius-norm standard error of the mean; both are None when the
@@ -161,20 +162,6 @@ class ExpectedInverse:
     matrix: np.ndarray | scipy.sparse.dia_array = field(repr=False)
     samples: int | None = None
     standard_error: float | None = None
-
-
-class _BandInverse(scipy.sparse.dia_array):
-    """An expected lifted inverse in diagonal storage, data read-only.
-
-    Compared with == to another sparse matrix of its shape it gives one
-    bool, whether the two are equal entry for entry, so that results
-    holding E compare as values; scipy's elementwise == of two sparse
-    matrices would build an n x n boolean array."""
-
-    def __eq__(self, other):
-        if scipy.sparse.issparse(other) and other.shape == self.shape:
-            return (self != other).nnz == 0
-        return super().__eq__(other)
 
 
 def _enumerated_chunks(scheme: SamplingScheme, size: int):
@@ -197,7 +184,7 @@ def _block_inverses(M, sets) -> np.ndarray:
     Raises numpy.linalg.LinAlgError naming the first set whose block is
     singular or has condition number above 1e14.
     """
-    blocks = M[sets[:, :, None], sets[:, None, :]]
+    blocks = _gather_blocks(M, sets)
     cond = np.linalg.cond(blocks)
     bad = np.flatnonzero(~(cond <= 1e14))  # also catches inf and NaN
     if bad.size:
@@ -213,29 +200,16 @@ def _banded_list(M, scheme: SamplingScheme) -> bool:
     """Whether the list-sampling E of M is banded and is cheaper to keep
     as a band: _band_is_cheaper(tau - 1, n), and the tau - 1 windows that
     wrap around have exactly zero cross blocks, M[i, j] = M[j, i] = 0 for
-    i - j >= n - tau + 1 (read in O(tau^2)).  Then each window's inverse
-    is zero outside offsets -(tau-1)..tau-1, and so is E."""
+    i - j >= n - tau + 1 (read in O(tau^2) from an array, and from a
+    scipy.sparse band's offsets as a bandwidth below n - tau + 1).  Then
+    each window's inverse is zero outside offsets -(tau-1)..tau-1, and
+    so is E."""
     n, w = scheme.n, scheme.tau - 1
-    return (
-        scheme.kind == "list"
-        and _band_is_cheaper(w, n)
-        and not np.tril(M[n - w :, :w]).any()
-        and not np.triu(M[:w, n - w :]).any()
-    )
-
-
-def _band_matrix(diagonals: np.ndarray) -> _BandInverse:
-    """The n x n matrix with the 2w+1 diagonals (offsets -w..w, column
-    aligned as in scipy's dia format), its outer all-zero diagonals
-    dropped so that its offsets give its bandwidth from the exact
-    zeros."""
-    w = len(diagonals) // 2
-    used = np.flatnonzero(diagonals.any(axis=1))
-    b = int(np.abs(used - w).max(initial=0))
-    n = diagonals.shape[1]
-    E = _BandInverse((diagonals[w - b : w + b + 1], np.arange(-b, b + 1)), shape=(n, n))
-    E.data.setflags(write=False)
-    return E
+    if not (scheme.kind == "list" and _band_is_cheaper(w, n)):
+        return False
+    if scipy.sparse.issparse(M):
+        return _bandwidth(M) < n - w
+    return not np.tril(M[n - w :, :w]).any() and not np.triu(M[:w, n - w :]).any()
 
 
 def expected_lifted_inverse(
@@ -256,13 +230,16 @@ def expected_lifted_inverse(
     or has condition number above 1e14 raises numpy.linalg.LinAlgError
     naming its index set.
 
-    An enumerated list sampling of a banded M (_banded_list, decided
-    before any block is inverted) accumulates into the 2 tau - 1
-    diagonals of E instead of an n x n array, adding the same terms in
-    the same order, and returns E as a read-only dia_array (_band_matrix)
-    equal to the n x n result bit for bit.
+    M is an array or a scipy.sparse band; blocks are gathered from
+    either (linalg._gather_blocks).  An enumerated list sampling of a
+    banded M (_banded_list, decided before any block is inverted)
+    accumulates into the 2 tau - 1 diagonals of E instead of an n x n
+    array, adding the same terms in the same order, and returns E as a
+    read-only dia_array (linalg._band_array) equal to the n x n result
+    bit for bit.  Every other E is an n x n array.
     """
-    M = np.asarray(M, dtype=np.float64)
+    if not scipy.sparse.issparse(M):
+        M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if n != scheme.n:
         raise ValueError(f"matrix dimension {n} does not match scheme n={scheme.n}")
@@ -291,8 +268,8 @@ def expected_lifted_inverse(
         )
 
     band = samples is None and _banded_list(M, serial)
-    acc = np.zeros((2 * scheme.tau - 1, n)) if band else np.zeros_like(M)
-    acc_sq = None if samples is None else np.zeros_like(M)
+    acc = np.zeros((2 * scheme.tau - 1, n) if band else (n, n))
+    acc_sq = None if samples is None else np.zeros((n, n))
     # Each entry sums its terms in the order of a per-set loop.
     for sets in chunks:
         inv = _block_inverses(M, sets)
@@ -311,7 +288,7 @@ def expected_lifted_inverse(
     mean = acc / count
     mean.setflags(write=False)
     if band:
-        return ExpectedInverse(_band_matrix(mean))
+        return ExpectedInverse(_band_array(mean))
     if samples is None:
         return ExpectedInverse(mean)
     var = (acc_sq - count * mean * mean) / (count - 1)

@@ -29,9 +29,10 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .linalg import check_symmetric, solve_pd
+from .linalg import _band_is_cheaper, _band_of, _checked_band, _gather_blocks, solve_pd
 from .rates import CurvaturePair, b_threshold, lambda_ratio
 from .sampling import SamplingScheme, draw
 
@@ -82,8 +83,8 @@ class SmoothObjective:
     n: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    M: np.ndarray = field(repr=False)
-    G: np.ndarray = field(repr=False)
+    M: np.ndarray | scipy.sparse.dia_array = field(repr=False)
+    G: np.ndarray | scipy.sparse.dia_array = field(repr=False)
     x_star: np.ndarray | None = field(default=None, repr=False)
     f_star: float | None = None
 
@@ -100,18 +101,23 @@ class SmoothObjective:
         return self._pair
 
 
-def quadratic_objective(M: np.ndarray, q: np.ndarray) -> SmoothObjective:
-    """Objective f(x) = x'Mx/2 - q'x for positive definite M.
+def quadratic_objective(M, q: np.ndarray) -> SmoothObjective:
+    """Objective f(x) = x'Mx/2 - q'x for positive definite M, an array
+    or a scipy.sparse band.
 
+    M is stored as a band (linalg._Band) exactly when banded storage is
+    cheaper (_band_is_cheaper), whatever its input type, and as an
+    array otherwise: the heat and tridiagonal matrices past the switch
+    then cost O(n b) memory, and their gradient is an O(n b) matvec.
     The minimiser M^{-1} q and optimal value are computed on
     construction by solve_pd, whose residual bound puts the gradient at
-    x_star below 1e-10 ||q||; a narrow band (the heat and tridiagonal
-    matrices past _band_is_cheaper) is factored in band storage, so the
-    set-up makes no n x n float temporary.  Non-finite entries in M or q, or an
+    x_star below 1e-10 ||q||.  Non-finite entries in M or q, or an
     optimal value that overflows, raise ValueError, and a minimiser
     solve_pd cannot resolve raises numpy.linalg.LinAlgError.
     """
-    M = check_symmetric(M)
+    M, b = _checked_band(M)
+    if isinstance(M, np.ndarray) and _band_is_cheaper(b, M.shape[0]):
+        M = _band_of(M, b)
     q = np.asarray(q, dtype=np.float64)
     n = M.shape[0]
     if q.shape != (n,):
@@ -158,7 +164,7 @@ def least_squares_objective(A: np.ndarray, y: np.ndarray) -> SmoothObjective:
 
 
 def block_step(
-    M: np.ndarray,
+    M,
     sets: np.ndarray,
     block_gradient: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
@@ -166,14 +172,15 @@ def block_step(
     (k, tau) integer array such as a draw returns.
 
     The direction of a row S is zero outside S and on S solves
-    M[S, S] h = -block_gradient(S).  All k blocks are gathered with one
-    fancy index; each is factored and solved on its lower triangle by
+    M[S, S] h = -block_gradient(S).  All k blocks are gathered at once
+    from an array or a band (linalg._gather_blocks); each is factored
+    and solved on its lower triangle by
     LAPACK's dpotrf/dpotrs, the routines behind scipy.linalg.cho_factor
     and cho_solve, so the directions equal theirs bit for bit.  Blocks
     are factored, solved and summed in row order.  A block that is not
     positive definite raises LinAlgError naming its index set.
     """
-    blocks = M[sets[:, :, None], sets[:, None, :]]
+    blocks = _gather_blocks(M, sets)
     total = np.zeros(M.shape[0])
     for S, block in zip(sets, blocks):
         factor, info = dpotrf(block, lower=1, clean=0)
@@ -197,13 +204,14 @@ class SolverConfig:
     lambda_min(M)), valid for every scheme and every curvature pair).
     There is no silent default.
 
-    incremental_gradient switches quadratic objectives to gradient
-    updates g += step[changed] @ M[changed], which read the rows of the
-    symmetric M for the changed coordinates only.  The gradient is
-    recomputed in full every 250 iterations, and whenever a step moves
-    more than half of the coordinates, where the full product is
-    cheaper.  It changes round-off, not semantics, and is off by default
-    so that step-for-step comparisons stay exact.
+    incremental_gradient switches quadratic objectives with an array M
+    to gradient updates g += step[changed] @ M[changed], which read the
+    rows of the symmetric M for the changed coordinates only.  The
+    gradient is recomputed in full every 250 iterations, and whenever a
+    step moves more than half of the coordinates, where the full product
+    is cheaper.  A band M (linalg._Band) is always recomputed, by its
+    O(n b) matvec.  It changes round-off, not semantics, and is off by
+    default so that step-for-step comparisons stay exact.
 
     threads is checked to be at least 1 and selects nothing: every
     block is solved in the calling thread.
@@ -342,9 +350,11 @@ def _iterate(
     non-finite residual or objective ends the run as 'non-finite', a
     residual at most config.tol as 'converged'.  An objective that rises
     for 100 consecutive iterations raises DivergenceError.  Otherwise
-    the sets of one draw of config.scheme, from a generator seeded with
-    config.seed, are passed with the undamped sum of their block
-    directions against M (see block_step) to update(k, sets, total).
+    one draw of config.scheme is taken from a generator seeded with
+    config.seed, and update(k, changed, total) gets the sorted
+    coordinates its sets cover and the undamped sum of their block
+    directions against M (see block_step).  A one-row draw is its own
+    changed set: every sampling returns sorted, distinct rows.
     """
     rng = np.random.default_rng(config.seed)
     records: list = []
@@ -369,7 +379,8 @@ def _iterate(
         if k == config.max_iter:
             break
         sets = draw(config.scheme, rng)
-        update(k, sets, block_step(M, sets, block_gradient))
+        changed = sets[0] if len(sets) == 1 else np.unique(sets)
+        update(k, changed, block_step(M, sets, block_gradient))
     return records, "max-iterations"
 
 
@@ -388,6 +399,8 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
     x = np.zeros(objective.n)
     g = objective.gradient(x)
     incremental = config.incremental_gradient and objective.quadratic
+    # Rows of a band M are no cheaper to gather than its matvec.
+    row_update = incremental and isinstance(objective.M, np.ndarray)
     # With a maintained gradient and a known optimum the quadratic value
     # is f* + (x - x*)'g/2, which avoids a dense matvec per iteration.
     fast_value = (
@@ -405,14 +418,13 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
         gnorm = float(np.linalg.norm(g))
         return (f, gap, gnorm), gnorm, f
 
-    def update(k, sets, total):
+    def update(k, changed, total):
         nonlocal x, g
         step = total / b
         x = x + step
-        changed = np.unique(sets) if incremental and (k + 1) % _REFRESH_EVERY else None
         # Past n/2 changed coordinates the row gather costs more than
         # the full product it replaces.
-        if changed is not None and 2 * changed.size <= objective.n:
+        if row_update and (k + 1) % _REFRESH_EVERY and 2 * changed.size <= objective.n:
             # M is symmetric, so its rows give M[:, changed] @
             # step[changed] from contiguous memory.
             g = g + step[changed] @ objective.M[changed]

@@ -7,7 +7,8 @@ sampling written out from its definition, the extreme eigenvalues
 (of G^{1/2} E G^{1/2} too) from a dense eigvalsh and those of a band
 from LAPACK's band reduction, the symmetry check by full passes over
 the matrix, the positive definite solve by a dense Cholesky factor,
-the banded generators as sums of diagonal matrices, the ERM curvature
+the banded generators as sums of diagonal matrices, the heat objective
+with its matrix stored densely, the ERM curvature
 pair built and validated at order n, and the slopes phi' of the losses
 written out from their definitions.
 count_spectral_work lets a test see which spectral work the curvature
@@ -22,9 +23,10 @@ import scipy.special
 
 import psn.erm
 import psn.rates
+from psn.linalg import solve_pd
 from psn.rates import CurvaturePair, lambda_ratio
 from psn.sampling import draw
-from psn.solver import IterationTrace, TraceRecord
+from psn.solver import IterationTrace, SmoothObjective, TraceRecord
 
 
 def reference_block_step(M, sets, block_gradient):
@@ -172,6 +174,21 @@ def reference_make_heat_matrix(n, r=0.1):
         second = np.full(n - 2, (1.0 / 12.0) * r)
         M += np.diag(second, k=2) + np.diag(second, k=-2)
     return M
+
+
+def reference_heat_objective(n, r=0.1):
+    """The objective of psn heat with its M stored as an n x n array
+    whatever n is: reference_make_heat_matrix, the CLI's right-hand
+    side, x* from solve_pd, and the value and gradient expressions of
+    solver.quadratic_objective, built directly as a SmoothObjective."""
+    M = reference_make_heat_matrix(n, r)
+    q = np.cos(0.5 * np.pi * np.linspace(-1.0, 1.0, n))
+
+    def value(x):
+        return float(0.5 * x @ (M @ x) - q @ x)
+
+    x_star = solve_pd(M, q)
+    return SmoothObjective(n, value, lambda x: M @ x - q, M, M, x_star, value(x_star))
 
 
 def reference_bandwidth(M):

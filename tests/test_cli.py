@@ -14,6 +14,7 @@ import pytest
 import scipy.io
 
 import psn.cli
+import psn.rates
 import psn.solver
 from psn.cli import _build_parser, main
 from psn.linalg import make_rho_matrix
@@ -310,18 +311,20 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv, shape",
         [
-            (["heat", "--n", "200000", "--c", "1", "--theta", "bound"], "200000 x 200000"),
-            (["solve", "--gen", "heat:200000,0.1", "--b", "1"], "200000 x 200000"),
-            (["rates", "--gen", "tridiag:200000,0.3"], "200000 x 200000"),
+            (["solve", "--gen", "rho:200000,0.5", "--b", "1"], "200000 x 200000"),
+            (["solve", "--gen", "dense:200000,200000", "--b", "1"], "200000 x 200000"),
+            (["rates", "--gen", "rho:200000,0.3"], "200000 x 200000"),
             (["rates", "--gen", "rho:10001,0.3"], "10001 x 10001"),
             (["solve", "--gen", "dense:8,200000", "--b", "1"], "200000 x 8"),
             (["rates", "--gen", "dense:200000,8"], "8 x 200000"),
-            (["tridiag", "--n-grid", "5,200000"], "200000 x 200000"),
+            (["rates", "--gen", "dense:200000,200000"], "200000 x 200000"),
         ],
     )
     def test_generated_order_capped_before_building(self, capsys, monkeypatch, argv, shape):
         # A dense order above MAX_ORDER is refused from the flags alone:
         # any generator or draw that would allocate fails this test.
+        # The heat and tridiagonal generators build bands and are not
+        # capped (TestBandOrders).
         def no_build(*args, **kwargs):
             raise AssertionError("generator called")
 
@@ -354,6 +357,74 @@ class TestSolve:
         assert out.is_symlink() and not target.exists()
         assert main(["solve", "--gen", "rho:6,0.3", "--b", "1", "--out", str(out)]) == 0
         assert out.is_symlink() and target.read_text().startswith("c,")
+
+
+class TestBandOrders:
+    """The heat and tridiagonal generators build bands, so their orders
+    are not capped; a route that needs an n x n array still refuses an
+    order above MAX_ORDER before it allocates one."""
+
+    N = 2 * MAX_ORDER
+
+    def test_band_rates_above_the_dense_limit(self, tmp_path, capsys):
+        out = tmp_path / "rates.csv"
+        argv = ["rates", "--gen", f"heat:{self.N},0.1", "--scheme", "list:tau=5",
+                "--c", "1,2", "--out", str(out)]
+        assert main(argv) == 0
+        header, rows = read_csv(out)
+        assert column(header, rows, "n") == [str(self.N)] * 2
+        assert all(0.0 < float(v) for v in column(header, rows, "sigma3"))
+        capsys.readouterr()
+        # The rho matrix of the same order is dense and stays capped.
+        assert main(["rates", "--gen", f"rho:{self.N},0.3", "--scheme", "list:tau=5"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a {self.N} x {self.N} matrix exceeds the dense limit {MAX_ORDER}\n"
+        )
+
+    def test_band_solve_and_tridiag_above_the_dense_limit(self, tmp_path, capsys):
+        out = tmp_path / "heat.csv"
+        argv = ["heat", "--n", str(self.N), "--c", "1,4", "--theta", "bound",
+                "--max-iter", "3", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for c, line in zip((1, 4), err):
+            assert line.startswith(f"c={c}: max-iterations after 3 iterations (b=")
+        assert main(["tridiag", "--n-grid", str(self.N), "--alpha-grid", "0.3",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            (["rates", "--gen", "heat:{N},0.1", "--scheme", "list:tau=5", "--c", "1,2",
+              "--mc-samples", "10"], "a Monte Carlo E"),
+            (["rates", "--gen", "heat:{N},0.1", "--scheme", "nice:tau=1"],
+             "the E of nice sampling"),
+            (["rates", "--gen", "tridiag:{N},0.3", "--scheme", "non-overlapping:tau=1"],
+             "the E of non-overlapping sampling"),
+            (["rates", "--gen", "heat:{N},0.1", "--scheme", "list:tau=2000"],
+             "the E of list sampling"),
+            (["rates", "--gen", "heat:{N},0.1", "--scheme", "list:tau=1658"],
+             "the dense eigenvalue route"),
+            (["heat", "--n", "{N}", "--scheme", "nice:tau=1", "--theta", "exact"],
+             "the E of nice sampling"),
+            (["solve", "--gen", "tridiag:{N},0.3", "--scheme", "nice:tau=1", "--theta", "exact"],
+             "the E of nice sampling"),
+        ],
+    )
+    def test_dense_routes_refused_before_allocating(self, capsys, monkeypatch, argv, route):
+        # tau = 1658 at n = 20000 keeps E a band (b_E = 1657 is cheaper)
+        # but not L^T E L (b_G + b_E = 1659 is not).
+        def no_expectation(*args, **kwargs):
+            raise AssertionError("expected inverse computed")
+
+        monkeypatch.setattr(psn.cli, "expected_lifted_inverse", no_expectation)
+        monkeypatch.setattr(psn.rates, "expected_lifted_inverse", no_expectation)
+        assert main([a.format(N=self.N) for a in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {route} needs a dense {self.N} x {self.N} array, "
+            f"above the limit {MAX_ORDER}\n"
+        )
 
 
 class TestRates:

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from psn.linalg import (
     _band_lowest,
     _bandwidth,
     _checked_band,
+    _gather_blocks,
     _lower_band,
     check_index_set,
     check_symmetric,
@@ -39,7 +41,8 @@ from psn.linalg import (
     solve_pd,
     sqrt_pd,
 )
-from psn.rates import theta_cond_bound
+from psn.rates import CurvaturePair, rate_report, theta_cond_bound
+from psn.sampling import KINDS, SamplingScheme, draw
 from psn.solver import quadratic_objective
 
 from reference import (
@@ -225,7 +228,7 @@ class TestGenerators:
 
     def test_tridiagonal_spectrum_closed_form(self):
         for n, alpha in [(5, 0.3), (8, 0.5), (12, 0.0)]:
-            w = np.linalg.eigvalsh(make_tridiagonal(n, alpha))
+            w = np.linalg.eigvalsh(make_tridiagonal(n, alpha).toarray())
             k = np.arange(1, n + 1)
             expect = np.sort(1.0 + 2.0 * alpha * np.cos(k * np.pi / (n + 1)))
             assert np.abs(w - expect).max() < 1e-12
@@ -243,7 +246,7 @@ class TestGenerators:
             make_tridiagonal(5, -0.1)
 
     def test_heat_matrix_stencil_entries(self):
-        M = make_heat_matrix(5, 0.1)
+        M = make_heat_matrix(5, 0.1).toarray()
         assert abs(M[2, 2] - 1.25) < 1e-15
         assert abs(M[2, 1] + 0.1 * 4.0 / 3.0) < 1e-15
         assert abs(M[2, 0] - 0.1 / 12.0) < 1e-15
@@ -252,7 +255,7 @@ class TestGenerators:
     def test_heat_matrix_boundary_truncation(self):
         # Dirichlet truncation: boundary rows lose out-of-range stencil
         # entries but keep the full diagonal.
-        M = make_heat_matrix(6, 0.1)
+        M = make_heat_matrix(6, 0.1).toarray()
         assert np.count_nonzero(M[0]) == 3
         assert np.count_nonzero(M[1]) == 4
         assert np.count_nonzero(M[2]) == 5
@@ -263,7 +266,7 @@ class TestGenerators:
         # every eigenvalue lies in [min(M_ii - R_i), max(M_ii + R_i)],
         # R_i the absolute off-diagonal sum of row i.
         for n in (10, 200):
-            M = make_heat_matrix(n)
+            M = make_heat_matrix(n).toarray()
             radii = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
             lo, hi = (np.diag(M) - radii).min(), (np.diag(M) + radii).max()
             assert lo > 0.0
@@ -280,8 +283,13 @@ class TestGenerators:
     @pytest.mark.parametrize("n", [*range(1, 13), 1500])
     def test_banded_generators_match_sums_of_diagonals(self, n):
         # Bit for bit, signed zeros included: the sums of diagonal
-        # matrices only add exact zeros.
-        def same_bits(A, B):
+        # matrices only add exact zeros.  The band is read-only and
+        # stores exactly the diagonals that hold a nonzero.
+        def same_bits(band, B):
+            A = band.toarray()
+            assert isinstance(band, scipy.sparse.dia_array)
+            assert not band.data.flags.writeable
+            assert _bandwidth(band) == reference_bandwidth(B)
             return A.shape == B.shape and A.dtype == B.dtype and A.tobytes() == B.tobytes()
 
         for r in (1e-300, 0.1, 1.0, 7.5e3):
@@ -318,20 +326,65 @@ def traced_peak(build, n):
 
 
 class TestSetUpMemory:
-    """The set-up of a banded quadratic holds one n x n array, M."""
+    """A banded quadratic is held in band storage from its generator to
+    its rate constants: each step peaks below 0.02 of one n x n array
+    (1.4 MB at n = 3000)."""
 
     N = 3000
 
     @pytest.mark.parametrize("make, arg", [(make_heat_matrix, 0.1), (make_tridiagonal, 0.3)])
     def test_generator_writes_one_array(self, make, arg):
-        assert traced_peak(lambda: make(self.N, arg), self.N) <= 1.05
+        # One (2b + 1) x n array of diagonals, not n x n.
+        assert traced_peak(lambda: make(self.N, arg), self.N) < 0.02
 
     def test_banded_objective_forms_no_dense_factor(self):
-        # The bandwidth read marks the nonzeros in an n x n bool array
-        # (1/8 of M); the band factor and solve take O(n b).
         M = make_heat_matrix(self.N)
         q = np.ones(self.N)
-        assert traced_peak(lambda: quadratic_objective(M, q), self.N) < 0.25
+        assert traced_peak(lambda: quadratic_objective(M, q), self.N) < 0.02
+
+    def test_bound_and_rate_row_in_band_memory(self):
+        # A fresh pair, so that its check and extremes are traced too.
+        objective = quadratic_objective(make_heat_matrix(self.N), np.ones(self.N))
+        bound = traced_peak(lambda: CurvaturePair(objective.M, objective.M).cond_bound(5), self.N)
+        scheme = SamplingScheme("list", self.N, 5, 4)
+        row = traced_peak(lambda: rate_report(objective.curvature(), scheme), self.N)
+        assert bound < 0.02 and row < 0.02
+
+
+class TestBlockGather:
+    """_gather_blocks reads a band's blocks bit for bit as a fancy index
+    reads the array."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_band_blocks_equal_dense_blocks(self, data):
+        # Bands of any width, symmetric or not (an expected inverse need
+        # not be), as a _Band, a plain dia_array and a csr_array, under
+        # draws of every sampling kind.
+        n = data.draw(st.integers(1, 60), label="n")
+        b = data.draw(st.integers(0, n - 1), label="b")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        M = np.triu(np.tril(rng.standard_normal((n, n)), b), -b)
+        if data.draw(st.booleans(), label="symmetric"):
+            M = M + M.T
+        kind = data.draw(st.sampled_from(KINDS), label="kind")
+        tau = data.draw(st.integers(1, n), label="tau")
+        c = data.draw(st.integers(1, max(1, n // tau) if kind == "non-overlapping" else 4), label="c")
+        sets = draw(SamplingScheme(kind, n, tau, c), rng)
+        want = M[sets[:, :, None], sets[:, None, :]]
+        band = psn.linalg._band_of(M, reference_bandwidth(np.abs(M) + np.abs(M.T)))
+        for stored in (band, scipy.sparse.dia_array(M), scipy.sparse.csr_array(M)):
+            got = _gather_blocks(stored, sets)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert _gather_blocks(M, sets).tobytes() == want.tobytes()
+
+    def test_layout_built_once_per_band(self):
+        M = make_heat_matrix(300)
+        sets = np.array([[0, 1, 2], [297, 298, 299]])
+        first = _gather_blocks(M, sets)
+        layout = M._layout
+        assert _gather_blocks(M, sets).tobytes() == first.tobytes()
+        assert M._layout is layout and layout[0].shape == (300, 6)
 
 
 class TestSpectra:
@@ -508,6 +561,20 @@ class TestOnePassCheck:
             else:
                 M[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[flaw]
         want = check_outcome(reference_check_symmetric, M)
+        if data.draw(st.booleans(), label="sparse"):
+            # The same matrix in sparse storage: a _Band past the switch
+            # (bandwidth from its offsets), an array below it.
+            sparse = scipy.sparse.csr_array(M)
+            got = check_outcome(_checked_band, sparse)
+            if isinstance(want, str):
+                assert got == want
+                return
+            A, width = got
+            assert isinstance(A, psn.linalg._Band) == _band_is_cheaper(width, n)
+            assert not isinstance(A, psn.linalg._Band) or not A.data.flags.writeable
+            assert psn.linalg._dense(A).tobytes() == want.tobytes()
+            assert width == reference_bandwidth(want)
+            return
         got = check_outcome(_checked_band, M)
         if isinstance(want, str):
             assert got == want
@@ -528,12 +595,22 @@ class TestOnePassCheck:
     def test_complex(self):
         M = np.eye(3, dtype=complex)
         assert check_outcome(check_symmetric, M) == "matrix has complex entries"
+        band = scipy.sparse.dia_array(M)
+        assert check_outcome(check_symmetric, band) == "matrix has complex entries"
+
+    def test_band_is_returned_as_it_is(self):
+        # A symmetric _Band passes unchanged, its bandwidth read from its
+        # offsets; a sparse matrix of another shape is refused.
+        M = make_heat_matrix(400)
+        assert _checked_band(M) == (M, 2) and _checked_band(M)[0] is M
+        wide = scipy.sparse.dia_array((np.ones((1, 400)), [0]), shape=(400, 401))
+        assert check_outcome(check_symmetric, wide) == "expected a square matrix, got shape (400, 401)"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(5, 3), (3, 5), (7, 7), (399, 0), (0, 399)])
     def test_non_finite_entry(self, bad, where):
         # On the diagonals of the band route, in the corners of the dense one.
-        M = make_heat_matrix(400)
+        M = make_heat_matrix(400).toarray()
         M[where] = bad
         assert _band_is_cheaper(_bandwidth(M), 400) == (max(where) < 10)
         want = check_outcome(reference_check_symmetric, M)
@@ -543,7 +620,7 @@ class TestOnePassCheck:
     def test_band_reads_two_sides(self):
         # A pattern wider above the diagonal than below it: the band
         # covers the upper triangle's nonzero too.
-        M = make_heat_matrix(400)
+        M = make_heat_matrix(400).toarray()
         M[10, 20] = 1e-12
         assert _bandwidth(M) == 10
         assert check_symmetric(M).tobytes() == reference_check_symmetric(M).tobytes()
@@ -710,6 +787,8 @@ class TestSolvePdBandRoute:
         assert np.linalg.norm(M @ x - q) <= 1e-10 * np.linalg.norm(q)
         ref = reference_solve_pd(M, q)
         assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+        # The same band in diagonal storage takes the same route and bits.
+        assert solve_pd(scipy.sparse.dia_array(M), q).tobytes() == x.tobytes()
 
     def test_rejects_indefinite(self):
         n = band_route_order(1)

@@ -363,6 +363,13 @@ class TestPcdm:
         assert sigma3 == lo / 300
         assert len(probes) == len(lowest) > 0
         assert abs(2 * len(probes) - len(both)) <= 2
+        # The same M in band storage is scaled on its diagonals, with
+        # the same products and so the same bits.
+        band_pair = CurvaturePair.from_hessian(scipy.sparse.dia_array(M))
+        assert isinstance(band_pair.M, psn.linalg._Band)
+        with counting_band_probes() as band_probes:
+            assert pcdm_constants(band_pair, 5, assume_dense=True).sigma3 == sigma3
+        assert len(band_probes) == len(probes)
 
     def test_sparse_sigma3_increases_with_tau_c(self):
         A, M = random_sparse_decomposition(90, 40, 1 / 3, 22)
@@ -596,7 +603,7 @@ class TestBandedWeightedRoute:
 
     def test_dense_g_or_dense_e_takes_the_dense_route(self):
         rng = np.random.default_rng(5)
-        heat = psn.linalg.make_heat_matrix(60)
+        heat = psn.linalg.make_heat_matrix(60).toarray()
         nice = expected_lifted_inverse(heat, SamplingScheme("nice", 60, 2)).matrix
         for G, E in ((random_pd(60, 6), random_band(60, 1, rng)), (heat, nice)):
             got, work, probes = weighted_with_work(G, E)
@@ -628,7 +635,7 @@ class TestBandedWeightedRoute:
         finally:
             tracemalloc.stop()
         assert scipy.sparse.issparse(E)
-        assert peak < M.nbytes / 8
+        assert peak < 8 * n * n / 8
         assert 0.0 < report.sigma1 <= report.theta <= pair.cond_bound(5)
 
     def test_band_expectation_memo(self):

@@ -362,8 +362,10 @@ class TestExpectedInverse:
 def loop_expected_inverse(M, scheme, samples=None, seed=0):
     """E[(M_S)^{-1}] (and the Monte Carlo standard error) summed one
     n x n lifted inverse at a time over the same sets, in the same
-    order, as expected_lifted_inverse."""
+    order, as expected_lifted_inverse; a band M is read densely."""
     n, tau = scheme.n, scheme.tau
+    if scipy.sparse.issparse(M):
+        M = M.toarray()
     if samples is not None:
         rng = np.random.default_rng(seed)
         sets = [draw(scheme, rng)[0] for _ in range(samples)]
@@ -480,7 +482,7 @@ class TestBandStorage:
         # A nonzero entry that a wrapped window reads makes E dense; the
         # corners are the outermost such entries, i - j = n - tau + 1.
         n, tau = 200, 5
-        M = make_heat_matrix(n)
+        M = make_heat_matrix(n).toarray()
         i, j = {"periodic": (0, n - 1), "lower corner": (n - 1, 3), "upper corner": (1, n - 3)}[entry]
         M[i, j] = 1e-3
         if entry == "periodic":
@@ -493,7 +495,7 @@ class TestBandStorage:
     def test_entry_no_window_reads_keeps_the_band(self):
         # M[n - tau, 0] lies in no window, so E stays banded.
         n, tau = 200, 5
-        M = make_heat_matrix(n)
+        M = make_heat_matrix(n).toarray()
         M[n - tau, 0] = M[0, n - tau] = 1e-3
         scheme = SamplingScheme("list", n, tau)
         E = expected_lifted_inverse(M, scheme).matrix

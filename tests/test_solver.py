@@ -9,12 +9,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psn.rates
+import psn.solver
 from psn.cli import main
-from psn.linalg import make_rho_matrix
+from psn.linalg import make_heat_matrix, make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, lambda_ratio, theta, theta_cond_bound
 from psn.sampling import KINDS, SamplingScheme, draw, expected_lifted_inverse, parse_scheme
 from psn.solver import (
@@ -27,7 +29,14 @@ from psn.solver import (
     run,
 )
 
-from reference import count_spectral_work, reference_block_step, reference_run, reference_step
+from reference import (
+    count_spectral_work,
+    reference_block_step,
+    reference_heat_objective,
+    reference_make_heat_matrix,
+    reference_run,
+    reference_step,
+)
 
 
 def random_quadratic(n, seed):
@@ -587,3 +596,81 @@ class TestTraceCsv:
         for (_, gap, gnorm), rec in zip(trace.csv_rows(), trace.records):
             assert float(gap) == rec.gap  # repr round-trips exactly
             assert float(gnorm) == rec.grad_norm
+
+
+class TestBandStorage:
+    """A heat objective past the switch holds M as a band; its block
+    steps and minimiser equal those of the dense-storage reference bit
+    for bit, and its runs (band matvec gradients) agree with the
+    reference's (row-update gradients) to round-off."""
+
+    N = 300
+
+    @pytest.fixture(scope="class")
+    def objectives(self):
+        q = np.cos(0.5 * np.pi * np.linspace(-1.0, 1.0, self.N))
+        return quadratic_objective(make_heat_matrix(self.N), q), reference_heat_objective(self.N)
+
+    def test_storage_follows_the_switch(self, objectives):
+        band, dense = objectives
+        assert isinstance(band.M, psn.linalg._Band) and isinstance(dense.M, np.ndarray)
+        assert band.M.toarray().tobytes() == dense.M.tobytes()
+        # An array past the switch is stored as a band, a band below it
+        # as an array, a dense matrix as an array.
+        assert scipy.sparse.issparse(quadratic_objective(dense.M, np.ones(self.N)).M)
+        small = quadratic_objective(make_heat_matrix(60), np.ones(60)).M
+        assert small.tobytes() == reference_make_heat_matrix(60).tobytes()
+        assert isinstance(random_quadratic(150, 1).M, np.ndarray)
+
+    @pytest.mark.parametrize("kind", ["list", "nice"])
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_block_steps_equal_bit_for_bit(self, objectives, kind, c):
+        band, dense = objectives
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal(self.N)
+        for _ in range(50):
+            sets = draw(SamplingScheme(kind, self.N, 5, c), rng)
+            want = block_step(dense.M, sets, g.__getitem__)
+            assert block_step(band.M, sets, g.__getitem__).tobytes() == want.tobytes()
+
+    def test_minimiser_equal(self, objectives):
+        band, dense = objectives
+        assert band.x_star.tobytes() == dense.x_star.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_seeded_runs_agree(self, objectives, c):
+        band, dense = objectives
+        config = SolverConfig(
+            scheme=SamplingScheme("list", self.N, 5, c), theta="bound", tol=1e-8,
+            seed=7, incremental_gradient=True,
+        )
+        a, b = run(band, config), run(dense, config)
+        assert a.converged and b.converged and a.b == b.b
+        assert abs(a.iterations - b.iterations) <= 1
+        assert np.abs(a.x - b.x).max() <= 1e-10
+
+
+def test_loop_passes_each_draws_changed_coordinates(monkeypatch):
+    # update gets np.unique of the draw's rows; a one-row draw passes
+    # its (sorted, distinct) row itself.
+    draws, changes = [], []
+
+    def recording_draw(scheme, rng):
+        draws.append(draw(scheme, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(psn.solver, "draw", recording_draw)
+    objective = random_quadratic(12, 3)
+    for kind, c in [("list", 1), ("nice", 1), ("non-overlapping", 1), ("nice", 3), ("list", 2)]:
+        draws.clear()
+        changes.clear()
+        config = SolverConfig(SamplingScheme(kind, 12, 3, c), b=float(c), max_iter=20)
+        psn.solver._iterate(
+            config, objective.M, lambda: ((0.0, None, 1.0), 1.0, 0.0),
+            np.ones(12).__getitem__, lambda k, changed, total: changes.append(changed),
+            psn.solver.TraceRecord,
+        )
+        assert len(changes) == len(draws) == 20
+        for sets, changed in zip(draws, changes):
+            assert np.array_equal(changed, np.unique(sets))
+            assert (c == 1) == np.shares_memory(changed, sets)

@@ -57,10 +57,18 @@ def test_full_rate_table_matches_reference(perfbench, tmp_path):
     result = workload.run_round(workload.setup(workload.inputs(1, tmp_path)), 0)
     assert not result.errors, result.errors
     E, bound = result.outputs["expected-inverse"]
-    # E stays in band storage from its assembly to the rate table.
+    # M and E stay in band storage from their assembly to the rate table.
     assert scipy.sparse.issparse(E)
+    assert scipy.sparse.issparse(workload.setup(workload.inputs(1, tmp_path))["pair"].M)
     for c in workload.c_grid:
         assert workload.check_row(result.outputs[f"c{c}"], bound) == [], c
+
+
+def test_full_heat_objective_in_band_storage(perfbench, tmp_path):
+    # The full-size heat-tau5 set-up holds M as a band, not n x n.
+    workload = perfbench("workloads").HeatTau5("full")
+    problem = workload.setup(workload.inputs(1, tmp_path))
+    assert scipy.sparse.issparse(problem["objective"].M)
 
 
 def test_full_erm_round_passes_checks(perfbench, tmp_path):
