@@ -22,16 +22,18 @@ Each subcommand takes only the flags it reads: --rhs (solve only) needs
 All CSV output is deterministic for a fixed seed and flag set: rows
 carry no timing, and every run takes its draws from one seeded stream
 in the calling thread (--threads is accepted but selects nothing).
-Exit codes: 0 success, 1 bad input, 2 did not converge (budget
-exhausted, or diverged in solve, heat or erm).  The heat and
-tridiagonal matrices (heat --n, tridiag --n-grid, --gen heat: and
---gen tridiag:) are built as bands of O(n) floats at any order.  Every
-other matrix of order above matrixio.MAX_ORDER (10,000), read from a
-Matrix Market file or generated by --gen dense: or --gen rho:, is bad
-input, refused before it is built; so is an order above MAX_ORDER on
-a route that needs an n x n array: a Monte Carlo E (--mc-samples), the
-dense E of a nice or non-overlapping sampling, and the dense
-eigenvalue route of a band too wide for banded storage.
+Exit codes: 0 success, 1 bad input or memory exhausted, 2 did not
+converge (budget exhausted, or diverged in solve, heat or erm); an
+error is one line "error: ..." on stderr.  The heat and tridiagonal
+matrices (heat --n, tridiag --n-grid, --gen heat: and --gen
+tridiag:) are built as bands of O(n) floats at any order that fits
+in memory.  Every other matrix of order above linalg.MAX_ORDER
+(10,000), read from a Matrix Market file or generated by --gen dense:
+or --gen rho:, is bad input, refused before it is built.  So is an
+order above MAX_ORDER on a route that needs an n x n array, which
+sampling and rates refuse before making it: a Monte Carlo E
+(--mc-samples), the dense E of a nice or non-overlapping sampling,
+and the dense eigenvalue route of a band too wide for banded storage.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ import sys
 import numpy as np
 
 from .erm import ErmProblem, LogisticLoss, SquaredLoss, load_libsvm, run_erm
-from .linalg import _band_is_cheaper, _bandwidth, make_heat_matrix, make_rho_matrix
-from .linalg import make_tridiagonal
-from .matrixio import MAX_ORDER, check_order, read_matrix, read_vector, write_csv
+from .linalg import make_heat_matrix, make_rho_matrix, make_tridiagonal
+from .matrixio import check_order, read_matrix, read_vector, write_csv
 from .rates import (
     CurvaturePair,
     b_threshold,
@@ -55,7 +56,7 @@ from .rates import (
     sigma_p,
     tridiag_theta_bound,
 )
-from .sampling import SamplingScheme, _banded_list, expected_lifted_inverse, parse_scheme
+from .sampling import SamplingScheme, expected_lifted_inverse, parse_scheme
 from .solver import DivergenceError, SolverConfig, quadratic_objective, run
 
 __all__ = ["main"]
@@ -169,26 +170,6 @@ def _problem(args) -> tuple:
     return M, None, lambda: rng.standard_normal(n)
 
 
-def _check_dense_routes(M, scheme: SamplingScheme, mc_samples: int | None = None) -> None:
-    """Refuse an order above MAX_ORDER, before anything n x n is
-    allocated, when E[(M_S)^-1] of scheme needs an n x n array: a Monte
-    Carlo E, the E of a nice or non-overlapping sampling or of a list
-    sampling that is not banded, or a band L^T E L too wide for banded
-    storage, which takes the dense eigenvalue route."""
-    n = scheme.n
-    if n <= MAX_ORDER:
-        return
-    if mc_samples is not None:
-        route = "a Monte Carlo E"
-    elif not _banded_list(M, scheme.constituent()):
-        route = f"the E of {scheme.kind} sampling"
-    elif not _band_is_cheaper(_bandwidth(M) + scheme.tau - 1, n):
-        route = "the dense eigenvalue route"
-    else:
-        return
-    raise ValueError(f"{route} needs a dense {n} x {n} array, above the limit {MAX_ORDER}")
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -243,26 +224,17 @@ def cmd_solve(args) -> int:
             )
     else:
         q = rhs()
-    return _primal_grid(args, quadratic_objective(M, q))
+    return _solve_grid(args, quadratic_objective(M, q), run)
 
 
 def cmd_heat(args) -> int:
     M = make_heat_matrix(args.n, args.r)
-    return _primal_grid(args, quadratic_objective(M, _heat_rhs(args.n)))
-
-
-def _primal_grid(args, objective) -> int:
-    """_solve_grid with run, after refusing an exact theta whose E
-    needs an n x n array above MAX_ORDER."""
-    if args.theta == "exact":
-        _check_dense_routes(objective.M, parse_scheme(args.scheme, objective.n))
-    return _solve_grid(args, objective, run)
+    return _solve_grid(args, quadratic_objective(M, _heat_rhs(args.n)), run)
 
 
 def cmd_rates(args) -> int:
     M, decomposition, _ = _problem(args)
     scheme = parse_scheme(args.scheme, M.shape[0])
-    _check_dense_routes(M, scheme, args.mc_samples)
     pair = CurvaturePair.from_hessian(M)
     # Without Monte Carlo the pair enumerates E once for every c.
     expected = None
@@ -470,6 +442,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, np.linalg.LinAlgError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, DivergenceError) else 1
+    except MemoryError as err:  # numpy's MemoryError names the refused allocation
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

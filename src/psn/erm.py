@@ -53,6 +53,7 @@ from .rates import CurvaturePair
 from .solver import (
     SolverConfig,
     Trace,
+    _changed,
     _iterate,
     block_step,
     check_config,
@@ -421,7 +422,7 @@ def run_erm(problem: ErmProblem, config: SolverConfig) -> ErmTrace:
 
     records, status = _iterate(
         config, X, monitor, _dual_gradient(problem, state),
-        lambda k, changed, total: state.step(problem, total, b, changed), ErmRecord,
+        lambda k, sets, total: state.step(problem, total, b, _changed(sets)), ErmRecord,
     )
     return ErmTrace(records, status, b, theta_used, state.alpha, state.alpha_bar)
 

@@ -20,7 +20,8 @@ it bisects a narrow band on its inertia in banded storage and solves
 any other matrix densely.  solve_pd takes the same switch: a narrow
 band is factored by a banded Cholesky (O(n b^2)), any other matrix
 densely.  _gather_blocks gathers the tau x tau blocks of a draw from
-either storage, bit for bit the same entries.
+either storage, bit for bit the same entries.  A route that needs an
+n x n array refuses an order above MAX_ORDER before making it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ __all__ = [
 
 # Eigenvalues below this are clamped before forming matrix square roots.
 _EIG_FLOOR = 1e-14
+
+MAX_ORDER = 10_000  # largest order held densely: 800 MB as a float64 array
+
+
+def _refuse_dense(n: int, route: str) -> None:
+    """Raise ValueError when route, which needs an n x n array, is taken
+    at an order above MAX_ORDER; called before that array is made."""
+    if n > MAX_ORDER:
+        raise ValueError(f"{route} needs a dense {n} x {n} array, above the limit {MAX_ORDER}")
 
 
 def check_index_set(S, n: int) -> np.ndarray:

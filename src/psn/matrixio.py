@@ -15,7 +15,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .linalg import check_symmetric
+from .linalg import MAX_ORDER, check_symmetric
 
 __all__ = [
     "check_order",
@@ -25,9 +25,6 @@ __all__ = [
     "write_vector",
     "write_csv",
 ]
-
-MAX_ORDER = 10_000  # largest order read or held densely: 800 MB as a float64 array
-
 
 def check_order(rows: int, cols: int) -> None:
     """Raise ValueError for a rows x cols matrix of order above

@@ -45,7 +45,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .linalg import _band_extremes, _band_is_cheaper, _bandwidth, _checked_band, _checked_extremes
-from .linalg import _checked_lowest, _dense, _lower_band, _order_holds, eigen_extremes
+from .linalg import _checked_lowest, _dense, _lower_band, _order_holds, _refuse_dense
+from .linalg import eigen_extremes
 from .sampling import SamplingScheme, expected_lifted_inverse
 
 __all__ = [
@@ -207,7 +208,8 @@ class CurvaturePair:
         offsets, an array E by its exact zeros.  When _band_is_cheaper(b_G
         + b_E, n), L^T E L is a sparse product of bands, packed and solved
         as a band; otherwise E is made dense and the product takes a dense
-        factor and two n x n products.  The result for a read-only E (a
+        factor and two n x n products, refused above linalg.MAX_ORDER
+        before the factor is made.  The result for a read-only E (a
         band E with read-only data) is kept until another E is passed
         (matched by identity); a writeable E may change in place, so it is
         never memoized."""
@@ -239,6 +241,7 @@ class CurvaturePair:
             del S  # n (2b + 1) floats fewer during the bisection
             result = _band_extremes(band)
         else:
+            _refuse_dense(self.n, "the dense eigenvalue route")
             L = self._cholesky()
             S = L.T @ (E.toarray() if sparse else E) @ L
             del L  # one n x n array fewer at the eigenvalue peak

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse
 
-from .linalg import _band_array, _band_is_cheaper, _bandwidth, _gather_blocks
+from .linalg import _band_array, _band_is_cheaper, _bandwidth, _gather_blocks, _refuse_dense
 
 __all__ = [
     "KINDS",
@@ -236,7 +236,8 @@ def expected_lifted_inverse(
     accumulates into the 2 tau - 1 diagonals of E instead of an n x n
     array, adding the same terms in the same order, and returns E as a
     read-only dia_array (linalg._band_array) equal to the n x n result
-    bit for bit.  Every other E is an n x n array.
+    bit for bit.  Every other E is an n x n array, refused above
+    linalg.MAX_ORDER before any block is inverted.
     """
     if not scipy.sparse.issparse(M):
         M = np.asarray(M, dtype=np.float64)
@@ -268,6 +269,9 @@ def expected_lifted_inverse(
         )
 
     band = samples is None and _banded_list(M, serial)
+    if not band:
+        route = "a Monte Carlo E" if samples is not None else f"the E of {scheme.kind} sampling"
+        _refuse_dense(n, route)
     acc = np.zeros((2 * scheme.tau - 1, n) if band else (n, n))
     acc_sq = None if samples is None else np.zeros((n, n))
     # Each entry sums its terms in the order of a per-set loop.

@@ -351,10 +351,8 @@ def _iterate(
     residual at most config.tol as 'converged'.  An objective that rises
     for 100 consecutive iterations raises DivergenceError.  Otherwise
     one draw of config.scheme is taken from a generator seeded with
-    config.seed, and update(k, changed, total) gets the sorted
-    coordinates its sets cover and the undamped sum of their block
-    directions against M (see block_step).  A one-row draw is its own
-    changed set: every sampling returns sorted, distinct rows.
+    config.seed, and update(k, sets, total) gets its sets and the
+    undamped sum of their block directions against M (see block_step).
     """
     rng = np.random.default_rng(config.seed)
     records: list = []
@@ -379,9 +377,14 @@ def _iterate(
         if k == config.max_iter:
             break
         sets = draw(config.scheme, rng)
-        changed = sets[0] if len(sets) == 1 else np.unique(sets)
-        update(k, changed, block_step(M, sets, block_gradient))
+        update(k, sets, block_step(M, sets, block_gradient))
     return records, "max-iterations"
+
+
+def _changed(sets: np.ndarray) -> np.ndarray:
+    """The sorted coordinates a draw's sets cover.  A one-row draw is
+    its own changed set: every sampling returns sorted, distinct rows."""
+    return sets[0] if len(sets) == 1 else np.unique(sets)
 
 
 def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
@@ -418,13 +421,14 @@ def run(objective: SmoothObjective, config: SolverConfig) -> IterationTrace:
         gnorm = float(np.linalg.norm(g))
         return (f, gap, gnorm), gnorm, f
 
-    def update(k, changed, total):
+    def update(k, sets, total):
         nonlocal x, g
         step = total / b
         x = x + step
+        changed = _changed(sets) if row_update and (k + 1) % _REFRESH_EVERY else None
         # Past n/2 changed coordinates the row gather costs more than
         # the full product it replaces.
-        if row_update and (k + 1) % _REFRESH_EVERY and 2 * changed.size <= objective.n:
+        if changed is not None and 2 * changed.size <= objective.n:
             # M is symmetric, so its rows give M[:, changed] @
             # step[changed] from contiguous memory.
             g = g + step[changed] @ objective.M[changed]

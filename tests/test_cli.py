@@ -12,14 +12,17 @@ import warnings
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 import psn.cli
 import psn.rates
+import psn.sampling
 import psn.solver
 from psn.cli import _build_parser, main
 from psn.linalg import make_rho_matrix
 from psn.matrixio import MAX_ORDER, write_matrix, write_vector
 from psn.rates import rho_closed_forms
+from psn.sampling import ExpectedInverse
 
 
 def read_csv(path):
@@ -400,12 +403,11 @@ class TestBandOrders:
               "--mc-samples", "10"], "a Monte Carlo E"),
             (["rates", "--gen", "heat:{N},0.1", "--scheme", "nice:tau=1"],
              "the E of nice sampling"),
+            # E is taken over one constituent set: a nice set here.
             (["rates", "--gen", "tridiag:{N},0.3", "--scheme", "non-overlapping:tau=1"],
-             "the E of non-overlapping sampling"),
+             "the E of nice sampling"),
             (["rates", "--gen", "heat:{N},0.1", "--scheme", "list:tau=2000"],
              "the E of list sampling"),
-            (["rates", "--gen", "heat:{N},0.1", "--scheme", "list:tau=1658"],
-             "the dense eigenvalue route"),
             (["heat", "--n", "{N}", "--scheme", "nice:tau=1", "--theta", "exact"],
              "the E of nice sampling"),
             (["solve", "--gen", "tridiag:{N},0.3", "--scheme", "nice:tau=1", "--theta", "exact"],
@@ -413,18 +415,59 @@ class TestBandOrders:
         ],
     )
     def test_dense_routes_refused_before_allocating(self, capsys, monkeypatch, argv, route):
-        # tau = 1658 at n = 20000 keeps E a band (b_E = 1657 is cheaper)
-        # but not L^T E L (b_G + b_E = 1659 is not).
-        def no_expectation(*args, **kwargs):
-            raise AssertionError("expected inverse computed")
+        # expected_lifted_inverse refuses a dense E before it inverts a
+        # block or allocates its n x n accumulator.
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("block inverted")
 
-        monkeypatch.setattr(psn.cli, "expected_lifted_inverse", no_expectation)
-        monkeypatch.setattr(psn.rates, "expected_lifted_inverse", no_expectation)
+        monkeypatch.setattr(psn.sampling, "_block_inverses", no_blocks)
         assert main([a.format(N=self.N) for a in argv]) == 1
         assert capsys.readouterr().err == (
             f"error: {route} needs a dense {self.N} x {self.N} array, "
             f"above the limit {MAX_ORDER}\n"
         )
+
+    def test_dense_eigenvalue_route_refused_before_factoring(self, capsys, monkeypatch):
+        # list:tau=1658 at n = 20000 keeps E a band (b_E = 1657 is
+        # cheaper) but not L^T E L (b_G + b_E = 1659 is not).  E stands
+        # in as three of its diagonals, which carry the same bandwidth.
+        n, w = self.N, 1657
+        E = scipy.sparse.dia_array((np.ones((3, n)), [-w, 0, w]), shape=(n, n))
+        E.data.flags.writeable = False
+        monkeypatch.setattr(
+            psn.rates, "expected_lifted_inverse", lambda *args: ExpectedInverse(E)
+        )
+        cholesky = psn.rates.CurvaturePair._cholesky
+
+        def band_cholesky_only(pair, band=None):
+            assert band is not None, "dense factor made"
+            return cholesky(pair, band)
+
+        monkeypatch.setattr(psn.rates.CurvaturePair, "_cholesky", band_cholesky_only)
+        argv = ["rates", "--gen", f"heat:{n},0.1", "--scheme", f"list:tau={w + 1}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: the dense eigenvalue route needs a dense {n} x {n} array, "
+            f"above the limit {MAX_ORDER}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 36.4 TiB for an array with shape (5, 1000000000000) "
+             "and data type float64", None),
+            ("", "out of memory"),
+        ],
+    )
+    def test_memory_error_is_one_line(self, capsys, monkeypatch, message, line):
+        # A band order too large to allocate ends as bad input, not a
+        # traceback; numpy's MemoryError names the allocation.
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(psn.cli, "make_heat_matrix", no_memory)
+        assert main(["heat", "--n", "1000000000000"]) == 1
+        assert capsys.readouterr().err == f"error: {line or message}\n"
 
 
 class TestRates:

@@ -561,29 +561,24 @@ class TestOnePassCheck:
             else:
                 M[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[flaw]
         want = check_outcome(reference_check_symmetric, M)
-        if data.draw(st.booleans(), label="sparse"):
-            # The same matrix in sparse storage: a _Band past the switch
-            # (bandwidth from its offsets), an array below it.
-            sparse = scipy.sparse.csr_array(M)
-            got = check_outcome(_checked_band, sparse)
-            if isinstance(want, str):
-                assert got == want
-                return
-            A, width = got
-            assert isinstance(A, psn.linalg._Band) == _band_is_cheaper(width, n)
-            assert not isinstance(A, psn.linalg._Band) or not A.data.flags.writeable
-            assert psn.linalg._dense(A).tobytes() == want.tobytes()
-            assert width == reference_bandwidth(want)
-            return
         got = check_outcome(_checked_band, M)
+        # The same matrix in sparse storage: a _Band past the switch
+        # (bandwidth from its offsets), an array below it.
+        got_sparse = check_outcome(_checked_band, scipy.sparse.csr_array(M))
         if isinstance(want, str):
             assert got == want
             assert check_outcome(check_symmetric, M) == want
+            assert got_sparse == want
             return
         A, width = got
         assert A.tobytes() == want.tobytes() and (A is M) == (want is M)
         assert width == reference_bandwidth(A)
         assert check_symmetric(M).tobytes() == want.tobytes()
+        A, width = got_sparse
+        assert isinstance(A, psn.linalg._Band) == _band_is_cheaper(width, n)
+        assert not isinstance(A, psn.linalg._Band) or not A.data.flags.writeable
+        assert psn.linalg._dense(A).tobytes() == want.tobytes()
+        assert width == reference_bandwidth(want)
 
     @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3)])
     def test_shapes(self, shape):

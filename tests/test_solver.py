@@ -650,10 +650,11 @@ class TestBandStorage:
         assert np.abs(a.x - b.x).max() <= 1e-10
 
 
-def test_loop_passes_each_draws_changed_coordinates(monkeypatch):
-    # update gets np.unique of the draw's rows; a one-row draw passes
-    # its (sorted, distinct) row itself.
-    draws, changes = [], []
+def test_changed_set_of_each_draw(monkeypatch):
+    # The loop passes each draw's sets to update; _changed gives
+    # np.unique of their rows, and a one-row draw passes its (sorted,
+    # distinct) row itself.
+    draws, passed = [], []
 
     def recording_draw(scheme, rng):
         draws.append(draw(scheme, rng))
@@ -663,14 +664,16 @@ def test_loop_passes_each_draws_changed_coordinates(monkeypatch):
     objective = random_quadratic(12, 3)
     for kind, c in [("list", 1), ("nice", 1), ("non-overlapping", 1), ("nice", 3), ("list", 2)]:
         draws.clear()
-        changes.clear()
+        passed.clear()
         config = SolverConfig(SamplingScheme(kind, 12, 3, c), b=float(c), max_iter=20)
         psn.solver._iterate(
             config, objective.M, lambda: ((0.0, None, 1.0), 1.0, 0.0),
-            np.ones(12).__getitem__, lambda k, changed, total: changes.append(changed),
+            np.ones(12).__getitem__, lambda k, sets, total: passed.append(sets),
             psn.solver.TraceRecord,
         )
-        assert len(changes) == len(draws) == 20
-        for sets, changed in zip(draws, changes):
+        assert len(passed) == len(draws) == 20
+        for sets, got in zip(draws, passed):
+            assert got is sets
+            changed = psn.solver._changed(sets)
             assert np.array_equal(changed, np.unique(sets))
             assert (c == 1) == np.shares_memory(changed, sets)
