@@ -31,9 +31,12 @@ in memory.  Every other matrix of order above linalg.MAX_ORDER
 (10,000), read from a Matrix Market file or generated by --gen dense:
 or --gen rho:, is bad input, refused before it is built.  So is an
 order above MAX_ORDER on a route that needs an n x n array, which
-sampling and rates refuse before making it: a Monte Carlo E
+sampling, rates and erm refuse before making it: a Monte Carlo E
 (--mc-samples), the dense E of a nice or non-overlapping sampling,
-and the dense eigenvalue route of a band too wide for banded storage.
+the dense eigenvalue route of a band too wide for banded storage, and
+the dual smoothness matrix of a LIBSVM dataset with more examples.
+A Monte Carlo E whose draws left a coordinate unsampled is refused
+too: it is singular, so sigma1 would be 0.
 """
 
 from __future__ import annotations
@@ -240,6 +243,12 @@ def cmd_rates(args) -> int:
     expected = None
     if args.mc_samples is not None:
         expected = expected_lifted_inverse(pair.M, scheme, args.mc_samples, args.seed).matrix
+        unsampled = int(np.count_nonzero(expected.diagonal() == 0.0))
+        if unsampled:
+            raise ValueError(
+                f"{args.mc_samples} Monte Carlo draws never sampled {unsampled} of the "
+                f"{pair.n} coordinates; give a larger --mc-samples"
+            )
     rows = []
     for c in _worker_grid(args, scheme):
         sch = scheme.with_workers(c)

@@ -48,7 +48,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.special
 
-from .linalg import check_index_set, eigen_extremes
+from .linalg import _refuse_dense, check_index_set, eigen_extremes
 from .rates import CurvaturePair
 from .solver import (
     SolverConfig,
@@ -221,8 +221,10 @@ class ErmProblem:
     @cached_property
     def _bound(self) -> tuple[np.ndarray, np.ndarray]:
         """X and the diagonal of B = (1/(lam n^2)) A'A, from the one
-        n x n Gram product the problem forms."""
+        n x n Gram product the problem forms, refused above
+        linalg.MAX_ORDER examples before it is made."""
         n = self.n
+        _refuse_dense(n, "the dual smoothness matrix")
         X = (self.A.T @ self.A) / (self.lam_reg * n * n)
         X = 0.5 * (X + X.T)
         b_diagonal = np.diag(X).copy()

@@ -1,27 +1,23 @@
 """Symmetric-matrix primitives used throughout the package.
 
-A matrix is a float64 numpy array or, for a narrow band, a
-scipy.sparse matrix kept in diagonal storage.  A "symmetric matrix"
-is (n, n) and equal to its transpose up to round-off; an "index set"
-is a non-empty collection of distinct integers in [0, n).  Index sets
-are normalised to sorted int64 arrays so they can double as
-dictionary keys (via tuple()) and slicing arguments.
+A "symmetric matrix" is (n, n) and equal to its transpose up to
+round-off; an "index set" is a non-empty collection of distinct
+integers in [0, n).  Index sets are normalised to sorted int64 arrays
+so they can double as dictionary keys (via tuple()) and slicing
+arguments.
 
-The heat and tridiagonal generators return their diagonals as a
-read-only scipy.sparse.dia_array (a _Band), O(n b) memory for
-bandwidth b.  Every function here takes either storage and reads a
-band's bandwidth from its stored offsets, an array's from its exact
-zeros.  Where banded storage is cheaper (_band_is_cheaper) a band
-stays a band; below that switch it is made dense (.toarray()).
-check_symmetric checks a narrow band on its diagonals alone; a dense
-matrix (nonzero corner) takes full passes.  eigen_extremes is the
-package's one route to the extreme eigenvalues of a symmetric matrix:
-it bisects a narrow band on its inertia in banded storage and solves
-any other matrix densely.  solve_pd takes the same switch: a narrow
-band is factored by a banded Cholesky (O(n b^2)), any other matrix
-densely.  _gather_blocks gathers the tau x tau blocks of a draw from
-either storage, bit for bit the same entries.  A route that needs an
-n x n array refuses an order above MAX_ORDER before making it.
+Storage follows one rule, applied where a matrix enters (_stored, which
+check_symmetric runs): a matrix of bandwidth b is a _Band, a read-only
+scipy.sparse.dia_array of O(n b) floats, exactly when banded storage is
+cheaper (_band_is_cheaper), and a float64 array otherwise, whatever type
+it came as.  The heat and tridiagonal generators build _Bands directly.
+Code past the entry branches only on the type: a _Band is checked on
+its diagonals, solved by bisection on its inertia (eigen_extremes) and
+by a banded Cholesky factor (solve_pd), and gathers its blocks as an
+array does (M[rows, cols]); an array takes the dense routes.  An array
+always means "not cheaper as a band", so no code reads an array's
+bandwidth after entry.  A route that needs an n x n array refuses an
+order above MAX_ORDER before making it.
 """
 
 from __future__ import annotations
@@ -79,31 +75,22 @@ def check_symmetric(M):
     is complex, is not square, has a non-finite entry, or is not
     symmetric within 1e-10 relative to its largest entry.
 
-    An M that is only nearly symmetric is replaced by (M + M')/2,
-    since block solves read one triangle and gradient updates read rows
-    for columns; an exactly symmetric M is returned as it is.  A
-    narrow band is checked on its diagonals alone (_checked_band)."""
-    return _checked_band(M)[0]
-
-
-def _checked_band(M) -> tuple[np.ndarray | scipy.sparse.dia_array, int]:
-    """M checked and returned as check_symmetric says, with the
-    bandwidth of the returned matrix.
-
-    The bandwidth b is read first (_stored).  When banded storage is
-    cheaper (_band_is_cheaper) only the 2b+1 diagonals are checked: every
-    entry outside them is an exact zero, and a NaN or inf is nonzero,
-    so it lies inside.  Any other matrix takes the full passes.  Either
-    way the errors, the tolerance and the returned values are those of
-    the full check.  A scipy.sparse M is returned as a _Band past the
-    switch (the same object for a symmetric _Band) and dense below it."""
+    M is stored first (_stored): a _Band exactly when banded storage is
+    cheaper, an array otherwise, whatever its input type.  A band is
+    checked on its 2b+1 diagonals alone: every entry outside them is an
+    exact zero, and a NaN or inf is nonzero, so it lies inside.  An
+    array takes full passes.  Either way the errors, the tolerance and
+    the values are those of the full check.  An M that is only nearly
+    symmetric is replaced by (M + M')/2, stored again, since block
+    solves read one triangle and gradient updates read rows for
+    columns; an exactly symmetric M is returned as it was stored (the
+    same object for a float64 array below the switch or a _Band)."""
     if np.iscomplexobj(M):
         raise ValueError("matrix has complex entries")
-    A, b = _stored(M)
-    band = _band_is_cheaper(b, A.shape[0])
-    if band:
-        lower = [A.diagonal(-k) for k in range(b + 1)]
-        upper = [A.diagonal(k) for k in range(b + 1)]
+    A = _stored(M)
+    if isinstance(A, _Band):
+        lower = [A.diagonal(-k) for k in range(A.b + 1)]
+        upper = [A.diagonal(k) for k in range(A.b + 1)]
         largest = float(np.abs(np.concatenate(lower + upper)).max())
     else:
         # The maximum and minimum propagate NaN and inf, so these two
@@ -113,56 +100,93 @@ def _checked_band(M) -> tuple[np.ndarray | scipy.sparse.dia_array, int]:
         largest = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
     if not np.isfinite(largest):
         raise ValueError("matrix has non-finite entries")
-    if band:
+    if isinstance(A, _Band):
         asymmetry = max(float(np.abs(lo - up).max()) for lo, up in zip(lower, upper))
     else:
         difference = A - A.T
         asymmetry = np.abs(difference, out=difference).max(initial=0.0)
     if asymmetry > 1e-10 * max(1.0, largest):
         raise ValueError("matrix is not symmetric within tolerance")
-    sparse = scipy.sparse.issparse(A)
-    if asymmetry:
-        A = 0.5 * (A + A.T)
-    elif not sparse or isinstance(A, _Band):
-        return A, b
-    if sparse:
-        A = _band_of(A, b)
-    return A, _bandwidth(A)
+    return _stored(0.5 * (A + A.T)) if asymmetry else A
 
 
-def _stored(M) -> tuple[np.ndarray | scipy.sparse.dia_array, int]:
-    """M as a square float64 matrix and its bandwidth.  A scipy.sparse
-    M stays sparse, its bandwidth read from the entries it stores, when
-    banded storage is cheaper (_band_is_cheaper), and is made dense
-    below that switch.  Any other M becomes an array.  A matrix that is
-    not square raises ValueError."""
-    if scipy.sparse.issparse(M):
-        if M.shape[0] != M.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {M.shape}")
-        b = _bandwidth(M)
-        if _band_is_cheaper(b, M.shape[0]):
-            return M.astype(np.float64, copy=False), b
-        M = M.toarray()
-    A = np.asarray(M, dtype=np.float64)
+def _stored(M) -> np.ndarray | _Band:
+    """M, an array or any scipy.sparse matrix, in the storage every
+    checked matrix has: a _Band exactly when banded storage is cheaper
+    (_band_is_cheaper) for its bandwidth b, a float64 array otherwise.
+    Nothing is checked but the shape: a matrix that is not square raises
+    ValueError.  A _Band and a float64 array that keep their storage
+    are returned as they are; a sparse M gives the bandwidth of the
+    entries it stores and, as a band, the diagonals it stores, and is
+    made dense (_dense) below the switch."""
+    A = M if scipy.sparse.issparse(M) else np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return A, _bandwidth(A)
+    n, b = A.shape[0], _bandwidth(A)
+    if not _band_is_cheaper(b, n):
+        return np.asarray(_dense(A, "a matrix too wide for banded storage"), dtype=np.float64)
+    if isinstance(A, _Band):
+        return A
+    offsets = range(-b, b + 1) if isinstance(A, np.ndarray) else sorted(A.todia().offsets)
+    return _Band.from_diagonals(n, {int(k): A.diagonal(k) for k in offsets})
 
 
 class _Band(scipy.sparse.dia_array):
     """A matrix in diagonal storage whose data is read-only (made by
-    _band_array), such as the heat and tridiagonal matrices and the
-    enumerated list-sampling E of a band.
+    from_diagonals): the heat and tridiagonal matrices, any checked
+    matrix for which banded storage is cheaper, and the enumerated
+    list-sampling E of a band.  It stores exactly
+    the diagonals that hold a nonzero, so its offsets give its
+    bandwidth b from the exact zeros.
 
-    Compared with == to another sparse matrix of its shape it gives one
-    bool, whether the two are equal entry for entry, so that results
-    holding it compare as values; scipy's elementwise == of two sparse
-    matrices would build an n x n boolean array."""
+    M[rows, cols] gathers entries as numpy's fancy indexing reads an
+    array, so block gathers read either storage alike.  Compared with
+    == to another sparse matrix of its shape it gives one bool, whether
+    the two are equal entry for entry, so that results holding it
+    compare as values; scipy's elementwise == of two sparse matrices
+    would build an n x n boolean array."""
+
+    @classmethod
+    def from_diagonals(cls, n: int, diagonals: dict) -> "_Band":
+        """The n x n matrix whose diagonal of offset k holds
+        diagonals[k] (n - |k| values, as A.diagonal(k) returns them, or
+        one value for all of them), zero elsewhere.  A diagonal that is
+        all zero or lies outside the matrix is not stored."""
+        offsets = [k for k, values in diagonals.items() if abs(k) < n and np.count_nonzero(values)]
+        data = np.zeros((len(offsets), n))
+        for row, k in enumerate(offsets):
+            data[row, max(k, 0) : max(k, 0) + n - abs(k)] = diagonals[k]
+        A = cls((data, np.array(offsets, dtype=np.int64)), shape=(n, n))
+        A.data.setflags(write=False)
+        return A
+
+    @cached_property
+    def b(self) -> int:
+        """The bandwidth, read from the offsets."""
+        return _bandwidth(self)
 
     def __eq__(self, other):
         if scipy.sparse.issparse(other) and other.shape == self.shape:
             return (self != other).nnz == 0
         return super().__eq__(other)
+
+    def __getitem__(self, key) -> np.ndarray:
+        """M[rows, cols] for integer index arrays rows and cols in [0, n)
+        that broadcast, such as the blocks M[S, S] of the (k, tau) rows
+        of a draw, read from the row-aligned layout (_layout): the
+        entries of M.toarray()[rows, cols], bit for bit."""
+        rows, cols = key
+        layout, column = self._layout
+        return layout[rows, column[cols - rows]]
+
+    def lower(self) -> np.ndarray:
+        """(b+1) x n lower band storage: row k holds the k-th
+        subdiagonal, zero-padded at its end."""
+        n = self.shape[0]
+        band = np.zeros((self.b + 1, n))
+        for k in range(self.b + 1):
+            band[k, : n - k] = self.diagonal(-k)
+        return band
 
     @cached_property
     def _layout(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +195,7 @@ class _Band(scipy.sparse.dia_array):
         array whose last column is zero; and column[j - i], indexed with
         numpy's wrap-around for negative offsets (length 2n - 1), is
         b + j - i inside the band and that zero column 2b + 1 outside."""
-        n = self.shape[0]
-        b = _bandwidth(self)
+        n, b = self.shape[0], self.b
         rows = np.zeros((n, 2 * b + 2))
         for k in range(-b, b + 1):
             d = self.diagonal(k)
@@ -183,51 +206,13 @@ class _Band(scipy.sparse.dia_array):
         return rows, column
 
 
-def _band_array(data: np.ndarray) -> _Band:
-    """The n x n matrix whose diagonals of offsets -w..w are the 2w+1
-    rows of data (column aligned as in scipy's dia format: A[j - k, j]
-    at [w + k, j]; zero where a diagonal has no entry), its outer
-    all-zero diagonals dropped so that its offsets give its bandwidth
-    from the exact zeros, with read-only data."""
-    w = len(data) // 2
-    used = np.flatnonzero(data.any(axis=1))
-    b = int(np.abs(used - w).max(initial=0))
-    n = data.shape[1]
-    A = _Band((data[w - b : w + b + 1], np.arange(-b, b + 1)), shape=(n, n))
-    A.data.setflags(write=False)
-    return A
-
-
-def _band_of(A, b: int) -> _Band:
-    """The diagonals -b..b of A, an array or scipy.sparse matrix, as a
-    _Band (_band_array)."""
-    n = A.shape[0]
-    data = np.zeros((2 * b + 1, n))
-    for k in range(-b, b + 1):
-        d = A.diagonal(k)
-        data[b + k, max(k, 0) : max(k, 0) + len(d)] = d
-    return _band_array(data)
-
-
-def _dense(A) -> np.ndarray:
-    """A as an array: a scipy.sparse A is made dense (.toarray())."""
-    return A.toarray() if scipy.sparse.issparse(A) else A
-
-
-def _gather_blocks(M, sets: np.ndarray) -> np.ndarray:
-    """The blocks M[S, S] of the rows S of sets, a (k, tau) integer
-    array such as a draw returns, as one (k, tau, tau) array.  An array
-    M is read with one fancy index; a band from its row-aligned layout
-    (_Band._layout), built once per _Band (any other scipy.sparse M is
-    made a _Band first).  Either way the blocks hold M's entries bit for
-    bit."""
-    rows, cols = sets[:, :, None], sets[:, None, :]
-    if isinstance(M, np.ndarray):
-        return M[rows, cols]
-    if not isinstance(M, _Band):
-        M = _band_of(M, _bandwidth(M))
-    layout, column = M._layout
-    return layout[rows, column[cols - rows]]
+def _dense(A, route: str) -> np.ndarray:
+    """A, an array or a scipy.sparse matrix, as an array: a sparse A is
+    made dense (.toarray()) after _refuse_dense(n, route)."""
+    if isinstance(A, np.ndarray):
+        return A
+    _refuse_dense(A.shape[0], route)
+    return A.toarray()
 
 
 def lifted_inverse(M: np.ndarray, S) -> np.ndarray:
@@ -282,13 +267,13 @@ def make_tridiagonal(n: int, alpha: float) -> scipy.sparse.dia_array:
     (the smallest eigenvalue 1 + 2*alpha*cos(n*pi/(n+1)) stays positive,
     though it approaches 0 as n grows at alpha = 0.5).  Values above 0.5
     are rejected because definiteness can fail.  Returned in diagonal
-    storage (_toeplitz_band).
+    storage (a _Band).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= alpha <= 0.5:
         raise ValueError(f"alpha must lie in [0, 0.5], got {alpha}")
-    return _toeplitz_band(n, (1.0, float(alpha)))
+    return _Band.from_diagonals(n, {-1: alpha, 0: 1.0, 1: alpha})
 
 
 def make_heat_matrix(n: int, r: float = 0.1) -> scipy.sparse.dia_array:
@@ -300,26 +285,14 @@ def make_heat_matrix(n: int, r: float = 0.1) -> scipy.sparse.dia_array:
     penta-diagonal matrix with diagonal 1 + (5/2) r, first off-diagonals
     -(4/3) r and second off-diagonals (1/12) r.  r = dt/dx^2 must be
     positive and finite; the default 0.1 keeps the Gershgorin condition
-    estimate below 1.68.  Returned in diagonal storage
-    (_toeplitz_band).
+    estimate below 1.68.  Returned in diagonal storage (a _Band).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 < r < np.inf:
         raise ValueError(f"r must be positive and finite, got {r}")
-    return _toeplitz_band(n, (1.0 + 2.5 * r, -(4.0 / 3.0) * r, (1.0 / 12.0) * r))
-
-
-def _toeplitz_band(n: int, values) -> _Band:
-    """n x n symmetric matrix with values[k] on its k-th sub- and
-    superdiagonals and zeros elsewhere, as a read-only _Band of O(n b)
-    floats; a zero diagonal at the edge of the band is not stored."""
-    w = len(values) - 1
-    data = np.zeros((2 * w + 1, n))
-    for k, value in enumerate(values):
-        data[w + k, k:] = value
-        data[w - k, : n - k] = value
-    return _band_array(data)
+    near, far = -(4.0 / 3.0) * r, (1.0 / 12.0) * r
+    return _Band.from_diagonals(n, {-2: far, -1: near, 0: 1.0 + 2.5 * r, 1: near, 2: far})
 
 
 def _bandwidth(A) -> int:
@@ -371,16 +344,6 @@ def _band_is_cheaper(b: int, n: int) -> bool:
     for a diagonal (b = 0) too.
     """
     return n > 104 + 12 * b
-
-
-def _lower_band(M, b: int) -> np.ndarray:
-    """(b+1) x n lower band storage of M, a numpy or scipy.sparse
-    array: row k holds the k-th subdiagonal, zero-padded at its end."""
-    n = M.shape[0]
-    band = np.zeros((b + 1, n))
-    for k in range(b + 1):
-        band[k, : n - k] = M.diagonal(-k)
-    return band
 
 
 def _band_extremes(band: np.ndarray) -> tuple[float, float]:
@@ -442,30 +405,27 @@ def eigen_extremes(M) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix, an array or a
     scipy.sparse band.
 
-    M is checked and its bandwidth b read in one pass (_checked_band).
-    A matrix for which banded storage is cheaper (_band_is_cheaper) is
-    packed into its (b+1) x n lower band and solved by _band_extremes;
-    any other matrix takes the dense eigvalsh.  The heat and tridiagonal
-    matrices (b <= 2) thus cost O(n) per bisection probe instead of
-    O(n^3)."""
-    return _checked_extremes(*_checked_band(M))
+    M is checked and stored (check_symmetric).  A _Band is packed into
+    its (b+1) x n lower band and solved by _band_extremes; an array
+    takes the dense eigvalsh.  The heat and tridiagonal matrices (b <=
+    2) thus cost O(n) per bisection probe instead of O(n^3)."""
+    return _checked_extremes(check_symmetric(M))
 
 
-def _checked_extremes(A, b: int) -> tuple[float, float]:
-    """eigen_extremes of a matrix that _checked_band returned, with the
-    bandwidth b it read."""
-    if _band_is_cheaper(b, A.shape[0]):
-        return _band_extremes(_lower_band(A, b))
+def _checked_extremes(A) -> tuple[float, float]:
+    """eigen_extremes of a matrix that check_symmetric returned."""
+    if isinstance(A, _Band):
+        return _band_extremes(A.lower())
     w = np.linalg.eigvalsh(A)
     return float(w[0]), float(w[-1])
 
 
-def _checked_lowest(A, b: int) -> float:
-    """lambda_min of a matrix that _checked_band returned, with the
-    bandwidth b it read: _checked_extremes(A, b)[0], but the band route
-    bisects lambda_min alone."""
-    if _band_is_cheaper(b, A.shape[0]):
-        return _band_lowest(_lower_band(A, b))
+def _checked_lowest(A) -> float:
+    """lambda_min of a matrix that check_symmetric returned:
+    _checked_extremes(A)[0], but the band route bisects lambda_min
+    alone."""
+    if isinstance(A, _Band):
+        return _band_lowest(A.lower())
     return float(np.linalg.eigvalsh(A)[0])
 
 
@@ -476,39 +436,29 @@ def psd_order_holds(A, B, tol: float = 1e-9) -> bool:
     B = check_symmetric(B)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return _order_holds(A, B, tol)
-
-
-def _order_holds(A, B, tol: float) -> bool:
-    """psd_order_holds of A and B that check_symmetric returned, of one
-    shape: B - A is checked (it may overflow) and only its lambda_min
-    is found."""
-    return _checked_lowest(*_checked_band(B - A)) >= -tol
+    return _checked_lowest(check_symmetric(B - A)) >= -tol
 
 
 def solve_pd(M, q: np.ndarray) -> np.ndarray:
     """Solve M x = q for positive definite M via Cholesky.
 
-    M is an array or a scipy.sparse band, and its bandwidth b is read
-    as _stored reads it (a dense M shows a nonzero corner at once).
-    When banded storage is cheaper (_band_is_cheaper) M is factored in
-    its (b+1) x n lower band
-    (LAPACK dpbtrf through scipy.linalg.cholesky_banded, O(n b^2) work
-    and O(n b) memory, the heat and tridiagonal matrices); any other M
-    by a dense Cholesky factor (O(n^3)).  One step of iterative
+    M is an array or a scipy.sparse matrix, stored as _stored says (a
+    dense M shows a nonzero corner at once).  A _Band is factored in
+    its (b+1) x n lower band (LAPACK dpbtrf through
+    scipy.linalg.cholesky_banded, O(n b^2) work and O(n b) memory, the
+    heat and tridiagonal matrices); an array by a dense Cholesky factor
+    (O(n^3)).  One step of iterative
     refinement is applied if the raw solve misses the residual target
     ||M x - q|| <= 1e-10 ||q||.  A factorization that fails, failure to
     reach the target, or a non-finite x or residual (an overflowing
     solve) raises numpy.linalg.LinAlgError.  The norms are BLAS dnrm2,
     which scales and so stays finite for every finite vector.
     """
-    M, b = _stored(M)
+    M = _stored(M)
     q = np.asarray(q, dtype=np.float64)
     try:
-        if _band_is_cheaper(b, M.shape[0]):
-            factor = scipy.linalg.cholesky_banded(
-                _lower_band(M, b), lower=True, check_finite=False
-            )
+        if isinstance(M, _Band):
+            factor = scipy.linalg.cholesky_banded(M.lower(), lower=True, check_finite=False)
             solve = functools.partial(
                 scipy.linalg.cho_solve_banded, (factor, True), check_finite=False
             )

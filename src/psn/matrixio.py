@@ -13,9 +13,8 @@ import sys
 
 import numpy as np
 import scipy.io
-import scipy.sparse
 
-from .linalg import MAX_ORDER, check_symmetric
+from .linalg import MAX_ORDER, _dense, check_symmetric
 
 __all__ = [
     "check_order",
@@ -33,24 +32,24 @@ def check_order(rows: int, cols: int) -> None:
         raise ValueError(f"a {rows} x {cols} matrix exceeds the dense limit {MAX_ORDER}")
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a dense or coordinate Matrix Market file into a dense
-    symmetric array.  A header of order above MAX_ORDER is refused
-    before any entry is read; it and a complex, non-finite or
-    asymmetric matrix raise ValueError."""
+def read_matrix(path):
+    """Read a dense or coordinate Matrix Market file into a symmetric
+    matrix, stored as check_symmetric stores any input (a linalg._Band
+    where banded storage is cheaper, an array otherwise).  A header of
+    order above MAX_ORDER is refused before any entry is read; it and a
+    complex, non-finite or asymmetric matrix raise ValueError."""
     try:
         check_order(*scipy.io.mminfo(path)[:2])
         M = scipy.io.mmread(path)
     except (ValueError, OSError) as err:
         raise ValueError(f"cannot read matrix from {path}: {err}") from err
-    if scipy.sparse.issparse(M):
-        M = M.toarray()
     return check_symmetric(M)
 
 
-def write_matrix(path, M: np.ndarray, comment: str = "") -> None:
-    """Write a dense symmetric matrix in Matrix Market array format."""
-    M = check_symmetric(M)
+def write_matrix(path, M, comment: str = "") -> None:
+    """Write a symmetric matrix, an array or a band, in Matrix Market
+    array format."""
+    M = _dense(check_symmetric(M), "array format")
     scipy.io.mmwrite(path, M, comment=comment, symmetry="symmetric")
 
 

@@ -25,13 +25,15 @@ whose structure gives the extremes of G and M and lambda in closed form is
 built by CurvaturePair.from_spectrum, which makes no eigenvalue solve;
 the ERM dual does so from a d x d Gram matrix (erm.ErmProblem).
 
-L^T E L has bandwidth b = b_G + b_E; where eigen_extremes would bisect
-that band, it is formed as one from G's banded factor: O(n b) memory and
-O(n b^2) work per probe, against O(n^2) and O(n^3) through a dense factor.
-b_G is read once, when the pair checks G.  A band E, as the enumerated
-list sampling of a banded M comes, is read in its diagonal storage
-(b_E from its offsets); it is made dense only where the product takes
-the dense route.
+The pair checks M and G once, and so stores each as linalg says: a
+linalg._Band exactly when banded storage is cheaper, an array
+otherwise.  E is stored by the same rule but not checked, since a
+block inverse is symmetric only up to round-off.  L^T E L has
+bandwidth b = b_G + b_E; when G and E are bands and banded storage is
+cheaper for b, it is formed as a band from G's banded factor: O(n b)
+memory and O(n b^2) work per bisection probe, against O(n^2) and
+O(n^3) through a dense factor.  An array G or E has a bandwidth too
+wide for banded storage, and so has any sum that includes it.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import _band_extremes, _band_is_cheaper, _bandwidth, _checked_band, _checked_extremes
-from .linalg import _checked_lowest, _dense, _lower_band, _order_holds, _refuse_dense
-from .linalg import eigen_extremes
+from .linalg import _band_extremes, _band_is_cheaper, _checked_extremes, _checked_lowest, _dense
+from .linalg import _stored, check_symmetric, eigen_extremes
 from .sampling import SamplingScheme, expected_lifted_inverse
+
+_DENSE_ROUTE = "the dense eigenvalue route"
 
 __all__ = [
     "CurvaturePair",
@@ -76,9 +79,11 @@ class CurvaturePair:
     or as given to from_spectrum.  ``m_extremes`` holds those of M where
     they are known without a further solve: equal to ``g_extremes`` for
     a quadratic pair, as given to from_spectrum, and None otherwise.
-    Derived spectral constants are cached on the pair as scalars, never
-    as n x n arrays; the cached arrays are diag(M) and, for a banded G,
-    the band of its Cholesky factor.
+    M and G are stored as check_symmetric stores them (G as given to
+    from_spectrum, unchecked, by the same rule).  Derived spectral
+    constants are cached on the pair as scalars, never as n x n arrays;
+    the cached arrays are diag(M) and, for a band G, the band of its
+    Cholesky factor.
     """
 
     M: np.ndarray = field(repr=False)
@@ -88,21 +93,19 @@ class CurvaturePair:
     m_extremes: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, spectrum):
-        M, b_M = _checked_band(self.M)
+        M = check_symmetric(self.M)
         if self.G is self.M:
-            G, b_G = M, b_M
+            G = M
         elif spectrum is None:
-            G, b_G = _checked_band(self.G)
+            G = check_symmetric(self.G)
         else:
-            G, b_G = np.asarray(self.G, dtype=np.float64), None
+            G = _stored(self.G)
         if M.shape != G.shape:
             raise ValueError(f"shape mismatch: M {M.shape} vs G {G.shape}")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "G", G)
-        if b_G is not None:
-            self.__dict__["_g_bandwidth"] = b_G
         if spectrum is None:
-            g_extremes = _checked_extremes(G, b_G)
+            g_extremes = _checked_extremes(G)
             m_extremes = g_extremes if self.quadratic else None
         else:
             g_extremes, m_extremes, lam = spectrum
@@ -113,7 +116,7 @@ class CurvaturePair:
             raise ValueError(f"{'M' if self.quadratic else 'G'} must be positive definite")
         if spectrum is not None or self.quadratic:
             return
-        scale = float(np.abs(M.data if scipy.sparse.issparse(M) else M).max(initial=1.0))
+        scale = float(np.abs(M if isinstance(M, np.ndarray) else M.data).max(initial=1.0))
         if not _order_holds(G, M, tol=1e-9 * max(1.0, scale)):
             raise ValueError("G <= M fails in the semidefinite order")
 
@@ -155,8 +158,8 @@ class CurvaturePair:
         quadratic."""
         if self.quadratic:
             return 1.0
-        L = self._cholesky()
-        S = scipy.linalg.solve_triangular(L, _dense(self.M), lower=True, check_finite=False)
+        L, M = self._cholesky(), _dense(self.M, _DENSE_ROUTE)
+        S = scipy.linalg.solve_triangular(L, M, lower=True, check_finite=False)
         S = scipy.linalg.solve_triangular(L, S.T, lower=True, check_finite=False)
         del L  # one n x n array fewer at the eigenvalue peak
         return _symmetric_extremes(S)[1]
@@ -204,46 +207,41 @@ class CurvaturePair:
     def _weighted_extremes(self, expected_inverse) -> tuple[float, float]:
         """(lambda_min, lambda_max) of the symmetric part of L^T E L for
         G = L L^T, the spectrum of G^{1/2} E G^{1/2}.  E is an array or a
-        scipy.sparse matrix; a band E (dia) gives its bandwidth b_E by its
-        offsets, an array E by its exact zeros.  When _band_is_cheaper(b_G
-        + b_E, n), L^T E L is a sparse product of bands, packed and solved
-        as a band; otherwise E is made dense and the product takes a dense
-        factor and two n x n products, refused above linalg.MAX_ORDER
-        before the factor is made.  The result for a read-only E (a
-        band E with read-only data) is kept until another E is passed
-        (matched by identity); a writeable E may change in place, so it is
-        never memoized."""
+        scipy.sparse matrix, stored by the rule a checked matrix follows
+        (linalg._stored) but not checked.  When G and E are bands and
+        banded storage is cheaper for bandwidth b_G + b_E, L^T E L is a
+        sparse product of bands, packed and solved as a band; otherwise
+        it takes a dense factor and two n x n products, refused above
+        linalg.MAX_ORDER before a band is made dense.  The result for a
+        read-only E (an array or sparse matrix whose values are
+        read-only) is kept until another E is passed (matched by
+        identity); a writeable E may change in place, so it is never
+        memoized."""
         memo = self.__dict__.get("_weighted_memo")
         if memo is not None and memo[0]() is expected_inverse:
             return memo[1]
-        sparse = scipy.sparse.issparse(expected_inverse)
-        if sparse:
-            E = expected_inverse.todia()
-            read_only = not E.data.flags.writeable
-        else:
-            E = np.asarray(expected_inverse, dtype=np.float64)
-            read_only = not E.flags.writeable
+        held = expected_inverse
+        held = held if isinstance(held, np.ndarray) else getattr(held, "data", None)
+        read_only = isinstance(held, np.ndarray) and not held.flags.writeable
+        E = _stored(expected_inverse)
         if E.shape != self.G.shape:
             raise ValueError(f"expected inverse must have shape {self.G.shape}, got {E.shape}")
-        b_E = int(np.abs(E.offsets).max(initial=0)) if sparse else _bandwidth(E)
-        b = self._g_bandwidth + b_E
-        if _band_is_cheaper(b, self.n):
-            if not sparse:
-                offsets = np.arange(-b_E, b_E + 1)
-                E = scipy.sparse.diags_array([E.diagonal(k) for k in offsets], offsets=offsets)
+        # An array G or E is too wide for banded storage, and so is L^T E L.
+        b = None if isinstance(self.G, np.ndarray) or isinstance(E, np.ndarray) else self.G.b + E.b
+        if b is not None and _band_is_cheaper(b, self.n):
             S = self._band_factor.T @ E @ self._band_factor
             # The lower band of (S + S')/2, read off S's diagonals with
             # no sparse sum.
-            band = _lower_band(S, b)
+            band = np.zeros((b + 1, self.n))
             for k in range(b + 1):
-                band[k, : self.n - k] += S.diagonal(k)
+                band[k, : self.n - k] = S.diagonal(-k) + S.diagonal(k)
             band *= 0.5
             del S  # n (2b + 1) floats fewer during the bisection
             result = _band_extremes(band)
         else:
-            _refuse_dense(self.n, "the dense eigenvalue route")
+            E = _dense(E, _DENSE_ROUTE)
             L = self._cholesky()
-            S = L.T @ (E.toarray() if sparse else E) @ L
+            S = L.T @ E @ L
             del L  # one n x n array fewer at the eigenvalue peak
             result = _symmetric_extremes(S)
         if read_only:
@@ -251,22 +249,18 @@ class CurvaturePair:
         return result
 
     @cached_property
-    def _g_bandwidth(self) -> int:
-        return _bandwidth(self.G)
-
-    @cached_property
     def _band_factor(self) -> scipy.sparse.dia_array:
         """G's Cholesky factor as a sparse band: (b_G + 1) x n floats."""
-        band = self._cholesky(self._g_bandwidth)
+        band = self._cholesky(band=True)
         return scipy.sparse.dia_array((band, -np.arange(len(band))), shape=self.G.shape)
 
-    def _cholesky(self, band: int | None = None) -> np.ndarray:
+    def _cholesky(self, band: bool = False) -> np.ndarray:
         """Lower Cholesky factor of G: n x n, not cached (18 MB at
-        n = 1500), or in lower band storage given G's lower bandwidth."""
-        if band is None:
-            return scipy.linalg.cholesky(_dense(self.G), lower=True, check_finite=False)
-        packed = _lower_band(self.G, band)
-        return scipy.linalg.cholesky_banded(packed, lower=True, check_finite=False)
+        n = 1500), or for a band G in lower band storage."""
+        if not band:
+            G = _dense(self.G, _DENSE_ROUTE)
+            return scipy.linalg.cholesky(G, lower=True, check_finite=False)
+        return scipy.linalg.cholesky_banded(self.G.lower(), lower=True, check_finite=False)
 
 
 def _symmetric_extremes(S: np.ndarray) -> tuple[float, float]:
@@ -277,23 +271,26 @@ def _symmetric_extremes(S: np.ndarray) -> tuple[float, float]:
     return eigen_extremes(S)
 
 
+def _order_holds(G, M, tol: float) -> bool:
+    """Whether G <= M in the semidefinite order for G and M that
+    check_symmetric returned, of one shape: M - G is checked (it may
+    overflow) and only its lambda_min is found."""
+    return _checked_lowest(check_symmetric(M - G)) >= -tol
+
+
 def _scaled_min(G, d: np.ndarray) -> float:
-    """lambda_min(D G D) with D = diag(d), checked and routed as by
-    eigen_extremes; the band route bisects lambda_min alone.  A band G
-    is scaled on its diagonals, (D G D)_ij = (d_i G_ij) d_j, in O(n b)
-    memory; an array G as an n x n array, with the same products."""
-    if not scipy.sparse.issparse(G):
+    """lambda_min(D G D) with D = diag(d), for a G that check_symmetric
+    returned, checked and routed as by eigen_extremes; the band route
+    bisects lambda_min alone.  Either way (D G D)_ij = (d_i G_ij) d_j:
+    a band G by sparse products in O(n b) memory, an array G as an
+    n x n array."""
+    if isinstance(G, np.ndarray):
         S = d[:, None] * G
         S *= d
-        return _checked_lowest(*_checked_band(S))
-    n, b = len(d), _bandwidth(G)
-    offsets = np.arange(-b, b + 1)
-    S = scipy.sparse.diags_array(
-        [d[max(-k, 0) : n - max(k, 0)] * G.diagonal(k) * d[max(k, 0) : n - max(-k, 0)]
-         for k in offsets],
-        offsets=offsets,
-    )
-    return _checked_lowest(*_checked_band(S))
+    else:
+        D = scipy.sparse.diags_array(d)
+        S = D @ G @ D
+    return _checked_lowest(check_symmetric(S))
 
 
 def sigma1(pair: CurvaturePair, expected_inverse: np.ndarray) -> float:
@@ -481,7 +478,7 @@ def pcdm_constants(
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError(f"decomposition must have {n} columns, got {A.shape}")
-        M = _dense(pair.M)
+        M = _dense(pair.M, "the decomposition check")
         scale = max(1.0, float(np.abs(M).max(initial=0.0)))
         if np.abs(A.T @ A - M).max(initial=0.0) > 1e-8 * scale:
             raise ValueError("decomposition does not satisfy A^T A = M")

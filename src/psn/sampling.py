@@ -21,7 +21,7 @@ list each worker's set has the one-worker distribution, and for
 ``non-overlapping`` each chunk of a uniform (c*tau)-subset is itself a
 uniform tau-subset.  The enumerated list E of a banded M is banded too;
 where that band is cheaper it is assembled in diagonal storage and
-returned as a read-only scipy.sparse.dia_array, never as n x n.
+returned as a linalg._Band, never as n x n.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse
 
-from .linalg import _band_array, _band_is_cheaper, _bandwidth, _gather_blocks, _refuse_dense
+from .linalg import _band_is_cheaper, _refuse_dense, _stored
 
 __all__ = [
     "KINDS",
@@ -151,12 +151,11 @@ class ExpectedInverse:
     """E[(M_S)^{-1}] over one constituent set, with provenance.
 
     ``matrix`` is an n x n ndarray, or for an enumerated list sampling
-    of a narrow band M a scipy.sparse.dia_array holding E's 2b+1
-    diagonals (linalg._Band); either way its values are read-only, so
-    rate functions may memoize values derived from it.  ``samples`` is
-    the Monte Carlo sample count and ``standard_error`` the
-    Frobenius-norm standard error of the mean; both are None when the
-    whole support was enumerated.
+    of a narrow band M a linalg._Band holding E's diagonals; either way
+    its values are read-only, so rate functions may memoize values
+    derived from it.  ``samples`` is the Monte Carlo sample count and
+    ``standard_error`` the Frobenius-norm standard error of the mean;
+    both are None when the whole support was enumerated.
     """
 
     matrix: np.ndarray | scipy.sparse.dia_array = field(repr=False)
@@ -184,7 +183,7 @@ def _block_inverses(M, sets) -> np.ndarray:
     Raises numpy.linalg.LinAlgError naming the first set whose block is
     singular or has condition number above 1e14.
     """
-    blocks = _gather_blocks(M, sets)
+    blocks = M[sets[:, :, None], sets[:, None, :]]
     cond = np.linalg.cond(blocks)
     bad = np.flatnonzero(~(cond <= 1e14))  # also catches inf and NaN
     if bad.size:
@@ -197,19 +196,19 @@ def _block_inverses(M, sets) -> np.ndarray:
 
 
 def _banded_list(M, scheme: SamplingScheme) -> bool:
-    """Whether the list-sampling E of M is banded and is cheaper to keep
-    as a band: _band_is_cheaper(tau - 1, n), and the tau - 1 windows that
-    wrap around have exactly zero cross blocks, M[i, j] = M[j, i] = 0 for
-    i - j >= n - tau + 1 (read in O(tau^2) from an array, and from a
-    scipy.sparse band's offsets as a bandwidth below n - tau + 1).  Then
-    each window's inverse is zero outside offsets -(tau-1)..tau-1, and
-    so is E."""
+    """Whether the list-sampling E of M, an array or a _Band, is banded
+    and is cheaper to keep as a band: banded storage is cheaper for
+    bandwidth tau - 1 (_band_is_cheaper), and the tau - 1 windows that
+    wrap around have exactly zero cross blocks, M[i, j] = M[j, i] = 0
+    for i - j >= n - tau + 1 (read in O(tau^2) from an array, and from a
+    band as a bandwidth below n - tau + 1).  Then each window's inverse
+    is zero outside offsets -(tau-1)..tau-1, and so is E."""
     n, w = scheme.n, scheme.tau - 1
     if not (scheme.kind == "list" and _band_is_cheaper(w, n)):
         return False
-    if scipy.sparse.issparse(M):
-        return _bandwidth(M) < n - w
-    return not np.tril(M[n - w :, :w]).any() and not np.triu(M[:w, n - w :]).any()
+    if isinstance(M, np.ndarray):
+        return not np.tril(M[n - w :, :w]).any() and not np.triu(M[:w, n - w :]).any()
+    return M.b < n - w
 
 
 def expected_lifted_inverse(
@@ -230,17 +229,15 @@ def expected_lifted_inverse(
     or has condition number above 1e14 raises numpy.linalg.LinAlgError
     naming its index set.
 
-    M is an array or a scipy.sparse band; blocks are gathered from
-    either (linalg._gather_blocks).  An enumerated list sampling of a
-    banded M (_banded_list, decided before any block is inverted)
-    accumulates into the 2 tau - 1 diagonals of E instead of an n x n
-    array, adding the same terms in the same order, and returns E as a
-    read-only dia_array (linalg._band_array) equal to the n x n result
-    bit for bit.  Every other E is an n x n array, refused above
-    linalg.MAX_ORDER before any block is inverted.
+    M is any matrix, stored as a checked one is (linalg._stored) but not
+    checked.  An enumerated list sampling of a banded M (_banded_list,
+    decided before any block is inverted) accumulates into the 2 tau - 1
+    diagonals of E instead of an n x n array, adding the same terms in
+    the same order, and returns E stored by the same rule: a _Band
+    equal to the n x n result bit for bit.  Every other E is an n x n
+    array, refused above linalg.MAX_ORDER before any block is inverted.
     """
-    if not scipy.sparse.issparse(M):
-        M = np.asarray(M, dtype=np.float64)
+    M = _stored(M)
     n = M.shape[0]
     if n != scheme.n:
         raise ValueError(f"matrix dimension {n} does not match scheme n={scheme.n}")
@@ -290,9 +287,10 @@ def expected_lifted_inverse(
         if acc_sq is not None:
             np.add.at(acc_sq, (rows, cols), inv * inv)
     mean = acc / count
-    mean.setflags(write=False)
     if band:
-        return ExpectedInverse(_band_array(mean))
+        offsets = np.arange(1 - scheme.tau, scheme.tau)
+        return ExpectedInverse(_stored(scipy.sparse.dia_array((mean, offsets), shape=(n, n))))
+    mean.setflags(write=False)
     if samples is None:
         return ExpectedInverse(mean)
     var = (acc_sq - count * mean * mean) / (count - 1)

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .linalg import _band_is_cheaper, _band_of, _checked_band, _gather_blocks, solve_pd
+from .linalg import check_symmetric, solve_pd
 from .rates import CurvaturePair, b_threshold, lambda_ratio
 from .sampling import SamplingScheme, draw
 
@@ -67,10 +67,11 @@ class SmoothObjective:
     """Smooth strongly convex objective with curvature bounds.
 
     value/gradient are plain callables on length-n vectors.  M bounds
-    the Hessians from above and G from below in the semidefinite order;
-    block steps always solve against M.  x_star/f_star are optional and
-    only used to report optimality gaps in traces.  The objective is
-    quadratic, with G = M, exactly when G is M itself.
+    the Hessians from above and G from below in the semidefinite order,
+    each an array or a band as check_symmetric stores it; block steps
+    always solve against M.  x_star/f_star are optional and only used
+    to report optimality gaps in traces.  The objective is quadratic,
+    with G = M, exactly when G is M itself.
 
     The objective is a snapshot of M and G: x_star and f_star are fixed
     when it is built, and curvature() builds and validates the pair
@@ -105,19 +106,17 @@ def quadratic_objective(M, q: np.ndarray) -> SmoothObjective:
     """Objective f(x) = x'Mx/2 - q'x for positive definite M, an array
     or a scipy.sparse band.
 
-    M is stored as a band (linalg._Band) exactly when banded storage is
-    cheaper (_band_is_cheaper), whatever its input type, and as an
-    array otherwise: the heat and tridiagonal matrices past the switch
-    then cost O(n b) memory, and their gradient is an O(n b) matvec.
+    M is checked and stored by check_symmetric: as a band (linalg._Band)
+    exactly when banded storage is cheaper, whatever its input type, and
+    as an array otherwise; the heat and tridiagonal matrices past the
+    switch then cost O(n b) memory and an O(n b) matvec per gradient.
     The minimiser M^{-1} q and optimal value are computed on
     construction by solve_pd, whose residual bound puts the gradient at
     x_star below 1e-10 ||q||.  Non-finite entries in M or q, or an
     optimal value that overflows, raise ValueError, and a minimiser
     solve_pd cannot resolve raises numpy.linalg.LinAlgError.
     """
-    M, b = _checked_band(M)
-    if isinstance(M, np.ndarray) and _band_is_cheaper(b, M.shape[0]):
-        M = _band_of(M, b)
+    M = check_symmetric(M)
     q = np.asarray(q, dtype=np.float64)
     n = M.shape[0]
     if q.shape != (n,):
@@ -172,15 +171,15 @@ def block_step(
     (k, tau) integer array such as a draw returns.
 
     The direction of a row S is zero outside S and on S solves
-    M[S, S] h = -block_gradient(S).  All k blocks are gathered at once
-    from an array or a band (linalg._gather_blocks); each is factored
-    and solved on its lower triangle by
+    M[S, S] h = -block_gradient(S).  All k blocks are gathered at once,
+    by one fancy index of an array or of a band (linalg._Band); each is
+    factored and solved on its lower triangle by
     LAPACK's dpotrf/dpotrs, the routines behind scipy.linalg.cho_factor
     and cho_solve, so the directions equal theirs bit for bit.  Blocks
     are factored, solved and summed in row order.  A block that is not
     positive definite raises LinAlgError naming its index set.
     """
-    blocks = _gather_blocks(M, sets)
+    blocks = M[sets[:, :, None], sets[:, None, :]]
     total = np.zeros(M.shape[0])
     for S, block in zip(sets, blocks):
         factor, info = dpotrf(block, lower=1, clean=0)

@@ -272,9 +272,9 @@ def count_spectral_work(monkeypatch):
     orders = {
         "expected_lifted_inverse": lambda M, *rest: np.shape(M)[0],
         "eigen_extremes": lambda M, *rest: np.shape(M)[0],
-        "_checked_extremes": lambda A, b: np.shape(A)[0],
+        "_checked_extremes": lambda A: np.shape(A)[0],
         "_band_extremes": lambda band: np.shape(band)[1],
-        "_checked_lowest": lambda A, b: np.shape(A)[0],
+        "_checked_lowest": lambda A: np.shape(A)[0],
     }
     for module in (psn.rates, psn.erm):
         for name, order in orders.items():

@@ -537,6 +537,19 @@ class TestRates:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: need at least 2 samples, got {samples}\n"
 
+    def test_monte_carlo_leaving_coordinates_unsampled_is_refused(self, capsys):
+        # 50 windows of 5 leave 67 of the 200 coordinates unsampled: that
+        # E is singular, and sigma1 would be 0 up to round-off.
+        argv = ["rates", "--gen", "heat:200,0.1", "--scheme", "list:tau=5", "--c", "1,2",
+                "--mc-samples", "50"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 50 Monte Carlo draws never sampled 67 of the 200 coordinates; "
+            "give a larger --mc-samples\n"
+        )
+
     def test_non_overlapping_not_guaranteed(self, tmp_path):
         out = tmp_path / "rates.csv"
         code = main(

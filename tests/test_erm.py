@@ -25,7 +25,7 @@ from psn.erm import (
     load_libsvm,
     run_erm,
 )
-from psn.linalg import eigen_extremes
+from psn.linalg import MAX_ORDER, eigen_extremes
 from psn.rates import b_threshold, lambda_ratio, rate_report
 from psn.sampling import SamplingScheme
 from psn.solver import DivergenceError, SolverConfig
@@ -218,6 +218,17 @@ class TestProblemSetup:
         # With n = 0 examples, curvature() would divide by n.
         with pytest.raises(ValueError, match="no examples"):
             ErmProblem(np.ones((3, 0)), np.ones(0))
+
+    def test_large_dual_refused_before_the_gram_product(self):
+        # One feature, MAX_ORDER + 1 examples: the n x n dual smoothness
+        # matrix is refused before A'A is formed, so nothing large is
+        # allocated.
+        n = MAX_ORDER + 1
+        prob = ErmProblem(np.ones((1, n)), np.ones(n))
+        message = f"^the dual smoothness matrix needs a dense {n} x {n} array, above the limit"
+        for build in (prob.smoothness_matrix, prob.curvature):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_data(self, bad):

@@ -22,13 +22,11 @@ from hypothesis import strategies as st
 
 import psn.linalg
 from psn.linalg import (
+    _Band,
     _band_extremes,
     _band_is_cheaper,
     _band_lowest,
     _bandwidth,
-    _checked_band,
-    _gather_blocks,
-    _lower_band,
     check_index_set,
     check_symmetric,
     eigen_extremes,
@@ -352,15 +350,15 @@ class TestSetUpMemory:
 
 
 class TestBlockGather:
-    """_gather_blocks reads a band's blocks bit for bit as a fancy index
-    reads the array."""
+    """A _Band's fancy index reads its blocks bit for bit as a fancy
+    index reads the array."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_band_blocks_equal_dense_blocks(self, data):
         # Bands of any width, symmetric or not (an expected inverse need
-        # not be), as a _Band, a plain dia_array and a csr_array, under
-        # draws of every sampling kind.
+        # not be), built from the diagonals of an array, a dia_array and
+        # a csr_array, under draws of every sampling kind.
         n = data.draw(st.integers(1, 60), label="n")
         b = data.draw(st.integers(0, n - 1), label="b")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -371,19 +369,22 @@ class TestBlockGather:
         tau = data.draw(st.integers(1, n), label="tau")
         c = data.draw(st.integers(1, max(1, n // tau) if kind == "non-overlapping" else 4), label="c")
         sets = draw(SamplingScheme(kind, n, tau, c), rng)
-        want = M[sets[:, :, None], sets[:, None, :]]
-        band = psn.linalg._band_of(M, reference_bandwidth(np.abs(M) + np.abs(M.T)))
-        for stored in (band, scipy.sparse.dia_array(M), scipy.sparse.csr_array(M)):
-            got = _gather_blocks(stored, sets)
+        rows, cols = sets[:, :, None], sets[:, None, :]
+        want = M[rows, cols]
+        width = reference_bandwidth(np.abs(M) + np.abs(M.T))
+        for source in (M, scipy.sparse.dia_array(M), scipy.sparse.csr_array(M)):
+            diagonals = {k: source.diagonal(k) for k in range(-width, width + 1)}
+            band = _Band.from_diagonals(n, diagonals)
+            got = band[rows, cols]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert _gather_blocks(M, sets).tobytes() == want.tobytes()
 
     def test_layout_built_once_per_band(self):
         M = make_heat_matrix(300)
         sets = np.array([[0, 1, 2], [297, 298, 299]])
-        first = _gather_blocks(M, sets)
+        rows, cols = sets[:, :, None], sets[:, None, :]
+        first = M[rows, cols]
         layout = M._layout
-        assert _gather_blocks(M, sets).tobytes() == first.tobytes()
+        assert M[rows, cols].tobytes() == first.tobytes()
         assert M._layout is layout and layout[0].shape == (300, 6)
 
 
@@ -524,8 +525,9 @@ def check_outcome(check, M):
 
 
 class TestOnePassCheck:
-    """check_symmetric and _checked_band against the full passes of
-    reference_check_symmetric: the same error text or the same bits."""
+    """check_symmetric against the full passes of
+    reference_check_symmetric: the same error text or the same bits,
+    stored by the one rule."""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -561,24 +563,23 @@ class TestOnePassCheck:
             else:
                 M[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[flaw]
         want = check_outcome(reference_check_symmetric, M)
-        got = check_outcome(_checked_band, M)
-        # The same matrix in sparse storage: a _Band past the switch
-        # (bandwidth from its offsets), an array below it.
-        got_sparse = check_outcome(_checked_band, scipy.sparse.csr_array(M))
+        got = check_outcome(check_symmetric, M)
+        # The same matrix in sparse storage, stored by the same rule: a
+        # _Band past the switch, an array below it.
+        got_sparse = check_outcome(check_symmetric, scipy.sparse.csr_array(M))
         if isinstance(want, str):
             assert got == want
-            assert check_outcome(check_symmetric, M) == want
             assert got_sparse == want
             return
-        A, width = got
-        assert A.tobytes() == want.tobytes() and (A is M) == (want is M)
-        assert width == reference_bandwidth(A)
-        assert check_symmetric(M).tobytes() == want.tobytes()
-        A, width = got_sparse
-        assert isinstance(A, psn.linalg._Band) == _band_is_cheaper(width, n)
-        assert not isinstance(A, psn.linalg._Band) or not A.data.flags.writeable
-        assert psn.linalg._dense(A).tobytes() == want.tobytes()
-        assert width == reference_bandwidth(want)
+        width = reference_bandwidth(want)
+        banded = _band_is_cheaper(width, n)
+        for A in (got, got_sparse):
+            assert isinstance(A, _Band) == banded
+            assert not banded or (A.b == width and not A.data.flags.writeable)
+            dense = A.toarray() if banded else A
+            assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes()
+        # An exactly symmetric array below the switch comes back as it is.
+        assert (got is M) == (want is M and not banded)
 
     @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3)])
     def test_shapes(self, shape):
@@ -597,7 +598,7 @@ class TestOnePassCheck:
         # A symmetric _Band passes unchanged, its bandwidth read from its
         # offsets; a sparse matrix of another shape is refused.
         M = make_heat_matrix(400)
-        assert _checked_band(M) == (M, 2) and _checked_band(M)[0] is M
+        assert check_symmetric(M) is M and M.b == 2
         wide = scipy.sparse.dia_array((np.ones((1, 400)), [0]), shape=(400, 401))
         assert check_outcome(check_symmetric, wide) == "expected a square matrix, got shape (400, 401)"
 
@@ -618,7 +619,45 @@ class TestOnePassCheck:
         M = make_heat_matrix(400).toarray()
         M[10, 20] = 1e-12
         assert _bandwidth(M) == 10
-        assert check_symmetric(M).tobytes() == reference_check_symmetric(M).tobytes()
+        A = check_symmetric(M)
+        assert isinstance(A, _Band) and A.b == 10
+        assert A.toarray().tobytes() == reference_check_symmetric(M).tobytes()
+
+
+class TestStorageRule:
+    """Every checked matrix is a _Band exactly when banded storage is
+    cheaper, and an array otherwise, whatever type it came as."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(105, 260),
+        side=st.sampled_from(["band", "array"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_input_type_is_stored_and_solved_alike(self, n, side, seed):
+        # The widest band the rule keeps at n, or one diagonal more.
+        b = widest_band(n) + (side == "array")
+        rng = np.random.default_rng(seed)
+        A, q = random_band(n, b, rng), rng.standard_normal(n)
+        inputs = {
+            "array": A,
+            "csr": scipy.sparse.csr_array(A),
+            "coo": scipy.sparse.coo_array(A),
+            "dia": scipy.sparse.dia_array(A),
+            "band": _Band.from_diagonals(n, {k: A.diagonal(k) for k in range(-b, b + 1)}),
+        }
+        scheme = SamplingScheme("list", n, 3)
+        results = []
+        for name, M in inputs.items():
+            pair = CurvaturePair.from_hessian(M)
+            for stored in (check_symmetric(M), pair.M, quadratic_objective(M, q).M):
+                assert isinstance(stored, _Band if side == "band" else np.ndarray), name
+                dense = stored.toarray() if side == "band" else stored
+                assert dense.tobytes() == A.tobytes(), name
+            results.append(
+                (eigen_extremes(M), solve_pd(M, q).tobytes(), pair.enumerated_extremes(scheme))
+            )
+        assert all(result == results[0] for result in results)
 
 
 class TestBandBisection:
@@ -690,7 +729,7 @@ class TestPsdOrder:
         M = make_heat_matrix(200)
         bump = 1e-3 * make_tridiagonal(200, 0.25)
         for A, B, holds in [(M, M + bump, True), (M + bump, M, False)]:
-            band = _lower_band(*_checked_band(B - A))
+            band = check_symmetric(B - A).lower()
             with counting_band_probes() as both:
                 _band_extremes(band)
             with counting_band_probes() as lowest:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from psn.linalg import _Band, make_heat_matrix
 from psn.matrixio import read_matrix, read_vector, write_matrix, write_vector
 
 
@@ -16,6 +17,18 @@ def test_array_format_round_trip(tmp_path):
     back = read_matrix(path)
     assert np.abs(back - M).max() < 1e-12
     assert "MatrixMarket" in path.read_text().splitlines()[0]
+
+
+def test_band_round_trip(tmp_path):
+    # A band is written in array format and read back by the storage
+    # rule, as a band again, bit for bit.
+    M = make_heat_matrix(200)
+    path = tmp_path / "heat.mtx"
+    write_matrix(path, M)
+    assert path.read_text().startswith("%%MatrixMarket matrix array real symmetric")
+    back = read_matrix(path)
+    assert isinstance(back, _Band)
+    assert back.toarray().tobytes() == M.toarray().tobytes()
 
 
 def test_coordinate_format_symmetric(tmp_path):

@@ -60,21 +60,21 @@ class TestCurvaturePair:
     def test_shared_matrix_is_checked_once(self, monkeypatch):
         M = random_pd(5, 2)
         M[0, 1] += 1e-12 * np.abs(M).max()  # symmetric only within tolerance
-        checks, check = [], psn.linalg._checked_band
+        checks, check = [], psn.linalg.check_symmetric
 
         def counting(A, *args, **kwargs):
             checks.append(A)
             return check(A, *args, **kwargs)
 
-        monkeypatch.setattr(psn.linalg, "_checked_band", counting)
-        monkeypatch.setattr(psn.rates, "_checked_band", counting)
+        monkeypatch.setattr(psn.linalg, "check_symmetric", counting)
+        monkeypatch.setattr(psn.rates, "check_symmetric", counting)
         for pair in (CurvaturePair(M, M), CurvaturePair.from_hessian(M)):
             assert pair.M is pair.G
             assert pair.quadratic
             assert np.array_equal(pair.M, pair.M.T)
-            # The bandwidth read by that one check is kept for G.
-            assert pair.__dict__["_g_bandwidth"] == 4
-        # One check per pair: the extremes of G and its bandwidth reuse it.
+            # The storage that one check chose is kept for G.
+            assert isinstance(pair.G, np.ndarray)
+        # One check per pair: the extremes of G reuse it.
         assert len(checks) == 2
 
     def test_rejects_indefinite(self):
@@ -281,14 +281,14 @@ class TestThetaBounds:
     def test_cond_bound_checks_matrix_once(self, monkeypatch):
         M = random_pd(7, 47)
         calls = []
-        check = psn.linalg._checked_band
+        check = psn.linalg.check_symmetric
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(psn.linalg, "_checked_band", counted)
-        monkeypatch.setattr(psn.rates, "_checked_band", counted)
+        monkeypatch.setattr(psn.linalg, "check_symmetric", counted)
+        monkeypatch.setattr(psn.rates, "check_symmetric", counted)
         bound = theta_cond_bound(3, M)
         assert len(calls) == 1
         w = np.linalg.eigvalsh(M)
@@ -352,7 +352,7 @@ class TestPcdm:
         # on the band route it makes the probes of one bisection, not two.
         M = random_band(300, 2, np.random.default_rng(27))
         d = 1.0 / np.sqrt(np.diag(M))
-        band = psn.linalg._lower_band(psn.linalg.check_symmetric(d[:, None] * M * d), 2)
+        band = psn.linalg.check_symmetric(d[:, None] * M * d).lower()
         with counting_band_probes() as both:
             lo, _ = psn.linalg._band_extremes(band)
         with counting_band_probes() as lowest:

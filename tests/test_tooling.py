@@ -3,9 +3,11 @@
 The benchmark wraps psn functions and methods by name to trace them and
 builds SolverConfig with keywords of its own, but its own tests are not
 part of this suite.  These checks make a change that renames or removes
-any of those names fail here too.
+any of those names fail here too.  One more check counts the private
+linalg names that rates, sampling and solver import.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -13,6 +15,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import psn.rates
+import psn.sampling
+import psn.solver
 from psn.sampling import SamplingScheme
 from psn.solver import SolverConfig
 
@@ -98,3 +103,16 @@ def test_traced_round_matches_untraced(perfbench, tmp_path, name):
     assert tracer.spans
     assert set(plain.outputs) == set(traced.outputs) == {"rates", "c1", "c4"}
     assert same(plain.outputs, traced.outputs)
+
+
+def test_callers_import_few_private_linalg_names():
+    # Storage is decided where a matrix enters linalg, so rates, sampling
+    # and solver branch only on its type; a count above 9 private names
+    # (19 before the storage rule) means routing helpers leaked back.
+    names = []
+    for module in (psn.rates, psn.sampling, psn.solver):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg":
+                names += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert len(names) <= 9, names
