@@ -447,9 +447,8 @@ def solve_pd(M, q: np.ndarray) -> np.ndarray:
     its (b+1) x n lower band (LAPACK dpbtrf through
     scipy.linalg.cholesky_banded, O(n b^2) work and O(n b) memory, the
     heat and tridiagonal matrices); an array by a dense Cholesky factor
-    (O(n^3)).  One step of iterative
-    refinement is applied if the raw solve misses the residual target
-    ||M x - q|| <= 1e-10 ||q||.  A factorization that fails, failure to
+    (O(n^3)).  One step of iterative refinement is applied if the raw
+    solve misses the residual target ||M x - q|| <= 1e-10 ||q||.  A factorization that fails, failure to
     reach the target, or a non-finite x or residual (an overflowing
     solve) raises numpy.linalg.LinAlgError.  The norms are BLAS dnrm2,
     which scales and so stays finite for every finite vector.
