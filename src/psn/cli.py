@@ -29,8 +29,9 @@ matrices (heat --n, tridiag --n-grid, --gen heat: and --gen
 tridiag:) are built as bands of O(n) floats at any order that fits
 in memory.  Every other matrix of order above linalg.MAX_ORDER
 (10,000), read from a Matrix Market file or generated by --gen dense:
-or --gen rho:, is bad input, refused before it is built.  So is an
-order above MAX_ORDER on a route that needs an n x n array, which
+or --gen rho:, is bad input, refused before it is built, as is a
+Matrix Market header with a zero dimension.  So is an order above
+MAX_ORDER on a route that needs an n x n array, which
 sampling, rates and erm refuse before making it: a Monte Carlo E
 (--mc-samples), the dense E of a nice or non-overlapping sampling,
 the dense eigenvalue route of a band too wide for banded storage, and

@@ -139,7 +139,7 @@ class _Band(scipy.sparse.dia_array):
     the diagonals that hold a nonzero, so its offsets give its
     bandwidth b from the exact zeros.
 
-    M[rows, cols] gathers entries as numpy's fancy indexing reads an
+    M[rows, cols] reads its stored diagonals as fancy indexing reads an
     array, so block gathers read either storage alike.  Compared with
     == to another sparse matrix of its shape it gives one bool, whether
     the two are equal entry for entry, so that results holding it
@@ -173,11 +173,11 @@ class _Band(scipy.sparse.dia_array):
     def __getitem__(self, key) -> np.ndarray:
         """M[rows, cols] for integer index arrays rows and cols in [0, n)
         that broadcast, such as the blocks M[S, S] of the (k, tau) rows
-        of a draw, read from the row-aligned layout (_layout): the
-        entries of M.toarray()[rows, cols], bit for bit."""
+        of a draw, read from the stored diagonals (_padded): the entries
+        of M.toarray()[rows, cols], bit for bit."""
         rows, cols = key
-        layout, column = self._layout
-        return layout[rows, column[cols - rows]]
+        padded, row = self._padded
+        return padded[row[cols - rows], cols]
 
     def lower(self) -> np.ndarray:
         """(b+1) x n lower band storage: row k holds the k-th
@@ -189,21 +189,14 @@ class _Band(scipy.sparse.dia_array):
         return band
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """The band row-aligned for block gathers, built on first use:
-        rows[i, b + j - i] = A[i, j] for |j - i| <= b, in an n x (2b+2)
-        array whose last column is zero; and column[j - i], indexed with
-        numpy's wrap-around for negative offsets (length 2n - 1), is
-        b + j - i inside the band and that zero column 2b + 1 outside."""
-        n, b = self.shape[0], self.b
-        rows = np.zeros((n, 2 * b + 2))
-        for k in range(-b, b + 1):
-            d = self.diagonal(k)
-            rows[max(-k, 0) : max(-k, 0) + len(d), b + k] = d
-        column = np.full(2 * n - 1, 2 * b + 1)
-        column[: b + 1] = np.arange(b, 2 * b + 1)
-        column[len(column) - b :] = np.arange(b)
-        return rows, column
+    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """data with one zero row appended, and row, which maps each
+        offset j - i (length 2n - 1, a negative one by wrap-around) to its
+        data row, or to the zero row where no diagonal is stored."""
+        n, stored = self.shape[0], len(self.offsets)
+        row = np.full(2 * n - 1, stored)
+        row[self.offsets] = np.arange(stored)
+        return np.vstack([self.data, np.zeros(n)]), row
 
 
 def _dense(A, route: str) -> np.ndarray:
@@ -303,9 +296,7 @@ def _bandwidth(A) -> int:
 
     A nonzero corner A[n-1, 0] or A[0, n-1] gives n - 1 at once (the
     dense case).  Otherwise one pass marks the nonzeros, and each row's
-    first one gives the lower bandwidth b.  For a narrow b, counting the
-    nonzeros on the 2b+1 diagonals shows whether all lie there; if not
-    (or for a wide b) each row's last nonzero gives the upper one."""
+    first and last ones give the lower and upper bandwidths."""
     n = A.shape[0]
     if n < 2:
         return 0
@@ -322,10 +313,6 @@ def _bandwidth(A) -> int:
     rows = np.arange(n)
     first = nonzero.argmax(axis=1)
     b = int((rows - first)[nonzero[rows, first]].max(initial=0))
-    if _band_is_cheaper(b, n) and np.count_nonzero(nonzero) == sum(
-        np.count_nonzero(nonzero.diagonal(k)) for k in range(-b, b + 1)
-    ):
-        return b
     last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
     return max(b, int((last - rows)[nonzero[rows, last]].max(initial=0)))
 

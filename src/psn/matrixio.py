@@ -36,10 +36,14 @@ def read_matrix(path):
     """Read a dense or coordinate Matrix Market file into a symmetric
     matrix, stored as check_symmetric stores any input (a linalg._Band
     where banded storage is cheaper, an array otherwise).  A header of
-    order above MAX_ORDER is refused before any entry is read; it and a
+    order above MAX_ORDER or with a zero dimension (which scipy's array
+    reader divides by) is refused before any entry is read; it and a
     complex, non-finite or asymmetric matrix raise ValueError."""
     try:
-        check_order(*scipy.io.mminfo(path)[:2])
+        rows, cols = scipy.io.mminfo(path)[:2]
+        check_order(rows, cols)
+        if not (rows and cols):
+            raise ValueError(f"a {rows} x {cols} matrix has no entries")
         M = scipy.io.mmread(path)
     except (ValueError, OSError) as err:
         raise ValueError(f"cannot read matrix from {path}: {err}") from err

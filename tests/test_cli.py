@@ -6,8 +6,12 @@ structure, and determinism of the emitted tables.
 
 import argparse
 import csv
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,24 @@ class TestSolve:
         assert capsys.readouterr().err == (
             f"error: cannot read matrix from {path}: a 100000 x 100000 matrix "
             f"exceeds the dense limit {MAX_ORDER}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3)])
+    def test_matrix_with_zero_dimension_refused(self, tmp_path, command, rows, cols):
+        # scipy's reader of an empty array-format body divides by zero and
+        # kills its process (SIGFPE), so the CLI runs in a process of its own.
+        path = tmp_path / "empty.mtx"
+        path.write_text(f"%%MatrixMarket matrix array real general\n{rows} {cols}\n")
+        src = str(Path(psn.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "psn.cli", command, "--matrix", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: cannot read matrix from {path}: a {rows} x {cols} matrix has no entries\n"
         )
 
     @pytest.mark.parametrize(

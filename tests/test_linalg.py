@@ -357,14 +357,17 @@ class TestBlockGather:
     @given(data=st.data())
     def test_band_blocks_equal_dense_blocks(self, data):
         # Bands of any width, symmetric or not (an expected inverse need
-        # not be), built from the diagonals of an array, a dia_array and
-        # a csr_array, under draws of every sampling kind.
+        # not be), with inner diagonals all zero (so not stored) and
+        # offsets in any order, built from the diagonals of an array, a
+        # dia_array and a csr_array, under draws of every sampling kind.
         n = data.draw(st.integers(1, 60), label="n")
         b = data.draw(st.integers(0, n - 1), label="b")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         M = np.triu(np.tril(rng.standard_normal((n, n)), b), -b)
         if data.draw(st.booleans(), label="symmetric"):
             M = M + M.T
+        for k in data.draw(st.sets(st.integers(-b, b)), label="zero diagonals"):
+            M[np.eye(n, k=k, dtype=bool)] = 0.0
         kind = data.draw(st.sampled_from(KINDS), label="kind")
         tau = data.draw(st.integers(1, n), label="tau")
         c = data.draw(st.integers(1, max(1, n // tau) if kind == "non-overlapping" else 4), label="c")
@@ -372,8 +375,9 @@ class TestBlockGather:
         rows, cols = sets[:, :, None], sets[:, None, :]
         want = M[rows, cols]
         width = reference_bandwidth(np.abs(M) + np.abs(M.T))
+        order = data.draw(st.permutations(range(-width, width + 1)), label="offset order")
         for source in (M, scipy.sparse.dia_array(M), scipy.sparse.csr_array(M)):
-            diagonals = {k: source.diagonal(k) for k in range(-width, width + 1)}
+            diagonals = {k: source.diagonal(k) for k in order}
             band = _Band.from_diagonals(n, diagonals)
             got = band[rows, cols]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -383,9 +387,9 @@ class TestBlockGather:
         sets = np.array([[0, 1, 2], [297, 298, 299]])
         rows, cols = sets[:, :, None], sets[:, None, :]
         first = M[rows, cols]
-        layout = M._layout
+        padded = M._padded
         assert M[rows, cols].tobytes() == first.tobytes()
-        assert M._layout is layout and layout[0].shape == (300, 6)
+        assert M._padded is padded and padded[0].shape == (len(M.offsets) + 1, 300)
 
 
 class TestSpectra:

@@ -185,6 +185,22 @@ class TestDamping:
         with pytest.raises(ValueError):
             sigma_p(2, 2.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (b_threshold, (2, np.nan, 0.5)),
+            (b_threshold, (2, 1.0, np.nan)),
+            (b_threshold, (2, np.inf, 0.5)),
+            (sigma_p, (2, np.nan, 0.3)),
+            (sigma_p, (2, np.inf, 0.3)),
+            (sigma_p, (2, 2.0, 0.3, np.nan)),
+        ],
+    )
+    def test_non_finite_arguments_refused(self, function, args):
+        # Every comparison with NaN is false, so NaN gets past b < b_min.
+        with pytest.raises(ValueError, match="finite"):
+            function(*args)
+
 
 class TestRhoClosedForms:
     def test_frozen_fractions(self):

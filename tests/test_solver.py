@@ -83,13 +83,13 @@ class TestObjectives:
     def test_quadratic_exactly_when_G_is_M(self, monkeypatch):
         assert "quadratic" not in {f.name for f in dataclasses.fields(SmoothObjective)}
         order_checks = []
-        order_holds = psn.rates._order_holds
+        order_holds = psn.rates.psd_order_holds
 
         def counted(*args, **kwargs):
             order_checks.append(args)
             return order_holds(*args, **kwargs)
 
-        monkeypatch.setattr(psn.rates, "_order_holds", counted)
+        monkeypatch.setattr(psn.rates, "psd_order_holds", counted)
         obj = random_quadratic(5, 58)
         assert obj.G is obj.M and obj.quadratic
         assert obj.curvature().quadratic and order_checks == []
