@@ -38,6 +38,7 @@ wide for banded storage, and so has any sum that includes it.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -323,7 +324,7 @@ def sigma_p(c: int, b: float, sigma1_value: float, b_min: float = 1.0) -> float:
     """
     if c < 1:
         raise ValueError(f"c must be positive, got {c}")
-    if not (np.isfinite(b) and np.isfinite(b_min)):
+    if not (math.isfinite(b) and math.isfinite(b_min)):
         raise ValueError(f"damping b={b} and threshold b_min={b_min} must be finite")
     if b < b_min - 1e-12:
         raise ValueError(
