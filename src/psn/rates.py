@@ -168,8 +168,8 @@ class CurvaturePair:
     @cached_property
     def _m_diagonal(self) -> np.ndarray:
         """Read-only copy of diag(M) for the dense PCDM weights of each
-        c.  Reading the diagonal of the n = 1500 heat band per c instead
-        slowed the rates-heat row at c = 4 from 8 us to 11-12 us."""
+        c (the rates-heat row): reading the n = 1500 heat band's diagonal
+        per call instead took pcdm_constants from 4.5 to 7.7 us (x86-64)."""
         d = self.M.diagonal().copy()
         d.flags.writeable = False
         return d

@@ -323,7 +323,8 @@ class TestSolve:
         path = tmp_path / "empty.mtx"
         path.write_text(f"%%MatrixMarket matrix array real general\n{rows} {cols}\n")
         src = str(Path(psn.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
         done = subprocess.run(
             [sys.executable, "-m", "psn.cli", command, "--matrix", str(path)],
             capture_output=True, text=True, env=env, timeout=120,
