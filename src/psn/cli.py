@@ -30,12 +30,13 @@ tridiag:) are built as bands of O(n) floats at any order that fits
 in memory.  Every other matrix of order above linalg.MAX_ORDER
 (10,000), read from a Matrix Market file or generated by --gen dense:
 or --gen rho:, is bad input, refused before it is built, as is a
-Matrix Market header with a zero dimension.  So is an order above
-MAX_ORDER on a route that needs an n x n array, which
-sampling, rates and erm refuse before making it: a Monte Carlo E
-(--mc-samples), the dense E of a nice or non-overlapping sampling,
-the dense eigenvalue route of a band too wide for banded storage, and
-the dual smoothness matrix of a LIBSVM dataset with more examples.
+Matrix Market header with a zero dimension, not square or
+skew-symmetric.  So is an order above MAX_ORDER on a route that needs
+an n x n array, which sampling, rates and erm refuse before making
+it: the dense E of a nice or non-overlapping sampling, enumerated or
+drawn (--mc-samples), the dense eigenvalue route of a band too wide
+for banded storage, and the dual smoothness matrix of a LIBSVM
+dataset with more examples.
 A Monte Carlo E whose draws left a coordinate unsampled is refused
 too: it is singular, so sigma1 would be 0.
 """
@@ -381,8 +382,16 @@ def _add_problem_source(sub: argparse.ArgumentParser) -> None:
                      help="synthetic problem: dense:n,m | rho:n,rho | tridiag:n,alpha | heat:n,r")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose usage
+    errors raise ValueError, so that main prints them as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psn",
         description="Parallel stochastic Newton benchmark tools",
     )
@@ -437,18 +446,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = _build_parser().parse_args(argv)
         if args.out != "-":  # fail before any work, keeping an existing file
             existed = os.path.exists(args.out)
             open(args.out, "a").close()
             if not existed:  # remove what open created, not a dangling link
                 os.remove(os.path.realpath(args.out))
         return args.func(args)
+    except SystemExit as exc:  # --help, the one exit left to argparse
+        return 0 if exc.code in (0, None) else 1
     except (ValueError, OSError, np.linalg.LinAlgError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, DivergenceError) else 1

@@ -222,10 +222,14 @@ class ErmProblem:
     def _bound(self) -> tuple[np.ndarray, np.ndarray]:
         """X and the diagonal of B = (1/(lam n^2)) A'A, from the one
         n x n Gram product the problem forms, refused above
-        linalg.MAX_ORDER examples before it is made."""
+        linalg.MAX_ORDER examples before it is made, and refused when it
+        overflows."""
         n = self.n
         _refuse_dense(n, "the dual smoothness matrix")
-        X = (self.A.T @ self.A) / (self.lam_reg * n * n)
+        with np.errstate(over="ignore"):
+            X = (self.A.T @ self.A) / (self.lam_reg * n * n)
+        if not np.isfinite(X).all():
+            raise ValueError(f"the dual smoothness matrix overflows at lam_reg={self.lam_reg}")
         X = 0.5 * (X + X.T)
         b_diagonal = np.diag(X).copy()
         X[np.diag_indices_from(X)] += 1.0 / (self.loss.gamma * n)

@@ -292,11 +292,9 @@ def _bandwidth(A) -> int:
     """Largest |i - j| over the nonzero entries A[i, j], read from exact
     zeros (a NaN counts as nonzero); 0 for a diagonal or all-zero A.  A
     scipy.sparse A gives the largest |j - i| it stores, read in O(1)
-    from the offsets of diagonal storage.
-
-    A nonzero corner A[n-1, 0] or A[0, n-1] gives n - 1 at once (the
-    dense case).  Otherwise one pass marks the nonzeros, and each row's
-    first and last ones give the lower and upper bandwidths."""
+    from the offsets of diagonal storage, and an array the larger of
+    its lower and upper bandwidths (scipy.linalg.bandwidth, which
+    returns at once on a nonzero corner)."""
     n = A.shape[0]
     if n < 2:
         return 0
@@ -307,14 +305,7 @@ def _bandwidth(A) -> int:
             coo = A.tocoo()
             offsets = coo.col - coo.row
         return min(n - 1, int(np.abs(offsets).max(initial=0)))
-    if A[n - 1, 0] != 0.0 or A[0, n - 1] != 0.0:
-        return n - 1
-    nonzero = A != 0.0
-    rows = np.arange(n)
-    first = nonzero.argmax(axis=1)
-    b = int((rows - first)[nonzero[rows, first]].max(initial=0))
-    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
-    return max(b, int((last - rows)[nonzero[rows, last]].max(initial=0)))
+    return max(scipy.linalg.bandwidth(A))
 
 
 def _band_is_cheaper(b: int, n: int) -> bool:

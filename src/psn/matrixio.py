@@ -36,14 +36,17 @@ def read_matrix(path):
     """Read a dense or coordinate Matrix Market file into a symmetric
     matrix, stored as check_symmetric stores any input (a linalg._Band
     where banded storage is cheaper, an array otherwise).  A header of
-    order above MAX_ORDER or with a zero dimension (which scipy's array
-    reader divides by) is refused before any entry is read; it and a
+    order above MAX_ORDER, with a zero dimension (which scipy's array
+    reader divides by), not square or skew-symmetric (on which it can
+    corrupt the heap) is refused before any entry is read; it and a
     complex, non-finite or asymmetric matrix raise ValueError."""
     try:
-        rows, cols = scipy.io.mminfo(path)[:2]
+        rows, cols, _, _, _, symmetry = scipy.io.mminfo(path)
         check_order(rows, cols)
         if not (rows and cols):
             raise ValueError(f"a {rows} x {cols} matrix has no entries")
+        if rows != cols or symmetry == "skew-symmetric":
+            raise ValueError(f"a {rows} x {cols} {symmetry} matrix cannot be positive definite")
         M = scipy.io.mmread(path)
     except (ValueError, OSError) as err:
         raise ValueError(f"cannot read matrix from {path}: {err}") from err

@@ -19,9 +19,9 @@ one-worker draws, so c=1 is the serial scheme.
 Expected lifted inverses refer to one constituent set: for nice and
 list each worker's set has the one-worker distribution, and for
 ``non-overlapping`` each chunk of a uniform (c*tau)-subset is itself a
-uniform tau-subset.  The enumerated list E of a banded M is banded too;
-where that band is cheaper it is assembled in diagonal storage and
-returned as a linalg._Band, never as n x n.
+uniform tau-subset.  The list E of a banded M, enumerated or drawn, is
+banded too; where that band is cheaper it is assembled in diagonal
+storage and returned as a linalg._Band, never as n x n.
 """
 
 from __future__ import annotations
@@ -148,19 +148,15 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpectedInverse:
-    """E[(M_S)^{-1}] over one constituent set, with provenance.
+    """E[(M_S)^{-1}] over one constituent set.
 
-    ``matrix`` is an n x n ndarray, or for an enumerated list sampling
-    of a narrow band M a linalg._Band holding E's diagonals; either way
-    its values are read-only, so rate functions may memoize values
-    derived from it.  ``samples`` is the Monte Carlo sample count and
-    ``standard_error`` the Frobenius-norm standard error of the mean;
-    both are None when the whole support was enumerated.
+    ``matrix`` is an n x n ndarray, or for a list sampling of a narrow
+    band M, enumerated or drawn, a linalg._Band holding E's diagonals;
+    either way its values are read-only, so rate functions may memoize
+    values derived from it.
     """
 
     matrix: np.ndarray | scipy.sparse.dia_array = field(repr=False)
-    samples: int | None = None
-    standard_error: float | None = None
 
 
 def _enumerated_chunks(scheme: SamplingScheme, size: int):
@@ -223,15 +219,15 @@ def expected_lifted_inverse(
     C(n, tau) subsets for nice-type schemes (refused above 10^6
     subsets) or the n windows for list-type schemes.  Given ``samples``
     (at least 2) it is a Monte Carlo mean over that many independent
-    draws seeded by ``seed``, with the Frobenius standard error of the
-    mean.  Either way the tau x tau blocks are inverted in batches and
-    only their S x S entries are accumulated.  A block that is singular
-    or has condition number above 1e14 raises numpy.linalg.LinAlgError
-    naming its index set.
+    draws seeded by ``seed``.  The two differ only in where the sets
+    come from: either way the tau x tau blocks are inverted in batches
+    and only their S x S entries are accumulated.  A block that is
+    singular or has condition number above 1e14 raises
+    numpy.linalg.LinAlgError naming its index set.
 
     M is any matrix, stored as a checked one is (linalg._stored) but not
-    checked.  An enumerated list sampling of a banded M (_banded_list,
-    decided before any block is inverted) accumulates into the 2 tau - 1
+    checked.  A list sampling of a banded M (_banded_list, decided
+    before any block is inverted) accumulates into the 2 tau - 1
     diagonals of E instead of an n x n array, adding the same terms in
     the same order, and returns E stored by the same rule: a _Band
     equal to the n x n result bit for bit.  Every other E is an n x n
@@ -265,12 +261,10 @@ def expected_lifted_inverse(
             for start in range(0, samples, size)
         )
 
-    band = samples is None and _banded_list(M, serial)
+    band = _banded_list(M, serial)
     if not band:
-        route = "a Monte Carlo E" if samples is not None else f"the E of {scheme.kind} sampling"
-        _refuse_dense(n, route)
+        _refuse_dense(n, f"the E of {scheme.kind} sampling")
     acc = np.zeros((2 * scheme.tau - 1, n) if band else (n, n))
-    acc_sq = None if samples is None else np.zeros((n, n))
     # Each entry sums its terms in the order of a per-set loop.
     for sets in chunks:
         inv = _block_inverses(M, sets)
@@ -284,15 +278,9 @@ def expected_lifted_inverse(
             np.add.at(acc, ((offsets + scheme.tau - 1)[kept], columns[kept]), inv[kept])
         else:
             np.add.at(acc, (rows, cols), inv)
-        if acc_sq is not None:
-            np.add.at(acc_sq, (rows, cols), inv * inv)
     mean = acc / count
     if band:
         offsets = np.arange(1 - scheme.tau, scheme.tau)
         return ExpectedInverse(_stored(scipy.sparse.dia_array((mean, offsets), shape=(n, n))))
     mean.setflags(write=False)
-    if samples is None:
-        return ExpectedInverse(mean)
-    var = (acc_sq - count * mean * mean) / (count - 1)
-    se = math.sqrt(float(np.clip(var, 0.0, None).sum()) / count)
-    return ExpectedInverse(mean, count, se)
+    return ExpectedInverse(mean)

@@ -40,6 +40,17 @@ def column(header, rows, name):
     return [row[i] for row in rows]
 
 
+def run_cli_process(*argv):
+    """Run psn in a process of its own, for inputs that can kill one."""
+    src = str(Path(psn.cli.__file__).resolve().parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-m", "psn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestSolve:
     def test_serial_quadratic_converges(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -322,16 +333,36 @@ class TestSolve:
         # kills its process (SIGFPE), so the CLI runs in a process of its own.
         path = tmp_path / "empty.mtx"
         path.write_text(f"%%MatrixMarket matrix array real general\n{rows} {cols}\n")
-        src = str(Path(psn.cli.__file__).resolve().parents[1])
-        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-        done = subprocess.run(
-            [sys.executable, "-m", "psn.cli", command, "--matrix", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_cli_process(command, "--matrix", str(path))
         assert done.returncode == 1
         assert done.stderr == (
             f"error: cannot read matrix from {path}: a {rows} x {cols} matrix has no entries\n"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    @pytest.mark.parametrize(
+        "header, shape",
+        [
+            ("array real symmetric", "1 2"),
+            ("array real hermitian", "1 2"),
+            ("array real skew-symmetric", "1 2"),
+            ("array real skew-symmetric", "1 1"),
+            ("coordinate real general", "2 3 1"),
+        ],
+    )
+    def test_matrix_that_cannot_be_positive_definite_refused(self, tmp_path, command, header, shape):
+        # scipy's array reader can corrupt the heap on the first four
+        # (double free, SIGABRT or SIGSEGV after the error line), so the
+        # header alone refuses them, in a process of their own.
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"%%MatrixMarket matrix {header}\n{shape}\n1\n2\n3\n")
+        rows, cols = shape.split()[:2]
+        symmetry = header.split()[-1]
+        done = run_cli_process(command, "--matrix", str(path))
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: cannot read matrix from {path}: a {rows} x {cols} {symmetry} matrix "
+            "cannot be positive definite\n"
         )
 
     @pytest.mark.parametrize(
@@ -422,8 +453,8 @@ class TestBandOrders:
     @pytest.mark.parametrize(
         "argv, route",
         [
-            (["rates", "--gen", "heat:{N},0.1", "--scheme", "list:tau=5", "--c", "1,2",
-              "--mc-samples", "10"], "a Monte Carlo E"),
+            (["rates", "--gen", "heat:{N},0.1", "--scheme", "nice:tau=1", "--c", "1,2",
+              "--mc-samples", "10"], "the E of nice sampling"),
             (["rates", "--gen", "heat:{N},0.1", "--scheme", "nice:tau=1"],
              "the E of nice sampling"),
             # E is taken over one constituent set: a nice set here.
@@ -825,8 +856,9 @@ class TestErm:
             ("1", ["--reg", "inf", "--theta", "bound"], "lam_reg"),
             ("1", ["--loss", "logistic", "--epsilon", "nan", "--b", "2"], "epsilon"),
             ("1", ["--loss", "logistic", "--epsilon", "inf", "--theta", "exact"], "epsilon"),
+            ("1", ["--reg", "5e-324", "--b", "2"], "lam_reg=5e-324"),
         ],
-        ids=["reg-nan", "data-nan", "reg-inf", "epsilon-nan", "epsilon-inf"],
+        ids=["reg-nan", "data-nan", "reg-inf", "epsilon-nan", "epsilon-inf", "reg-tiny"],
     )
     def test_non_finite_input_fails_early(self, tmp_path, capsys, value, flags, names):
         data = tmp_path / "train.txt"
@@ -902,6 +934,19 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rates", "--seed", "inf"], "argument --seed: invalid int value: 'inf'"),
+            (["solve", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["seed-inf", "unknown-flag", "no-subcommand"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_flag(self, capsys):
         assert main(["solve", "--frobnicate"]) == 1

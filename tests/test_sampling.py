@@ -9,6 +9,7 @@ per-set lifted inverses.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 
 from psn.erm import ErmProblem, SquaredLoss
 from psn.linalg import (
+    MAX_ORDER,
+    _Band,
     _band_is_cheaper,
     lifted_inverse,
     make_heat_matrix,
@@ -278,7 +281,6 @@ class TestExpectedInverse:
     def test_identity_nice(self):
         for n, tau in [(5, 2), (6, 4)]:
             E = expected_lifted_inverse(np.eye(n), SamplingScheme("nice", n, tau))
-            assert E.samples is None and E.standard_error is None
             assert np.abs(E.matrix - (tau / n) * np.eye(n)).max() < 1e-15
 
     def test_identity_list(self):
@@ -336,11 +338,16 @@ class TestExpectedInverse:
         M = make_rho_matrix(5, 0.5)
         scheme = SamplingScheme("nice", 5, 2)
         exact = expected_lifted_inverse(M, scheme).matrix
-        mc = expected_lifted_inverse(M, scheme, samples=100_000, seed=11)
-        assert mc.samples == 100_000
-        assert mc.standard_error is not None and mc.standard_error > 0
-        err = np.linalg.norm(mc.matrix - exact)
-        assert err <= 5 * mc.standard_error
+        mc = expected_lifted_inverse(M, scheme, samples=100_000, seed=11).matrix
+        # The Frobenius standard error of the mean, from the same draws.
+        sets = draw(scheme.with_workers(100_000), np.random.default_rng(11))
+        lifted = np.zeros((len(sets), 5, 5))
+        lifted[np.arange(len(sets))[:, None, None], sets[:, :, None], sets[:, None, :]] = (
+            np.linalg.inv(M[sets[:, :, None], sets[:, None, :]])
+        )
+        assert np.abs(lifted.mean(axis=0) - mc).max() < 1e-14
+        se = math.sqrt(lifted.var(axis=0, ddof=1).sum() / len(sets))
+        assert 0 < np.linalg.norm(mc - exact) <= 5 * se
 
     def test_enumeration_refused_beyond_limit(self):
         M = np.eye(30)
@@ -360,9 +367,9 @@ class TestExpectedInverse:
 
 
 def loop_expected_inverse(M, scheme, samples=None, seed=0):
-    """E[(M_S)^{-1}] (and the Monte Carlo standard error) summed one
-    n x n lifted inverse at a time over the same sets, in the same
-    order, as expected_lifted_inverse; a band M is read densely."""
+    """E[(M_S)^{-1}] summed one n x n lifted inverse at a time over the
+    same sets, in the same order, as expected_lifted_inverse; a band M
+    is read densely."""
     n, tau = scheme.n, scheme.tau
     if scipy.sparse.issparse(M):
         M = M.toarray()
@@ -374,16 +381,9 @@ def loop_expected_inverse(M, scheme, samples=None, seed=0):
     else:
         sets = [np.array(S) for S in itertools.combinations(range(n), tau)]
     acc = np.zeros((n, n))
-    acc_sq = np.zeros((n, n))
     for S in sets:
-        Z = lifted_inverse(M, S)
-        acc += Z
-        acc_sq += Z * Z
-    mean = acc / len(sets)
-    if samples is None:
-        return mean, None
-    var = (acc_sq - samples * mean * mean) / (samples - 1)
-    return mean, math.sqrt(float(np.clip(var, 0.0, None).sum()) / samples)
+        acc += lifted_inverse(M, S)
+    return acc / len(sets)
 
 
 def random_pd_matrix(n, seed):
@@ -404,9 +404,8 @@ class TestBatchedAssembly:
         M = random_pd_matrix(n, seed)
         scheme = SamplingScheme(kind, n, tau)
         got = expected_lifted_inverse(M, scheme, samples, seed)
-        want, se = loop_expected_inverse(M, scheme, samples, seed)
+        want = loop_expected_inverse(M, scheme, samples, seed)
         assert got.matrix.tobytes() == want.tobytes()
-        assert got.standard_error == se
 
     @pytest.mark.parametrize("samples", [None, 4845], ids=["enumerate", "monte-carlo"])
     def test_bitwise_across_chunks(self, samples):
@@ -415,9 +414,8 @@ class TestBatchedAssembly:
         M = random_pd_matrix(20, 3)
         scheme = SamplingScheme("nice", 20, 4)
         got = expected_lifted_inverse(M, scheme, samples, seed=5)
-        want, se = loop_expected_inverse(M, scheme, samples, seed=5)
+        want = loop_expected_inverse(M, scheme, samples, seed=5)
         assert got.matrix.tobytes() == want.tobytes()
-        assert got.standard_error == se
 
     @pytest.mark.parametrize("samples", [None, 10], ids=["enumerate", "monte-carlo"])
     def test_matrix_is_read_only(self, samples):
@@ -458,7 +456,7 @@ class TestBandStorage:
             M = random_band(n, data.draw(st.integers(0, 4), label="b"), rng)
         scheme = SamplingScheme("list", n, tau)
         E = expected_lifted_inverse(M, scheme).matrix
-        want, _ = loop_expected_inverse(M, scheme)
+        want = loop_expected_inverse(M, scheme)
         assert scipy.sparse.issparse(E) == _band_is_cheaper(tau - 1, n)
         dense = E.toarray() if scipy.sparse.issparse(E) else E
         assert dense.tobytes() == want.tobytes()
@@ -475,7 +473,7 @@ class TestBandStorage:
         M = np.diag(np.arange(1.0, 201.0))
         E = expected_lifted_inverse(M, SamplingScheme("list", 200, 5)).matrix
         assert E.offsets.tolist() == [0]
-        assert E.toarray().tobytes() == loop_expected_inverse(M, SamplingScheme("list", 200, 5))[0].tobytes()
+        assert E.toarray().tobytes() == loop_expected_inverse(M, SamplingScheme("list", 200, 5)).tobytes()
 
     @pytest.mark.parametrize("entry", ["periodic", "lower corner", "upper corner"])
     def test_wrapped_entry_keeps_the_dense_route(self, entry):
@@ -490,7 +488,7 @@ class TestBandStorage:
         scheme = SamplingScheme("list", n, tau)
         E = expected_lifted_inverse(M, scheme).matrix
         assert isinstance(E, np.ndarray) and not E.flags.writeable
-        assert E.tobytes() == loop_expected_inverse(M, scheme)[0].tobytes()
+        assert E.tobytes() == loop_expected_inverse(M, scheme).tobytes()
 
     def test_entry_no_window_reads_keeps_the_band(self):
         # M[n - tau, 0] lies in no window, so E stays banded.
@@ -500,11 +498,11 @@ class TestBandStorage:
         scheme = SamplingScheme("list", n, tau)
         E = expected_lifted_inverse(M, scheme).matrix
         assert scipy.sparse.issparse(E)
-        assert E.toarray().tobytes() == loop_expected_inverse(M, scheme)[0].tobytes()
+        assert E.toarray().tobytes() == loop_expected_inverse(M, scheme).tobytes()
 
     def test_dense_matrix_and_other_samplings_stay_dense(self):
         # The ERM smoothness matrix X of a dense data matrix, and heat
-        # under a nice sampling and under Monte Carlo.
+        # under a nice sampling, enumerated and drawn.
         rng = np.random.default_rng(12)
         A = rng.standard_normal((10, 150))
         X = ErmProblem(A, np.sign(A[0]) + (A[0] == 0), SquaredLoss(), 0.1).smoothness_matrix()
@@ -512,9 +510,34 @@ class TestBandStorage:
         for M, scheme, samples in (
             (X, SamplingScheme("list", 150, 3), None),
             (heat, SamplingScheme("nice", 150, 1), None),
-            (heat, SamplingScheme("list", 150, 3), 20),
+            (heat, SamplingScheme("nice", 150, 1), 20),
         ):
             assert isinstance(expected_lifted_inverse(M, scheme, samples).matrix, np.ndarray)
+
+    @pytest.mark.parametrize(
+        "kind, n, tau, samples",
+        [("heat", 300, 4, 2000), ("heat", 300, 5, 2000), ("tridiagonal", 200, 3, 4000)],
+    )
+    def test_drawn_band_equals_loop_bit_for_bit(self, kind, n, tau, samples):
+        # 4000 draws at tau = 3 span three batches of 1820 sets.
+        M = make_heat_matrix(n) if kind == "heat" else make_tridiagonal(n, 0.3)
+        scheme = SamplingScheme("list", n, tau)
+        E = expected_lifted_inverse(M, scheme, samples, seed=9).matrix
+        assert isinstance(E, _Band) and E.offsets.tolist() == list(range(1 - tau, tau))
+        assert E.toarray().tobytes() == loop_expected_inverse(M, scheme, samples, seed=9).tobytes()
+
+    def test_drawn_band_above_the_dense_limit(self):
+        # A dense route refuses this order; the band route holds
+        # 2 tau - 1 diagonals and batch temporaries, far from n x n.
+        n = MAX_ORDER + 1
+        tracemalloc.start()
+        try:
+            E = expected_lifted_inverse(make_heat_matrix(n), SamplingScheme("list", n, 5), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(E.matrix, _Band) and E.matrix.shape == (n, n)
+        assert peak < n * n
 
     def test_band_compares_as_a_value(self):
         M = make_heat_matrix(300)
