@@ -88,20 +88,19 @@ def check_symmetric(M):
     if np.iscomplexobj(M):
         raise ValueError("matrix has complex entries")
     A = _stored(M)
-    if isinstance(A, _Band):
-        lower = [A.diagonal(-k) for k in range(A.b + 1)]
-        upper = [A.diagonal(k) for k in range(A.b + 1)]
-        largest = float(np.abs(np.concatenate(lower + upper)).max())
-    else:
-        # The maximum and minimum propagate NaN and inf, so these two
-        # passes also catch the entries every comparison below would let
-        # through; a NaN makes both NaN, and max() keeps its first
-        # argument then.
-        largest = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
+    entries = A.data if isinstance(A, _Band) else A
+    # The maximum and minimum propagate NaN and inf, so these two passes
+    # also catch the entries every comparison below would let through; a
+    # NaN makes both NaN, and max() keeps its first argument then.
+    largest = max(float(entries.max(initial=0.0)), -float(entries.min(initial=0.0)))
     if not np.isfinite(largest):
         raise ValueError("matrix has non-finite entries")
     if isinstance(A, _Band):
-        asymmetry = max(float(np.abs(lo - up).max()) for lo, up in zip(lower, upper))
+        # Lower row k, A[j + k, j] for j < n - k, against its partners
+        # A[j, j + k], both read in place from _padded.
+        (padded, row), n = A._padded, A.shape[0]
+        pairs = ((padded[row[-k], : n - k], padded[row[k], k:]) for k in range(A.b + 1))
+        asymmetry = max(float(np.abs(lo - up).max()) for lo, up in pairs)
     else:
         difference = A - A.T
         asymmetry = np.abs(difference, out=difference).max(initial=0.0)
@@ -134,10 +133,10 @@ def _stored(M) -> np.ndarray | _Band:
 class _Band(scipy.sparse.dia_array):
     """A matrix in diagonal storage whose data is read-only (made by
     from_diagonals): the heat and tridiagonal matrices, any checked
-    matrix for which banded storage is cheaper, and the enumerated
-    list-sampling E of a band.  It stores exactly
-    the diagonals that hold a nonzero, so its offsets give its
-    bandwidth b from the exact zeros.
+    matrix for which banded storage is cheaper, and the list-sampling E
+    of a band, enumerated or drawn.  It stores exactly the diagonals
+    that hold a nonzero, so its offsets give its bandwidth b from the
+    exact zeros.
 
     M[rows, cols] reads its stored diagonals as fancy indexing reads an
     array, so block gathers read either storage alike.  Compared with
@@ -181,12 +180,9 @@ class _Band(scipy.sparse.dia_array):
 
     def lower(self) -> np.ndarray:
         """(b+1) x n lower band storage: row k holds the k-th
-        subdiagonal, zero-padded at its end."""
-        n = self.shape[0]
-        band = np.zeros((self.b + 1, n))
-        for k in range(self.b + 1):
-            band[k, : n - k] = self.diagonal(-k)
-        return band
+        subdiagonal and then the zeros that pad it in data (_padded)."""
+        padded, row = self._padded
+        return padded[row[-np.arange(self.b + 1)]]
 
     @cached_property
     def _padded(self) -> tuple[np.ndarray, np.ndarray]:

@@ -251,17 +251,15 @@ class CurvaturePair:
 
     @cached_property
     def _band_factor(self) -> scipy.sparse.dia_array:
-        """G's Cholesky factor as a sparse band: (b_G + 1) x n floats."""
-        band = self._cholesky(band=True)
+        """A band G's Cholesky factor as a sparse band: (b_G + 1) x n floats."""
+        band = scipy.linalg.cholesky_banded(self.G.lower(), lower=True, check_finite=False)
         return scipy.sparse.dia_array((band, -np.arange(len(band))), shape=self.G.shape)
 
-    def _cholesky(self, band: bool = False) -> np.ndarray:
-        """Lower Cholesky factor of G: n x n, not cached (18 MB at
-        n = 1500), or for a band G in lower band storage."""
-        if not band:
-            G = _dense(self.G, _DENSE_ROUTE)
-            return scipy.linalg.cholesky(G, lower=True, check_finite=False)
-        return scipy.linalg.cholesky_banded(self.G.lower(), lower=True, check_finite=False)
+    def _cholesky(self) -> np.ndarray:
+        """Dense lower Cholesky factor of G: n x n, not cached (18 MB at
+        n = 1500)."""
+        G = _dense(self.G, _DENSE_ROUTE)
+        return scipy.linalg.cholesky(G, lower=True, check_finite=False)
 
 
 def _symmetric_extremes(S: np.ndarray) -> tuple[float, float]:

@@ -246,7 +246,7 @@ def expected_lifted_inverse(
                 raise ValueError(
                     f"enumeration over C({n}, {scheme.tau}) = {count} subsets "
                     f"exceeds the limit {ENUMERATION_LIMIT}; give a sample count "
-                    "for a monte-carlo estimate"
+                    "for a monte-carlo estimate, or use theta 'bound'"
                 )
         else:
             count = n

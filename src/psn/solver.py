@@ -67,11 +67,11 @@ class SmoothObjective:
     """Smooth strongly convex objective with curvature bounds.
 
     value/gradient are plain callables on length-n vectors.  M bounds
-    the Hessians from above and G from below in the semidefinite order,
-    each an array or a band as check_symmetric stores it; block steps
-    always solve against M.  x_star/f_star are optional and only used
-    to report optimality gaps in traces.  The objective is quadratic,
-    with G = M, exactly when G is M itself.
+    the Hessians from above and G from below in the semidefinite order:
+    an array is kept as given, any other matrix stored by check_symmetric
+    (a G that is M stays M).  Block steps always solve against M.
+    x_star/f_star are optional and only used to report optimality gaps
+    in traces.  The objective is quadratic, G = M, exactly when G is M.
 
     The objective is a snapshot of M and G: x_star and f_star are fixed
     when it is built, and curvature() builds and validates the pair
@@ -88,6 +88,12 @@ class SmoothObjective:
     G: np.ndarray | scipy.sparse.dia_array = field(repr=False)
     x_star: np.ndarray | None = field(default=None, repr=False)
     f_star: float | None = None
+
+    def __post_init__(self):
+        M = self.M if isinstance(self.M, np.ndarray) else check_symmetric(self.M)
+        if self.G is self.M or not isinstance(self.G, np.ndarray):
+            self.__dict__["G"] = M if self.G is self.M else check_symmetric(self.G)
+        self.__dict__["M"] = M
 
     @property
     def quadratic(self) -> bool:

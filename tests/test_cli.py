@@ -9,6 +9,7 @@ import csv
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import psn.cli
 import psn.rates
@@ -415,6 +418,97 @@ class TestSolve:
         assert main(["solve", "--gen", "rho:6,0.3", "--b", "1", "--out", str(out)]) == 0
         assert out.is_symlink() and target.read_text().startswith("c,")
 
+    def test_enumeration_limit_names_the_theta_bound(self, capsys):
+        # solve takes no sample count, so the error names the remedy it
+        # does take: theta 'bound'.
+        argv = ["solve", "--gen", "rho:100,0.5", "--scheme", "nice:tau=5", "--theta", "exact"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "bound" in lines[0]
+
+
+# Tokens that can replace an entry: non-finite spellings numpy reads,
+# one that overflows, one that is not a number and one that is empty.
+BAD_TOKENS = ["nan", "NaN", "inf", "-inf", "1e400", "x", ""]
+
+
+@st.composite
+def matrix_market_files(draw):
+    """The text of a Matrix Market file of order at most 5: a header of
+    any format, field and symmetry over the entries it asks for of a
+    diagonally dominant symmetric integer matrix (so positive definite),
+    then up to two faults: a size that is not square or has no rows, an
+    entry count one or two off, a coordinate index one outside the
+    matrix, an entry token replaced by a bad one, or an entry changed on
+    one side of the diagonal only."""
+    # Weighted towards the headers psn can solve, so that both exits show.
+    layout = draw(st.sampled_from(["coordinate", "array"]))
+    field = draw(st.sampled_from(["real", "real", "integer", "real", "complex", "pattern"]))
+    symmetry = draw(
+        st.sampled_from(["symmetric", "general", "hermitian", "symmetric", "skew-symmetric"])
+    )
+    n = draw(st.integers(1, 5))
+    upper = draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+    M = np.triu(np.reshape(upper, (n, n)).astype(int), 1)
+    M = M + M.T + (n + 1) * np.eye(n, dtype=int)
+    faults = draw(
+        st.lists(st.sampled_from(["shape", "empty", "count", "index", "token", "side"]), max_size=2)
+    )
+    if "side" in faults and n > 1:
+        M[n - 1, 0] += 1
+    # Column-major, as the format stores an array; the other symmetries
+    # store the lower triangle, skew-symmetric without its diagonal.
+    keep = {"general": -n, "skew-symmetric": 1}.get(symmetry, 0)
+    cells = [(i, j) for j in range(n) for i in range(n) if i - j >= keep]
+    if layout == "coordinate":
+        cells = [(i, j) for i, j in cells if M[i, j]]
+    values = {"complex": "{} 0", "pattern": ""}.get(field, "{}")
+    entries = [[values.format(M[i, j])] for i, j in cells]
+    if layout == "coordinate":
+        entries = [[str(i + 1), str(j + 1), *values.format(M[i, j]).split()] for i, j in cells]
+    if "token" in faults and entries and values:
+        draw(st.sampled_from(entries))[-1] = draw(st.sampled_from(BAD_TOKENS))
+    if "index" in faults and layout == "coordinate" and entries:
+        index = str(draw(st.sampled_from([0, n + 1])))
+        draw(st.sampled_from(entries))[draw(st.integers(0, 1))] = index
+    rows, cols = (n, n + draw(st.sampled_from([-1, 1]))) if "shape" in faults else (n, n)
+    if "empty" in faults:
+        rows, cols = 0, draw(st.sampled_from([0, n]))
+    count, body = len(entries), [" ".join(entry) for entry in entries]
+    if "count" in faults:
+        # A coordinate header declares the wrong count; an array body
+        # loses or repeats entries.
+        off = draw(st.sampled_from([-2, -1, 1, 2]))
+        if layout == "coordinate":
+            count = max(0, count + off)
+        else:
+            body = body[:off] if off < 0 else body + body[:off]
+    size = f"{rows} {cols}" + (f" {count}" if layout == "coordinate" else "")
+    header = f"%%MatrixMarket matrix {layout} {field} {symmetry}"
+    return "\n".join([header, size, *body]) + "\n"
+
+
+class TestHostileMatrixMarket:
+    """psn solve on generated Matrix Market files, each in a process of
+    its own (scipy's reader can kill one): it solves or refuses, with
+    one error line and never a traceback or warning."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(text=matrix_market_files())
+    @example(text="%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 3\n2 1 1\n2 2 3\n")
+    def test_solves_or_refuses_in_one_line(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.mtx"
+            path.write_text(text)
+            done = run_cli_process("solve", "--matrix", str(path), "--b", "1", "--max-iter", "5")
+        assert done.returncode in (0, 1, 2), (done.returncode, done.stderr)
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
+        if done.returncode == 1:
+            assert [line.startswith("error: ") for line in done.stderr.splitlines()] == [True]
+        else:
+            # A run that solved (0) or used its 5 iterations (2) writes its CSV.
+            assert done.stdout.splitlines()[0] == "c,iteration,f_gap,grad_norm"
+
 
 class TestBandOrders:
     """The heat and tridiagonal generators build bands, so their orders
@@ -491,13 +585,11 @@ class TestBandOrders:
         monkeypatch.setattr(
             psn.rates, "expected_lifted_inverse", lambda *args: ExpectedInverse(E)
         )
-        cholesky = psn.rates.CurvaturePair._cholesky
 
-        def band_cholesky_only(pair, band=None):
-            assert band is not None, "dense factor made"
-            return cholesky(pair, band)
+        def no_dense_factor(pair):
+            raise AssertionError("dense factor made")
 
-        monkeypatch.setattr(psn.rates.CurvaturePair, "_cholesky", band_cholesky_only)
+        monkeypatch.setattr(psn.rates.CurvaturePair, "_cholesky", no_dense_factor)
         argv = ["rates", "--gen", f"heat:{n},0.1", "--scheme", f"list:tau={w + 1}"]
         assert main(argv) == 1
         assert capsys.readouterr().err == (

@@ -360,6 +360,8 @@ class TestBlockGather:
         # not be), with inner diagonals all zero (so not stored) and
         # offsets in any order, built from the diagonals of an array, a
         # dia_array and a csr_array, under draws of every sampling kind.
+        # The other two readers of the stored diagonals, lower() and the
+        # band check of check_symmetric, are checked on the same bands.
         n = data.draw(st.integers(1, 60), label="n")
         b = data.draw(st.integers(0, n - 1), label="b")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -376,11 +378,25 @@ class TestBlockGather:
         want = M[rows, cols]
         width = reference_bandwidth(np.abs(M) + np.abs(M.T))
         order = data.draw(st.permutations(range(-width, width + 1)), label="offset order")
+        lower = np.zeros((width + 1, n))
+        for k in range(width + 1):
+            lower[k, : n - k] = M.diagonal(-k)
+        checked = check_outcome(reference_check_symmetric, M)
         for source in (M, scipy.sparse.dia_array(M), scipy.sparse.csr_array(M)):
             diagonals = {k: source.diagonal(k) for k in order}
             band = _Band.from_diagonals(n, diagonals)
             got = band[rows, cols]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert band.lower().tobytes() == lower.tobytes()
+            # The switch is forced so that every band takes the band check.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(psn.linalg, "_band_is_cheaper", lambda b, n: True)
+                got = check_outcome(check_symmetric, band)
+            if isinstance(checked, str):
+                assert got == checked
+            else:
+                assert got.toarray().tobytes() == checked.tobytes()
+                assert (got is band) == (checked is M)
 
     def test_layout_built_once_per_band(self):
         M = make_heat_matrix(300)

@@ -585,13 +585,14 @@ class TestMemo:
 
 def weighted_with_work(G, E):
     """The extremes of L^T E L for a fresh pair of G (the one call
-    behind sigma1 and theta), the names of the spectral work it did and
-    its number of band bisection probes."""
+    behind sigma1 and theta), the names of the spectral work it did,
+    its number of band bisection probes and whether it made G's band
+    factor (_band_factor)."""
     pair = CurvaturePair.from_hessian(G)
     with counting_band_probes() as probes, pytest.MonkeyPatch.context() as mp:
         calls = count_spectral_work(mp)
         result = pair._weighted_extremes(E)
-    return result, [name for name, _ in calls], len(probes)
+    return result, [name for name, _ in calls], len(probes), "_band_factor" in vars(pair)
 
 
 class TestBandedWeightedRoute:
@@ -610,11 +611,10 @@ class TestBandedWeightedRoute:
         n = next(m for m in itertools.count(1) if psn.linalg._band_is_cheaper(b, m)) + extra - 1
         rng = np.random.default_rng(seed)
         G, E = random_band(n, b_G, rng), random_band(n, b_E, rng)
-        got, work, probes = weighted_with_work(G, E)
-        # The banded factor (one _cholesky call) and one band solve,
-        # which probes unless L^T E L is diagonal; no dense factor, no
-        # eigen_extremes.
-        assert work == ["_cholesky", "_band_extremes"] and bool(probes) == (b > 0)
+        got, work, probes, band_factor = weighted_with_work(G, E)
+        # The band factor and one band solve, which probes unless L^T E L
+        # is diagonal; no dense factor, no eigen_extremes.
+        assert band_factor and work == ["_band_extremes"] and bool(probes) == (b > 0)
         assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
 
     def test_dense_g_or_dense_e_takes_the_dense_route(self):
@@ -622,8 +622,8 @@ class TestBandedWeightedRoute:
         heat = psn.linalg.make_heat_matrix(60).toarray()
         nice = expected_lifted_inverse(heat, SamplingScheme("nice", 60, 2)).matrix
         for G, E in ((random_pd(60, 6), random_band(60, 1, rng)), (heat, nice)):
-            got, work, probes = weighted_with_work(G, E)
-            assert work == ["_cholesky", "eigen_extremes"] and probes == 0
+            got, work, probes, band_factor = weighted_with_work(G, E)
+            assert work == ["_cholesky", "eigen_extremes"] and probes == 0 and not band_factor
             assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
 
     def test_upper_band_wider_than_lower(self):
@@ -631,8 +631,8 @@ class TestBandedWeightedRoute:
         G = random_band(200, 1, rng)
         E = random_band(200, 1, rng)
         E += np.diag(rng.uniform(0.1, 0.5, 197), 3)
-        got, work, probes = weighted_with_work(G, E)
-        assert "_band_extremes" in work and probes > 0
+        got, work, probes, band_factor = weighted_with_work(G, E)
+        assert band_factor and work == ["_band_extremes"] and probes > 0
         assert got == pytest.approx(reference_weighted_extremes(G, E), rel=1e-12)
 
     def test_heat_rates_in_band_memory(self):

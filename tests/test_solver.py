@@ -161,6 +161,35 @@ class TestObjectives:
         with pytest.raises(np.linalg.LinAlgError):
             least_squares_objective(A, np.ones(4))
 
+    @pytest.mark.parametrize("fmt", ["dia", "csr", "coo"])
+    def test_hand_built_sparse_objective_runs(self, fmt):
+        # Block steps index M, so an M in a sparse format is stored by
+        # the rule (an array below the switch), one object with G, and
+        # runs as the same M given as an array.
+        A = 2 * np.eye(5)
+        M = getattr(scipy.sparse, f"{fmt}_array")(A)
+        obj = SmoothObjective(5, lambda x: float(x @ x - x.sum()), lambda x: 2 * x - 1, M, M)
+        assert isinstance(obj.M, np.ndarray) and obj.G is obj.M and obj.quadratic
+        array = SmoothObjective(5, obj.value, obj.gradient, A, A)
+        config = SolverConfig(SamplingScheme("nice", 5, 2), b=1, max_iter=3)
+        assert trace_values(run(obj, config)) == trace_values(run(array, config))
+
+    def test_hand_built_general_pair_with_sparse_g(self):
+        # A non-quadratic objective whose M and G come as sparse matrices
+        # past the switch: both are stored as bands, and the run and the
+        # pair's lambda equal those of the array objective.
+        ref = nonquadratic_objective(150)
+        obj = dataclasses.replace(
+            ref, M=scipy.sparse.dia_array(ref.M), G=scipy.sparse.csr_array(ref.G)
+        )
+        assert isinstance(obj.M, psn.linalg._Band) and isinstance(obj.G, psn.linalg._Band)
+        assert not obj.quadratic
+        assert obj.M.toarray().tobytes() == ref.M.tobytes()
+        assert obj.G.toarray().tobytes() == ref.G.tobytes()
+        config = SolverConfig(SamplingScheme("nice", 150, 5, 2), b=2.0, seed=3, max_iter=40)
+        assert trace_values(run(obj, config)) == trace_values(run(ref, config))
+        assert lambda_ratio(obj.curvature()) == lambda_ratio(ref.curvature())
+
 
 class TestSteps:
     def test_full_set_is_newton_step(self):
@@ -636,6 +665,18 @@ class TestBandStorage:
     def test_minimiser_equal(self, objectives):
         band, dense = objectives
         assert band.x_star.tobytes() == dense.x_star.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["dia", "csr", "coo"])
+    def test_hand_built_objective_stored_as_band(self, objectives, fmt):
+        # The heat M built by hand in a sparse format is stored as
+        # quadratic_objective stores it, as one object with G, and its
+        # seeded trace is quadratic_objective's bit for bit.
+        band, dense = objectives
+        M = getattr(scipy.sparse, f"{fmt}_array")(dense.M)
+        obj = SmoothObjective(self.N, band.value, band.gradient, M, M, band.x_star, band.f_star)
+        assert isinstance(obj.M, psn.linalg._Band) and obj.G is obj.M and obj.M == band.M
+        config = SolverConfig(SamplingScheme("list", self.N, 5, 4), theta="bound", seed=7)
+        assert trace_values(run(obj, config)) == trace_values(run(band, config))
 
     @pytest.mark.parametrize("c", [1, 4])
     def test_seeded_runs_agree(self, objectives, c):

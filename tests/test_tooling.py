@@ -76,6 +76,18 @@ def test_full_heat_objective_in_band_storage(perfbench, tmp_path):
     assert scipy.sparse.issparse(problem["objective"].M)
 
 
+def test_traced_objective_keeps_the_band(perfbench, tmp_path):
+    # traced_objective copies the objective with dataclasses.replace,
+    # which stores M and G again (SmoothObjective.__post_init__): the
+    # full-size heat-tau5 band must come back as the same object, and G
+    # as M itself.
+    workload = perfbench("workloads").HeatTau5("full")
+    objective = workload.setup(workload.inputs(1, tmp_path))["objective"]
+    traced = perfbench("tracing").Tracer("heat-tau5").traced_objective(objective)
+    assert traced.gradient is not objective.gradient and traced.value is not objective.value
+    assert traced.M is objective.M and traced.G is traced.M
+
+
 def test_full_erm_round_passes_checks(perfbench, tmp_path):
     # One full-size erm-logistic round: the rate work (exact theta and
     # lambda), then c=1 and c=4 solved to tolerance and checked (final
