@@ -96,11 +96,11 @@ def check_symmetric(M):
     if not np.isfinite(largest):
         raise ValueError("matrix has non-finite entries")
     if isinstance(A, _Band):
-        # Lower row k, A[j + k, j] for j < n - k, against its partners
-        # A[j, j + k], both read in place from _padded.
+        # Lower row k >= 1 (the diagonal is its own partner), A[j + k, j]
+        # for j < n - k, against A[j, j + k], read in place from _padded.
         (padded, row), n = A._padded, A.shape[0]
-        pairs = ((padded[row[-k], : n - k], padded[row[k], k:]) for k in range(A.b + 1))
-        asymmetry = max(float(np.abs(lo - up).max()) for lo, up in pairs)
+        pairs = ((padded[row[-k], : n - k], padded[row[k], k:]) for k in range(1, A.b + 1))
+        asymmetry = max((float(np.abs(lo - up).max()) for lo, up in pairs), default=0.0)
     else:
         difference = A - A.T
         asymmetry = np.abs(difference, out=difference).max(initial=0.0)
