@@ -121,7 +121,7 @@ def _stored(M) -> np.ndarray | _Band:
     A = M if scipy.sparse.issparse(M) else np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n, b = A.shape[0], _bandwidth(A)
+    n, b = A.shape[0], A.b if isinstance(A, _Band) else _bandwidth(A)
     if not _band_is_cheaper(b, n):
         return np.asarray(_dense(A, "a matrix too wide for banded storage"), dtype=np.float64)
     if isinstance(A, _Band):
