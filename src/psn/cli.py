@@ -18,6 +18,9 @@ Subcommands:
 
 Each subcommand takes only the flags it reads: --rhs (solve only) needs
 --matrix, and rho and tridiag, which draw nothing, take no --seed.
+Without --scheme, solve, rates and erm sample nice:tau=2 and heat
+list:tau=5, with tau capped at n, so that a problem of any order takes
+the default.
 
 All CSV output is deterministic for a fixed seed and flag set: rows
 carry no timing, and every run takes its draws from one seeded stream
@@ -179,6 +182,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _scheme(args, n: int) -> SamplingScheme:
+    """--scheme parsed against dimension n, or without it the
+    subcommand's default kind and tau, its tau capped at n."""
+    if args.scheme is None:
+        kind, tau = args.default_scheme
+        return SamplingScheme(kind, n, min(tau, n))
+    return parse_scheme(args.scheme, n)
+
+
 def _worker_grid(args, scheme: SamplingScheme) -> list[int]:
     if args.c is not None:
         return _parse_list(args.c, "--c")
@@ -189,7 +201,7 @@ def _solve_grid(args, problem, solve) -> int:
     """Solve problem at every worker count of the grid with
     solve(problem, config), print one status line per run to stderr and
     write the rows of all traces, each led by its c, to one CSV."""
-    scheme = parse_scheme(args.scheme, problem.n)
+    scheme = _scheme(args, problem.n)
     rows = []
     ok = True
     for c in _worker_grid(args, scheme):
@@ -239,7 +251,7 @@ def cmd_heat(args) -> int:
 
 def cmd_rates(args) -> int:
     M, decomposition, _ = _problem(args)
-    scheme = parse_scheme(args.scheme, M.shape[0])
+    scheme = _scheme(args, M.shape[0])
     pair = CurvaturePair.from_hessian(M)
     # Without Monte Carlo the pair enumerates E once for every c.
     expected = None
@@ -359,10 +371,16 @@ def cmd_erm(args) -> int:
     return _solve_grid(args, ErmProblem(A, y, loss, args.reg), run_erm)
 
 
-def _add_solver_flags(sub: argparse.ArgumentParser, default_scheme: str) -> None:
-    sub.add_argument("--scheme", default=default_scheme,
+def _add_scheme_flag(sub: argparse.ArgumentParser, kind: str, tau: int) -> None:
+    sub.add_argument("--scheme", default=None,
                      help="sampling nice, list or non-overlapping, e.g. 'list:tau=5,c=4'; "
-                          "parallel-nice and parallel-list spell nice and list")
+                          "parallel-nice and parallel-list spell nice and list "
+                          f"(default {kind}:tau={tau}, tau capped at n)")
+    sub.set_defaults(default_scheme=(kind, tau))
+
+
+def _add_solver_flags(sub: argparse.ArgumentParser, kind: str, tau: int) -> None:
+    _add_scheme_flag(sub, kind, tau)
     sub.add_argument("--c", default=None,
                      help="comma-separated worker counts (overrides the scheme's c)")
     sub.add_argument("--b", default="auto", help="damping: 'auto' or a number")
@@ -400,12 +418,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve", help="run the solver on a quadratic problem")
     _add_problem_source(p)
     p.add_argument("--rhs", default=None, help="right-hand side vector file (needs --matrix)")
-    _add_solver_flags(p, "nice:tau=2")
+    _add_solver_flags(p, "nice", 2)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("rates", help="tabulate rate constants and PCDM baselines")
     _add_problem_source(p)
-    p.add_argument("--scheme", default="nice:tau=2")
+    _add_scheme_flag(p, "nice", 2)
     p.add_argument("--c", default=None, help="comma-separated worker counts")
     p.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
                    help="estimate E[(M_S)^-1] from this many Monte Carlo samples "
@@ -428,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("heat", help="solve the implicit heat-step system")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--r", type=float, default=0.1)
-    _add_solver_flags(p, "list:tau=5")
+    _add_solver_flags(p, "list", 5)
     p.set_defaults(func=cmd_heat)
 
     p = subs.add_parser("erm", help="dual solver on a LIBSVM dataset")
@@ -437,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reg", type=float, default=1.0, help="L2 regulariser weight")
     p.add_argument("--epsilon", type=float, default=1e-3,
                    help="quadratic smoothing of the logistic loss")
-    _add_solver_flags(p, "nice:tau=2")
+    _add_solver_flags(p, "nice", 2)
     p.set_defaults(func=cmd_erm)
 
     for sub in subs.choices.values():

@@ -84,10 +84,15 @@ def check_symmetric(M):
     symmetric is replaced by (M + M')/2, stored again, since block
     solves read one triangle and gradient updates read rows for
     columns; an exactly symmetric M is returned as it was stored (the
-    same object for a float64 array below the switch or a _Band)."""
+    same object for a float64 array below the switch or a _Band).  A
+    _Band that passed is marked so (its data is read-only), and a
+    marked band is returned at once: the objective, its curvature pair
+    and the eigenvalue routes check one band once."""
     if np.iscomplexobj(M):
         raise ValueError("matrix has complex entries")
     A = _stored(M)
+    if isinstance(A, _Band) and A._symmetric:
+        return A
     entries = A.data if isinstance(A, _Band) else A
     # The maximum and minimum propagate NaN and inf, so these two passes
     # also catch the entries every comparison below would let through; a
@@ -106,7 +111,11 @@ def check_symmetric(M):
         asymmetry = np.abs(difference, out=difference).max(initial=0.0)
     if asymmetry > 1e-10 * max(1.0, largest):
         raise ValueError("matrix is not symmetric within tolerance")
-    return _stored(0.5 * (A + A.T)) if asymmetry else A
+    if asymmetry:
+        return _stored(0.5 * (A + A.T))
+    if isinstance(A, _Band):
+        A._symmetric = True
+    return A
 
 
 def _stored(M) -> np.ndarray | _Band:
@@ -144,6 +153,9 @@ class _Band(scipy.sparse.dia_array):
     the two are equal entry for entry, so that results holding it
     compare as values; scipy's elementwise == of two sparse matrices
     would build an n x n boolean array."""
+
+    # Set by check_symmetric on a band that passed it.
+    _symmetric = False
 
     @classmethod
     def from_diagonals(cls, n: int, diagonals: dict) -> "_Band":

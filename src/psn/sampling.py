@@ -16,6 +16,14 @@ Every draw comes from the generator it is given, as one (c, tau) array
 of sorted index sets.  For nice and list the c rows are c successive
 one-worker draws, so c=1 is the serial scheme.
 
+draws is the stream of draws a run takes: the arrays successive draw
+calls return, each with the window starts of a list draw.  Nice and
+non-overlapping call draw once per draw.  List draws its starts ahead,
+rng.integers(n, size=(K, c)) for a chunk of K draws, which yields the
+values K successive draw calls take from rng, and turns the chunk into
+windows at once; every row and the stream are those of draw, bit for
+bit.
+
 Expected lifted inverses refer to one constituent set: for nice and
 list each worker's set has the one-worker distribution, and for
 ``non-overlapping`` each chunk of a uniform (c*tau)-subset is itself a
@@ -40,6 +48,7 @@ __all__ = [
     "SamplingScheme",
     "parse_scheme",
     "draw",
+    "draws",
     "ExpectedInverse",
     "expected_lifted_inverse",
 ]
@@ -51,7 +60,8 @@ _ALIASES = {"parallel-nice": "nice", "parallel-list": "list"}
 ENUMERATION_LIMIT = 10**6
 # Block entries inverted per batch: 1,024 sets at tau=4 and fewer for
 # larger blocks, so that assembling E takes bounded memory at any count
-# (about 1 MB of temporaries); the batch size changes no bit of E.
+# (about 1 MB of temporaries); the batch size changes no bit of E.  A
+# chunk of pre-drawn list windows (draws) holds this many indices.
 _CHUNK_ENTRIES = 4096 * 4
 
 
@@ -144,6 +154,27 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
         return _windows([rng.integers(n)] if c == 1 else rng.integers(n, size=c), tau, n)
     sets.sort(axis=1)
     return sets
+
+
+def draws(scheme: SamplingScheme, rng: np.random.Generator):
+    """Endless iterator of (sets, starts): sets as successive
+    draw(scheme, rng) calls return them, bit for bit, and for list the
+    (c,) window starts of its rows (None for the other kinds).
+
+    List draws the starts of K = _CHUNK_ENTRIES // (c tau) draws at once,
+    rng.integers(n, size=(K, c)), the values of K successive draw calls
+    (of K scalar draws when c = 1), and cuts their windows (_windows)
+    into K (c, tau) rows; rng is consumed a chunk ahead of the draws
+    taken from it.
+    """
+    if scheme.kind != "list":
+        while True:
+            yield draw(scheme, rng), None
+    n, tau, c = scheme.n, scheme.tau, scheme.c
+    size = max(1, _CHUNK_ENTRIES // (c * tau))
+    while True:
+        starts = rng.integers(n, size=(size, c))
+        yield from zip(_windows(starts.ravel(), tau, n).reshape(size, c, tau), starts)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ block_step computes sum_i h_i for one draw.  run (here) and
 erm.run_erm (on the dual of an ERM problem) share the loop around it;
 each supplies only what it monitors and how it applies the step.
 
+List sampling has only n windows, so the loop keeps their factors:
+it takes the window starts drawn ahead in chunks (sampling.draws) and
+factors each window's block on its first draw, as block_step would,
+into an (n, tau, tau) array kept for the run.  Above n tau^2 =
+_FACTOR_CACHE_ENTRIES (8e6, 64 MB) it factors every draw's blocks
+afresh instead.  Either way the random stream, the steps and every
+trace are those of one draw and one block_step per iteration, bit for
+bit.
+
 The c workers are simulated in the calling thread: every block is
 factored and solved there, in row order, and all randomness flows from
 a single master seed, so a seeded run gives the same trace every time.
@@ -34,7 +43,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .linalg import check_symmetric, solve_pd
 from .rates import CurvaturePair, b_threshold, lambda_ratio
-from .sampling import SamplingScheme, draw
+from .sampling import SamplingScheme, draws
 
 __all__ = [
     "DivergenceError",
@@ -55,6 +64,10 @@ __all__ = [
 _DIVERGENCE_PATIENCE = 100
 # Iterations between full gradient recomputes under incremental_gradient.
 _REFRESH_EVERY = 250
+# Largest n * tau^2 for which a list-sampling run keeps the block factor
+# of every window it draws (64 MB); above it each draw's blocks are
+# factored afresh by block_step.
+_FACTOR_CACHE_ENTRIES = 8 * 10**6
 
 
 class DivergenceError(RuntimeError):
@@ -186,16 +199,47 @@ def block_step(
     positive definite raises LinAlgError naming its index set.
     """
     blocks = M[sets[:, :, None], sets[:, None, :]]
-    total = np.zeros(M.shape[0])
-    for S, block in zip(sets, blocks):
-        factor, info = dpotrf(block, lower=1, clean=0)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"block {S.tolist()} is not positive definite: its "
-                f"{info}-th leading minor is not positive"
-            )
+    return _solve_blocks(M.shape[0], sets, map(_factor, sets, blocks), block_gradient)
+
+
+def _factor(S: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the block M[S, S], by dpotrf, or
+    LinAlgError naming S if the block is not positive definite."""
+    factor, info = dpotrf(block, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"block {S.tolist()} is not positive definite: its "
+            f"{info}-th leading minor is not positive"
+        )
+    return factor
+
+
+def _solve_blocks(n: int, sets: np.ndarray, factors, block_gradient) -> np.ndarray:
+    """The sum over the rows S of sets, in row order, of the directions
+    -factor^{-T} factor^{-1} block_gradient(S) on S, each factor taken
+    from the iterable factors as its row is reached."""
+    total = np.zeros(n)
+    for S, factor in zip(sets, factors):
         total[S] -= dpotrs(factor, block_gradient(S), lower=1)[0]
     return total
+
+
+def _window_factors(M, n: int, tau: int) -> Callable[[int, np.ndarray], np.ndarray]:
+    """Factor lookup of list sampling, (start, S) -> the _factor of the
+    window S of that start, computed on the window's first draw from
+    the block M[S, S] that block_step gathers, and kept for the run in
+    an (n, tau, tau) array, transposed so that each factor reads in
+    the Fortran order dpotrs takes without a copy."""
+    factors = np.empty((n, tau, tau))
+    known = np.zeros(n, dtype=bool)
+
+    def factor(start, S):
+        if not known[start]:
+            factors[start] = _factor(S, M[S[:, None], S]).T
+            known[start] = True
+        return factors[start].T
+
+    return factor
 
 
 @dataclass(frozen=True)
@@ -356,10 +400,19 @@ def _iterate(
     residual at most config.tol as 'converged'.  An objective that rises
     for 100 consecutive iterations raises DivergenceError.  Otherwise
     one draw of config.scheme is taken from a generator seeded with
-    config.seed, and update(k, sets, total) gets its sets and the
-    undamped sum of their block directions against M (see block_step).
+    config.seed (sampling.draws), and update(k, sets, total) gets its
+    sets and the undamped sum of their block directions against M, as
+    block_step computes it.  A list draw whose n tau^2 is at most
+    _FACTOR_CACHE_ENTRIES reads its factors from _window_factors, so
+    each window is gathered and factored once per run.
     """
-    rng = np.random.default_rng(config.seed)
+    scheme = config.scheme
+    stream = draws(scheme, np.random.default_rng(config.seed))
+    factor = (
+        _window_factors(M, scheme.n, scheme.tau)
+        if scheme.kind == "list" and scheme.n * scheme.tau**2 <= _FACTOR_CACHE_ENTRIES
+        else None
+    )
     records: list = []
     prev_value = np.inf
     rises = 0
@@ -381,8 +434,12 @@ def _iterate(
         prev_value = value
         if k == config.max_iter:
             break
-        sets = draw(config.scheme, rng)
-        update(k, sets, block_step(M, sets, block_gradient))
+        sets, starts = next(stream)
+        if factor is None:
+            total = block_step(M, sets, block_gradient)
+        else:
+            total = _solve_blocks(M.shape[0], sets, map(factor, starts, sets), block_gradient)
+        update(k, sets, total)
     return records, "max-iterations"
 
 

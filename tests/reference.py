@@ -12,7 +12,8 @@ with its matrix stored densely, the ERM curvature
 pair built and validated at order n, and the slopes phi' of the losses
 written out from their definitions.
 count_spectral_work lets a test see which spectral work the curvature
-pairs do, and at which order.
+pairs do, and at which order.  reference_iterate is the solver loop
+with one draw and one block_step per iteration.
 """
 
 import functools
@@ -26,7 +27,7 @@ import psn.rates
 from psn.linalg import solve_pd
 from psn.rates import CurvaturePair, lambda_ratio
 from psn.sampling import draw
-from psn.solver import IterationTrace, SmoothObjective, TraceRecord
+from psn.solver import IterationTrace, SmoothObjective, TraceRecord, block_step
 
 
 def reference_block_step(M, sets, block_gradient):
@@ -66,6 +67,25 @@ def reference_run(objective, config, b):
         if k < config.max_iter:
             x = reference_step(x, objective, draw(config.scheme, rng), b)
     return IterationTrace(records, status, b, None, x)
+
+
+def reference_iterate(config, M, monitor, block_gradient, update, record):
+    """solver._iterate as one draw and one block_step per iteration: no
+    pre-drawn starts and no kept factors, and no divergence guard.
+    Records carry no timing (elapsed is 0)."""
+    rng = np.random.default_rng(config.seed)
+    records = []
+    for k in range(config.max_iter + 1):
+        fields, residual, value = monitor()
+        records.append(record(k, *fields, 0.0))
+        if not (np.isfinite(residual) and np.isfinite(value)):
+            return records, "non-finite"
+        if residual <= config.tol:
+            return records, "converged"
+        if k < config.max_iter:
+            sets = draw(config.scheme, rng)
+            update(k, sets, block_step(M, sets, block_gradient))
+    return records, "max-iterations"
 
 
 def reference_check_symmetric(M):

@@ -426,6 +426,26 @@ class TestSolve:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "bound" in lines[0]
 
+    def test_default_scheme_caps_tau_at_n(self, tmp_path, capsys):
+        # A 1 x 1 matrix takes the default nice:tau=2 as tau = 1, and a
+        # heat grid of 3 points the default list:tau=5 as tau = 3; a tau
+        # above n that the user gives is still refused.
+        path, out = tmp_path / "one.mtx", tmp_path / "out.csv"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2\n")
+        for argv in (["solve", "--matrix", str(path)], ["rates", "--matrix", str(path)],
+                     ["heat", "--n", "3"]):
+            flags = [] if argv[0] == "rates" else ["--theta", "bound"]
+            assert main([*argv, *flags, "--out", str(out)]) == 0, capsys.readouterr().err
+            header, rows = read_csv(out)
+            if argv[0] == "rates":
+                assert column(header, rows, "tau") == ["1"]
+            else:
+                assert column(header, rows, "iteration")[-1] == "1"
+        capsys.readouterr()
+        assert main(["solve", "--matrix", str(path), "--scheme", "nice:tau=2", "--theta",
+                     "bound"]) == 1
+        assert capsys.readouterr().err == "error: tau must lie in [1, n=1], got 2\n"
+
 
 # Tokens that can replace an entry: non-finite spellings numpy reads,
 # one that overflows, one that is not a number and one that is empty.

@@ -10,6 +10,7 @@ per-set lifted inverses.
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psn.sampling
 from psn.erm import ErmProblem, SquaredLoss
 from psn.linalg import (
     MAX_ORDER,
@@ -32,6 +34,7 @@ from psn.sampling import (
     KINDS,
     SamplingScheme,
     draw,
+    draws,
     expected_lifted_inverse,
     parse_scheme,
 )
@@ -173,6 +176,16 @@ class TestDraws:
         se = np.sqrt((2 / 6) * (1 - 2 / 6) / trials)
         assert np.abs(p - 2 / 6).max() < 4 * se
 
+    @pytest.mark.parametrize("kind", ["nice", "non-overlapping"])
+    def test_stream_of_other_kinds_is_one_draw_each(self, kind):
+        scheme = SamplingScheme(kind, 10, 2, c=3)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        stream = draws(scheme, rng)
+        for _ in range(5):
+            sets, starts = next(stream)
+            assert starts is None and sets.tobytes() == draw(scheme, ref).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
 
 def serial_draw(kind, n, tau, rng):
     """One draw of the serial scheme kind, written out from its
@@ -220,6 +233,32 @@ class TestDrawProperties:
             assert np.array_equal(draw(scheme, rng), expected)
             # Same state, so the next value of either stream is the same.
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_list_starts_drawn_ahead_are_successive_draws(self, data):
+        # draws takes the starts of a chunk of list draws at once; its
+        # rows are those of successive draw calls, across chunk ends and
+        # at the default chunk too, and each row is its start's window.
+        n = data.draw(st.one_of(st.integers(1, 64), st.integers(1, 2**31 + 11)), label="n")
+        tau = data.draw(st.integers(1, min(n, 8)), label="tau")
+        c = data.draw(st.integers(1, 16), label="c")
+        entries = data.draw(
+            st.one_of(st.integers(1, 4 * c * tau), st.just(psn.sampling._CHUNK_ENTRIES)),
+            label="chunk entries",
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        scheme, ref = SamplingScheme("list", n, tau, c), np.random.default_rng(seed)
+        with mock.patch.object(psn.sampling, "_CHUNK_ENTRIES", entries):
+            stream = draws(scheme, np.random.default_rng(seed))
+            per_chunk = max(1, entries // (c * tau))
+            for k in range(per_chunk + 2 if per_chunk > 4 else 3 * per_chunk + 1):
+                sets, starts = next(stream)
+                want = draw(scheme, ref)
+                assert sets.dtype == want.dtype and np.array_equal(sets, want), k
+                assert starts.shape == (c,)
+                windows = np.sort((starts[:, None] + np.arange(tau)) % n, axis=1)
+                assert np.array_equal(sets, windows)
 
 
 class TestProbabilityMatrix:

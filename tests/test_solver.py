@@ -6,16 +6,21 @@ reference.py bit for bit, and the threads setting must not change it.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
+import psn.erm
 import psn.rates
+import psn.sampling
 import psn.solver
 from psn.cli import main
+from psn.erm import ErmProblem, LogisticLoss, run_erm
 from psn.linalg import make_heat_matrix, make_rho_matrix
 from psn.rates import CurvaturePair, b_threshold, lambda_ratio, theta, theta_cond_bound
 from psn.sampling import KINDS, SamplingScheme, draw, expected_lifted_inverse, parse_scheme
@@ -33,6 +38,7 @@ from reference import (
     count_spectral_work,
     reference_block_step,
     reference_heat_objective,
+    reference_iterate,
     reference_make_heat_matrix,
     reference_run,
     reference_step,
@@ -173,6 +179,33 @@ class TestObjectives:
         array = SmoothObjective(5, obj.value, obj.gradient, A, A)
         config = SolverConfig(SamplingScheme("nice", 5, 2), b=1, max_iter=3)
         assert trace_values(run(obj, config)) == trace_values(run(array, config))
+
+    @pytest.mark.parametrize("fmt", ["band", "dia", "csr", "coo"])
+    def test_hand_built_non_symmetric_m_refused(self, fmt):
+        # Past the switch every format is stored as a band and checked
+        # in full: a skew band fails the objective's own check.
+        skew = psn.linalg._Band.from_diagonals(300, {-1: 1.0, 0: 4.0, 1: 2.0})
+        M = skew if fmt == "band" else getattr(scipy.sparse, f"{fmt}_array")(skew)
+        with pytest.raises(ValueError, match="not symmetric"):
+            SmoothObjective(300, lambda x: 0.0, lambda x: x, M, M)
+        assert not skew._symmetric
+
+    def test_checked_band_passed_on(self, monkeypatch):
+        # quadratic_objective checks its band once; the objective and its
+        # curvature pair take the marked band as it is: check_symmetric
+        # reads its diagonals (_padded) no more.
+        M = make_heat_matrix(300)
+        obj = quadratic_objective(M, np.ones(300))
+        assert obj.M is M and M._symmetric
+        padded = psn.linalg._Band._padded
+
+        def read(band):
+            assert sys._getframe(1).f_code.co_name != "check_symmetric"
+            return padded.__get__(band, type(band))
+
+        monkeypatch.setattr(psn.linalg._Band, "_padded", property(read))
+        assert obj.curvature().M is obj.M is obj.G
+        assert dataclasses.replace(obj).M is M
 
     def test_hand_built_general_pair_with_sparse_g(self):
         # A non-quadratic objective whose M and G come as sparse matrices
@@ -692,29 +725,165 @@ class TestBandStorage:
 
 
 def test_changed_set_of_each_draw(monkeypatch):
-    # The loop passes each draw's sets to update; _changed gives
-    # np.unique of their rows, and a one-row draw passes its (sorted,
-    # distinct) row itself.
-    draws, passed = [], []
+    # The loop passes each draw's sets to update: for nice and
+    # non-overlapping the very array draw returned, for list (starts
+    # drawn ahead) the same values.  _changed gives np.unique of their
+    # rows, and a one-row draw passes its (sorted, distinct) row itself.
+    recorded, passed = [], []
 
     def recording_draw(scheme, rng):
-        draws.append(draw(scheme, rng))
-        return draws[-1]
+        recorded.append(draw(scheme, rng))
+        return recorded[-1]
 
-    monkeypatch.setattr(psn.solver, "draw", recording_draw)
+    monkeypatch.setattr(psn.sampling, "draw", recording_draw)
     objective = random_quadratic(12, 3)
-    for kind, c in [("list", 1), ("nice", 1), ("non-overlapping", 1), ("nice", 3), ("list", 2)]:
-        draws.clear()
+    for kind, c in [("list", 1), ("nice", 1), ("non-overlapping", 1), ("nice", 3), ("list", 2),
+                    ("non-overlapping", 2)]:
+        recorded.clear()
         passed.clear()
-        config = SolverConfig(SamplingScheme(kind, 12, 3, c), b=float(c), max_iter=20)
+        config = SolverConfig(SamplingScheme(kind, 12, 3, c), b=float(c), max_iter=20, seed=5)
         psn.solver._iterate(
             config, objective.M, lambda: ((0.0, None, 1.0), 1.0, 0.0),
             np.ones(12).__getitem__, lambda k, sets, total: passed.append(sets),
             psn.solver.TraceRecord,
         )
-        assert len(passed) == len(draws) == 20
-        for sets, got in zip(draws, passed):
-            assert got is sets
-            changed = psn.solver._changed(sets)
+        rng = np.random.default_rng(config.seed)
+        expected = [draw(config.scheme, rng) for _ in range(20)]
+        assert len(passed) == 20 and len(recorded) == (0 if kind == "list" else 20)
+        for k, (got, sets) in enumerate(zip(passed, expected)):
+            assert got.dtype == sets.dtype and np.array_equal(got, sets)
+            if kind != "list":
+                assert got is recorded[k]
+            changed = psn.solver._changed(got)
             assert np.array_equal(changed, np.unique(sets))
-            assert (c == 1) == np.shares_memory(changed, sets)
+            assert (c == 1) == np.shares_memory(changed, got)
+
+
+def logistic_data(d=6, n=30, seed=8):
+    """Features and +-1 labels of a planted linear model."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, n))
+    return A, np.where(A.T @ rng.standard_normal(d) >= 0.0, 1.0, -1.0)
+
+
+def count_factors(monkeypatch):
+    """A list that gets one entry per block factor the solver makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(psn.solver, "dpotrf", counted)
+    return calls
+
+
+class TestWindowFactors:
+    """List runs keep each window's block factor; their traces equal the
+    per-draw loop's (reference_iterate) bit for bit, above the cache's
+    cap too."""
+
+    @pytest.fixture(scope="class", params=["band", "dense"])
+    def heat(self, request):
+        n = 300 if request.param == "band" else 60
+        q = np.cos(0.5 * np.pi * np.linspace(-1.0, 1.0, n))
+        objective = quadratic_objective(make_heat_matrix(n), q)
+        assert isinstance(objective.M, np.ndarray) == (request.param == "dense")
+        return objective
+
+    @pytest.mark.parametrize("c", [1, 4])
+    @pytest.mark.parametrize("chunk", [None, 40])
+    def test_run_equals_reference(self, heat, c, chunk, monkeypatch):
+        # 700 steps: past one chunk of starts (819 draws of 5 indices at
+        # c = 4, 3,276 at c = 1) only with a small chunk.
+        if chunk is not None:
+            monkeypatch.setattr(psn.sampling, "_CHUNK_ENTRIES", chunk)
+        config = SolverConfig(SamplingScheme("list", heat.n, 5, c), b=float(c), tol=0.0,
+                              max_iter=700, seed=11)
+        a, b = run(heat, config), reference_run(heat, config, float(c))
+        assert a.status == b.status == "max-iterations"
+        assert trace_values(a) == trace_values(b)
+        assert a.x.tobytes() == b.x.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_default_chunk_crossed(self, heat, c):
+        # One chunk holds 3,276 (c = 1) or 819 (c = 4) draws at tau = 5.
+        config = SolverConfig(SamplingScheme("list", heat.n, 5, c), b=float(c), tol=0.0,
+                              max_iter=3400 if c == 1 else 900, seed=3)
+        a = run(heat, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(psn.solver, "_iterate", reference_iterate)
+            b = run(heat, config)
+        assert trace_values(a) == trace_values(b)
+        assert a.x.tobytes() == b.x.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 4])
+    @pytest.mark.parametrize("max_iter", [30, 400])
+    def test_run_erm_equals_reference(self, c, max_iter, monkeypatch):
+        monkeypatch.setattr(psn.sampling, "_CHUNK_ENTRIES", 50)
+        problem = ErmProblem(*logistic_data(), LogisticLoss(0.1), 0.05)
+        config = SolverConfig(SamplingScheme("list", problem.n, 4, c), theta="exact",
+                              tol=0.0, max_iter=max_iter, seed=9)
+        a = run_erm(problem, config)
+        monkeypatch.setattr(psn.erm, "_iterate", reference_iterate)
+        b = run_erm(problem, config)
+        assert list(a.csv_rows()) == list(b.csv_rows())
+        assert a.alpha.tobytes() == b.alpha.tobytes() and a.w.tobytes() == b.w.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_above_the_cap_same_bits(self, heat, c, monkeypatch):
+        config = SolverConfig(SamplingScheme("list", heat.n, 5, c), b=float(c), tol=0.0,
+                              max_iter=200, seed=2)
+        calls = count_factors(monkeypatch)
+        cached = run(heat, config)
+        assert len(calls) <= heat.n
+        calls.clear()
+        monkeypatch.setattr(psn.solver, "_FACTOR_CACHE_ENTRIES", heat.n * 25 - 1)
+        fresh = run(heat, config)
+        assert len(calls) == 200 * c
+        assert trace_values(cached) == trace_values(fresh)
+        assert cached.x.tobytes() == fresh.x.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_each_window_factored_once(self, c, monkeypatch):
+        objective = random_quadratic(9, 6)
+        calls = count_factors(monkeypatch)
+        passed = []
+        config = SolverConfig(SamplingScheme("list", 9, 3, c), b=float(c), tol=0.0,
+                              max_iter=300, seed=1)
+        psn.solver._iterate(
+            config, objective.M, lambda: ((0.0, None, 1.0), 1.0, 0.0),
+            np.ones(9).__getitem__, lambda k, sets, total: passed.append(sets.copy()),
+            psn.solver.TraceRecord,
+        )
+        assert len(calls) == len({tuple(S) for sets in passed for S in sets}) == 9
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_indefinite_window_raises_as_before(self, c):
+        # Window {2, 3} of [[1, 2], [2, 1]] is indefinite; every other
+        # window of the list sampling (n = 6, tau = 2) is positive
+        # definite.  The run stops at the same iteration with the same
+        # message as the per-draw loop.
+        M = np.eye(6)
+        M[2, 3] = M[3, 2] = 2.0
+        config = SolverConfig(SamplingScheme("list", 6, 2, c), b=float(c), tol=0.0,
+                              max_iter=50, seed=4)
+        outcomes = []
+        for loop in (psn.solver._iterate, reference_iterate):
+            steps = []
+            with pytest.raises(np.linalg.LinAlgError) as err:
+                loop(config, M, lambda: ((0.0, None, 1.0), 1.0, 0.0), np.ones(6).__getitem__,
+                     lambda k, sets, total: steps.append(k), psn.solver.TraceRecord)
+            outcomes.append((len(steps), str(err.value)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1].startswith("block [2, 3] is not positive definite")
+
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_large_n_factors_only_drawn_windows(self, c, monkeypatch):
+        n = 10**5
+        objective = quadratic_objective(make_heat_matrix(n), np.ones(n))
+        assert n * 25 <= psn.solver._FACTOR_CACHE_ENTRIES
+        calls = count_factors(monkeypatch)
+        trace = run(objective, SolverConfig(SamplingScheme("list", n, 5, c), b=float(c),
+                                            tol=0.0, max_iter=10))
+        assert trace.iterations == 10 and 0 < len(calls) <= 10 * c
