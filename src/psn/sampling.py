@@ -16,13 +16,8 @@ Every draw comes from the generator it is given, as one (c, tau) array
 of sorted index sets.  For nice and list the c rows are c successive
 one-worker draws, so c=1 is the serial scheme.
 
-draws is the stream of draws a run takes: the arrays successive draw
-calls return, each with the window starts of a list draw.  Nice and
-non-overlapping call draw once per draw.  List draws its starts ahead,
-rng.integers(n, size=(K, c)) for a chunk of K draws, which yields the
-values K successive draw calls take from rng, and turns the chunk into
-windows at once; every row and the stream are those of draw, bit for
-bit.
+draws is the stream of draws a run takes, equal to successive draw
+calls bit for bit; list draws its window starts ahead, in chunks.
 
 Expected lifted inverses refer to one constituent set: for nice and
 list each worker's set has the one-worker distribution, and for

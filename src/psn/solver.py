@@ -226,10 +226,9 @@ def _solve_blocks(n: int, sets: np.ndarray, factors, block_gradient) -> np.ndarr
 
 def _window_factors(M, n: int, tau: int) -> Callable[[int, np.ndarray], np.ndarray]:
     """Factor lookup of list sampling, (start, S) -> the _factor of the
-    window S of that start, computed on the window's first draw from
-    the block M[S, S] that block_step gathers, and kept for the run in
-    an (n, tau, tau) array, transposed so that each factor reads in
-    the Fortran order dpotrs takes without a copy."""
+    block M[S, S] of the window S of that start, made on its first call
+    and kept in an (n, tau, tau) array, transposed so that dpotrs reads
+    it in Fortran order without a copy."""
     factors = np.empty((n, tau, tau))
     known = np.zeros(n, dtype=bool)
 
@@ -402,9 +401,8 @@ def _iterate(
     one draw of config.scheme is taken from a generator seeded with
     config.seed (sampling.draws), and update(k, sets, total) gets its
     sets and the undamped sum of their block directions against M, as
-    block_step computes it.  A list draw whose n tau^2 is at most
-    _FACTOR_CACHE_ENTRIES reads its factors from _window_factors, so
-    each window is gathered and factored once per run.
+    block_step computes it; list draws read kept window factors
+    (_window_factors) up to _FACTOR_CACHE_ENTRIES.
     """
     scheme = config.scheme
     stream = draws(scheme, np.random.default_rng(config.seed))

@@ -806,14 +806,13 @@ class TestWindowFactors:
         assert a.x.tobytes() == b.x.tobytes()
 
     @pytest.mark.parametrize("c", [1, 4])
-    def test_default_chunk_crossed(self, heat, c):
+    def test_default_chunk_crossed(self, heat, c, monkeypatch):
         # One chunk holds 3,276 (c = 1) or 819 (c = 4) draws at tau = 5.
         config = SolverConfig(SamplingScheme("list", heat.n, 5, c), b=float(c), tol=0.0,
                               max_iter=3400 if c == 1 else 900, seed=3)
         a = run(heat, config)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(psn.solver, "_iterate", reference_iterate)
-            b = run(heat, config)
+        monkeypatch.setattr(psn.solver, "_iterate", reference_iterate)
+        b = run(heat, config)
         assert trace_values(a) == trace_values(b)
         assert a.x.tobytes() == b.x.tobytes()
 
